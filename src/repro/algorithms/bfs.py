@@ -6,6 +6,11 @@ next frontier.  Using the ``MIN_SELECT2ND`` semiring with frontier values set
 to the frontier vertices' own ids makes the multiplication simultaneously
 compute a valid parent for every newly discovered vertex.
 
+Each search keeps one dense boolean *visited map* for the whole traversal:
+allocated once, marked with the vertices each level reaches, and passed as
+the complemented output mask.  The kernels probe it once per gathered entry,
+so a level costs O(frontier + gathered entries) rather than O(visited).
+
 The result carries the :class:`~repro.parallel.metrics.ExecutionRecord` of
 every SpMSpV performed, because the paper's Figures 4 and 5 report exactly
 "the runtime of SpMSpVs in all iterations omitting other costs of the BFS".
@@ -121,15 +126,29 @@ def bfs(graph: Graph | CSCMatrix, source: int,
                                   scheme=shard_scheme)
               if shards is not None
               else SpMSpVEngine(matrix, ctx, algorithm=algorithm))
+    return _traverse(engine, source, max_levels=max_levels,
+                     collect_frontiers=collect_frontiers)
 
+
+def _traverse(engine: AnyEngine, source: int, *,
+              max_levels: Optional[int] = None,
+              collect_frontiers: bool = False) -> BFSResult:
+    """The single-source level loop over an existing engine.
+
+    Shared by :func:`bfs` and the cold path of
+    :func:`~repro.algorithms.incremental.incremental_bfs`, whose engine may
+    hold pending edge updates.
+    """
+    n = engine.matrix.ncols
     levels = np.full(n, -1, dtype=INDEX_DTYPE)
     parents = np.full(n, -1, dtype=INDEX_DTYPE)
     levels[source] = 0
     parents[source] = source
+    visited = np.zeros(n, dtype=bool)
+    visited[source] = True
 
     frontier = SparseVector(n, np.array([source], dtype=INDEX_DTYPE),
                             np.array([float(source)]), sorted=True, check=False)
-    visited_indices = [np.array([source], dtype=INDEX_DTYPE)]
     records: List[ExecutionRecord] = []
     frontier_sizes: List[int] = [frontier.nnz]
     frontiers: List[SparseVector] = [frontier.copy()] if collect_frontiers else []
@@ -139,7 +158,6 @@ def bfs(graph: Graph | CSCMatrix, source: int,
         if max_levels is not None and level >= max_levels:
             break
         level += 1
-        visited = SparseVector.full_like_indices(n, np.concatenate(visited_indices), 1.0)
         result: SpMSpVResult = engine.multiply(frontier, semiring=MIN_SELECT2ND,
                                                mask=visited, mask_complement=True)
         records.append(result.record)
@@ -148,7 +166,7 @@ def bfs(graph: Graph | CSCMatrix, source: int,
             break
         levels[reached.indices] = level
         parents[reached.indices] = reached.values.astype(INDEX_DTYPE)
-        visited_indices.append(reached.indices.copy())
+        visited[reached.indices] = True
         # next frontier: the newly reached vertices carrying their own ids
         frontier = SparseVector(n, reached.indices.copy(),
                                 reached.indices.astype(np.float64),
@@ -210,8 +228,9 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
     over the block of still-active frontiers, so all searches share a single
     persistent workspace, a single per-level dispatch decision, and — when
     the engine's block cost model favours it — the fused block kernel (one
-    gather/scatter per level for all frontiers).  The per-search
-    visited-vertex masks are folded into the fused scatter (early masking):
+    gather/scatter per level for all frontiers).  Each search keeps one
+    dense visited map (a row of a ``(k, n)`` bool array, updated in place)
+    as its mask, and the masks are folded into the fused scatter (early masking):
     edges leading back into a search's visited set are dropped before the
     block merge ever sees them, which is what keeps mid-traversal levels —
     where most of the frontier's neighbourhood is already visited — at
@@ -238,14 +257,14 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
     for s in sources:
         if not (0 <= s < n):
             raise IndexError(f"source {s} out of range for {n} vertices")
-    ctx = ctx if ctx is not None else default_context()
-    if backend is not None:
-        ctx = ctx.with_backend(backend)
     if engine is not None:
         if engine.matrix.shape != matrix.shape:
             raise ValueError(
                 f"engine holds a {engine.matrix.shape} matrix; graph is {matrix.shape}")
     else:
+        ctx = ctx if ctx is not None else default_context()
+        if backend is not None:
+            ctx = ctx.with_backend(backend)
         engine = (make_sharded_engine(matrix, shards, ctx, algorithm=algorithm,
                                       scheme=shard_scheme)
                   if shards is not None
@@ -255,13 +274,13 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
     levels = np.full((k, n), -1, dtype=INDEX_DTYPE)
     parents = np.full((k, n), -1, dtype=INDEX_DTYPE)
     frontiers: List[Optional[SparseVector]] = []
-    visited: List[List[np.ndarray]] = []
+    visited = np.zeros((k, n), dtype=bool)
     for i, s in enumerate(sources):
         levels[i, s] = 0
         parents[i, s] = s
+        visited[i, s] = True
         frontiers.append(SparseVector(n, np.array([s], dtype=INDEX_DTYPE),
                                       np.array([float(s)]), sorted=True, check=False))
-        visited.append([np.array([s], dtype=INDEX_DTYPE)])
     frontier_sizes: List[int] = [sum(f.nnz for f in frontiers if f is not None)]
     iterations_per_source = [0] * k
 
@@ -274,8 +293,7 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
         for i in active:
             iterations_per_source[i] += 1
         xs = [frontiers[i] for i in active]
-        masks = [SparseVector.full_like_indices(n, np.concatenate(visited[i]), 1.0)
-                 for i in active]
+        masks = [visited[i] for i in active]
         results = engine.multiply_many(xs, semiring=MIN_SELECT2ND, masks=masks,
                                        mask_complement=True, block_mode=block_mode)
         for i, result in zip(active, results):
@@ -285,7 +303,7 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
                 continue
             levels[i, reached.indices] = level
             parents[i, reached.indices] = reached.values.astype(INDEX_DTYPE)
-            visited[i].append(reached.indices.copy())
+            visited[i, reached.indices] = True
             frontiers[i] = SparseVector(n, reached.indices.copy(),
                                         reached.indices.astype(np.float64),
                                         sorted=reached.sorted, check=False)

@@ -50,7 +50,7 @@ from ..graphs.graph import Graph
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import MIN_SELECT2ND, PLUS_TIMES
-from .bfs import BFSResult
+from .bfs import BFSResult, _traverse
 from .pagerank import PageRankResult, column_stochastic
 
 __all__ = ["incremental_bfs", "incremental_pagerank"]
@@ -68,46 +68,6 @@ def _resolve_engine(matrix: CSCMatrix, ctx: Optional[ExecutionContext],
         return engine
     return SpMSpVEngine(matrix, ctx if ctx is not None else default_context(),
                         algorithm=algorithm)
-
-
-def _cold_bfs_on(engine: Engine, source: int) -> BFSResult:
-    """A from-scratch BFS through an existing engine (deltas honoured).
-
-    Mirrors :func:`~repro.algorithms.bfs.bfs` level for level, but reuses
-    the caller's engine instead of building a fresh one, so any edge
-    updates the engine already absorbed stay visible to the traversal.
-    """
-    n = engine.matrix.ncols
-    levels = np.full(n, -1, dtype=INDEX_DTYPE)
-    parents = np.full(n, -1, dtype=INDEX_DTYPE)
-    levels[source] = 0
-    parents[source] = source
-    frontier = SparseVector(n, np.array([source], dtype=INDEX_DTYPE),
-                            np.array([float(source)]), sorted=True, check=False)
-    visited_indices = [np.array([source], dtype=INDEX_DTYPE)]
-    records: List[ExecutionRecord] = []
-    frontier_sizes: List[int] = [frontier.nnz]
-    level = 0
-    while frontier.nnz:
-        level += 1
-        visited = SparseVector.full_like_indices(
-            n, np.concatenate(visited_indices), 1.0)
-        result = engine.multiply(frontier, semiring=MIN_SELECT2ND,
-                                 mask=visited, mask_complement=True)
-        records.append(result.record)
-        reached = result.vector
-        if reached.nnz == 0:
-            break
-        levels[reached.indices] = level
-        parents[reached.indices] = reached.values.astype(INDEX_DTYPE)
-        visited_indices.append(reached.indices.copy())
-        frontier = SparseVector(n, reached.indices.copy(),
-                                reached.indices.astype(np.float64),
-                                sorted=reached.sorted, check=False)
-        frontier_sizes.append(frontier.nnz)
-    return BFSResult(source=source, levels=levels, parents=parents,
-                     num_iterations=level, frontier_sizes=frontier_sizes,
-                     records=records, engine=engine)
 
 
 def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
@@ -173,7 +133,8 @@ def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
                 f"previous levels would be stale.  Pass "
                 f"on_delete='recompute' to fall back to a cold BFS, or run "
                 f"repro.algorithms.bfs.bfs on the updated graph directly")
-        result = _cold_bfs_on(engine, previous.source)
+        # a cold BFS through the caller's engine keeps its deltas visible
+        result = _traverse(engine, previous.source)
         result.recomputed = True
         return result
 

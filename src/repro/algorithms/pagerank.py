@@ -27,7 +27,6 @@ from ..core.sharded import ShardedEngine
 
 #: any engine the iterations can run on
 AnyEngine = SpMSpVEngine | ShardedEngine | ColumnShardedEngine
-from ..formats.coo import COOMatrix
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..graphs.graph import Graph
@@ -237,15 +236,15 @@ def pagerank_block(graph: Graph | CSCMatrix,
     if matrix.nrows != matrix.ncols:
         raise ValueError("PageRank requires a square adjacency matrix")
     n = matrix.ncols
-    ctx = ctx if ctx is not None else default_context()
-    if backend is not None:
-        ctx = ctx.with_backend(backend)
     if engine is not None:
         transition = engine.matrix
         if transition.shape != matrix.shape:
             raise ValueError(
                 f"engine holds a {transition.shape} matrix; graph is {matrix.shape}")
     else:
+        ctx = ctx if ctx is not None else default_context()
+        if backend is not None:
+            ctx = ctx.with_backend(backend)
         transition = column_stochastic(matrix)
         engine = (make_sharded_engine(transition, shards, ctx,
                                       algorithm=algorithm, scheme=shard_scheme)

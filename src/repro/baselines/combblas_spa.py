@@ -28,7 +28,7 @@ import numpy as np
 from .._typing import INDEX_DTYPE
 from ..core.result import SpMSpVResult
 from ..core.spa import SparseAccumulator
-from ..core.vector_ops import finalize_output
+from ..core.vector_ops import Mask, finalize_output
 from ..core.workspace import SpMSpVWorkspace
 from ..errors import DimensionMismatchError
 from ..formats.csc import CSCMatrix
@@ -52,7 +52,7 @@ def spmspv_combblas_spa(matrix: CSCMatrix, x: SparseVector,
                         ctx: Optional[ExecutionContext] = None, *,
                         semiring: Semiring = PLUS_TIMES,
                         sorted_output: Optional[bool] = None,
-                        mask: Optional[SparseVector] = None,
+                        mask: Optional[Mask] = None,
                         mask_complement: bool = False,
                         workspace: Optional[SpMSpVWorkspace] = None) -> SpMSpVResult:
     """Row-split, private-SPA SpMSpV (CombBLAS style)."""

@@ -66,7 +66,7 @@ from .engine import (
 )
 from .result import SpMSpVResult
 from .spmspv_column import merge_partial_records, reduce_partials, slice_frontier
-from .vector_ops import check_mask, check_operands
+from .vector_ops import Mask, check_operands, mask_bitmap, snapshot_mask
 
 __all__ = ["ColumnShardedEngine", "make_sharded_engine"]
 
@@ -255,7 +255,7 @@ class ColumnShardedEngine:
     def multiply(self, x: SparseVector, *,
                  semiring: Semiring = PLUS_TIMES,
                  sorted_output: Optional[bool] = None,
-                 mask: Optional[SparseVector] = None,
+                 mask: Optional[Mask] = None,
                  mask_complement: bool = False,
                  algorithm: Optional[str] = None,
                  _batch: Optional[int] = None,
@@ -275,14 +275,14 @@ class ColumnShardedEngine:
                 _batch=_batch, _explored=_explored, **kwargs)
             partials = self.backend.run_partial(
                 plan["name"], plan["slices"], semiring=semiring,
-                mask=mask, mask_complement=mask_complement,
+                mask=plan["mask"], mask_complement=mask_complement,
                 out_dtype=plan["out_dtype"])
             return self._finish_call(plan, partials)
 
     def _plan_call(self, x: SparseVector, *,
                    semiring: Semiring = PLUS_TIMES,
                    sorted_output: Optional[bool] = None,
-                   mask: Optional[SparseVector] = None,
+                   mask: Optional[Mask] = None,
                    mask_complement: bool = False,
                    algorithm: Optional[str] = None,
                    _batch: Optional[int] = None,
@@ -295,7 +295,8 @@ class ColumnShardedEngine:
                 f"column-split execution does not forward kernel-specific "
                 f"options (the merge runs parent-side); got {sorted(kwargs)}")
         check_operands(self.matrix, x)
-        check_mask(mask, self.matrix.nrows)
+        # column strips all span the full row space: one map serves them all
+        bitmap = mask_bitmap(mask, self.matrix.nrows)
         requested = algorithm if algorithm is not None else self.algorithm
         explored = _explored
         if requested == "auto":
@@ -305,7 +306,7 @@ class ColumnShardedEngine:
         get_algorithm(name)  # validate the kernel name before dispatching
         return {"x": x, "name": name, "requested": requested,
                 "explored": explored, "semiring": semiring,
-                "mask": mask, "mask_complement": mask_complement,
+                "mask": bitmap, "mask_complement": mask_complement,
                 "slices": slice_frontier(x, self.split.col_ranges),
                 "out_dtype": np.result_type(self.matrix.dtype, x.dtype),
                 "x_sorted": x.sorted, "batch": _batch,
@@ -350,7 +351,7 @@ class ColumnShardedEngine:
     def multiply_block(self, block: SparseVectorBlock, *,
                        semiring: Semiring = PLUS_TIMES,
                        sorted_output: Optional[bool] = None,
-                       masks: Optional[Sequence[Optional[SparseVector]]] = None,
+                       masks: Optional[Sequence[Optional[Mask]]] = None,
                        mask_complement: bool = False,
                        algorithm: Optional[str] = None,
                        block_mode: str = "auto",
@@ -364,7 +365,7 @@ class ColumnShardedEngine:
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
                       sorted_output: Optional[bool] = None,
-                      masks: Optional[Sequence[Optional[SparseVector]]] = None,
+                      masks: Optional[Sequence[Optional[Mask]]] = None,
                       mask_complement: bool = False,
                       algorithm: Optional[str] = None,
                       block_mode: str = "auto",
@@ -412,11 +413,14 @@ class ColumnShardedEngine:
     # async front-end
     # ------------------------------------------------------------------ #
     def submit(self, x: SparseVector, **kwargs) -> int:
-        """Queue one multiplication; returns its ticket (validated at gather)."""
+        """Queue one multiplication; returns its ticket (validated at gather).
+
+        A mask map is copied here, as in :meth:`ShardedEngine.submit`.
+        """
         with self._lock:
             ticket = self._ticket
             self._ticket += 1
-            self._pending.append((ticket, x, kwargs))
+            self._pending.append((ticket, x, snapshot_mask(kwargs)))
             return ticket
 
     @property

@@ -27,6 +27,7 @@ from ..parallel.context import ExecutionContext
 from ..semiring import PLUS_TIMES, Semiring
 from .result import SpMSpVResult
 from .spmspv_bucket import spmspv_bucket
+from .vector_ops import Mask
 
 AlgorithmFn = Callable[..., SpMSpVResult]
 
@@ -84,7 +85,7 @@ def spmspv(matrix: CSCMatrix, x: SparseVector,
            algorithm: str = "bucket",
            semiring: Semiring = PLUS_TIMES,
            sorted_output: Optional[bool] = None,
-           mask: Optional[SparseVector] = None,
+           mask: Optional[Mask] = None,
            mask_complement: bool = False,
            **kwargs) -> SpMSpVResult:
     """Multiply a sparse matrix by a sparse vector: ``y <- A x`` over a semiring.

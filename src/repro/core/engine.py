@@ -51,6 +51,7 @@ from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord
 from ..semiring import PLUS_TIMES, Semiring
 from .result import SpMSpVResult
+from .vector_ops import Mask
 from .workspace import SpMSpVWorkspace
 
 #: candidate algorithms the adaptive policy arbitrates between by default:
@@ -182,13 +183,14 @@ def _ranked_selection(fits: Dict[str, CostFit], phi: np.ndarray,
     return ranked[0], False
 
 
-def _mask_keep_fraction(masks: Optional[Sequence[Optional[SparseVector]]],
+def _mask_keep_fraction(masks: Optional[Sequence[Optional[Mask]]],
                         mask_complement: bool, k: int, nrows: int) -> float:
     """Expected fraction of scattered pairs the early masks let through.
 
     The mask-selectivity feature of the block cost fits: the structural
-    densities of the masks (``nnz/m``, complemented if asked), averaged over
-    the batch with maskless vectors counting as 1.0.  Shared by both engines.
+    densities of the masks (``nnz/m``, complemented if asked; a row map's
+    member count), averaged over the batch with maskless vectors counting
+    as 1.0.  Shared by both engines.
     """
     if masks is None or k == 0:
         return 1.0
@@ -198,7 +200,9 @@ def _mask_keep_fraction(masks: Optional[Sequence[Optional[SparseVector]]],
         if mask is None:
             total += 1.0
         else:
-            density = mask.nnz / m
+            members = (np.count_nonzero(mask) if isinstance(mask, np.ndarray)
+                       else mask.nnz)
+            density = members / m
             total += (1.0 - density) if mask_complement else density
     return total / k
 
@@ -410,7 +414,7 @@ class SpMSpVEngine:
 
     def _overlay_locked(self, fn, base: SpMSpVResult, x: SparseVector, *,
                         semiring: Semiring, sorted_output: Optional[bool],
-                        mask: Optional[SparseVector], mask_complement: bool,
+                        mask: Optional[Mask], mask_complement: bool,
                         kwargs: Dict) -> SpMSpVResult:
         """Patch-correct one base result (same kernel, same inputs, same mask)."""
         patch, touched = self._patch
@@ -430,7 +434,7 @@ class SpMSpVEngine:
     def multiply(self, x: SparseVector, *,
                  semiring: Semiring = PLUS_TIMES,
                  sorted_output: Optional[bool] = None,
-                 mask: Optional[SparseVector] = None,
+                 mask: Optional[Mask] = None,
                  mask_complement: bool = False,
                  algorithm: Optional[str] = None,
                  workspace: Optional[object] = None,
@@ -509,7 +513,7 @@ class SpMSpVEngine:
         union_nnz = int(len(np.unique(np.concatenate(nonempty)))) if nonempty else 0
         return total_nnz, union_nnz
 
-    def _mask_keep_fraction(self, masks: Optional[Sequence[Optional[SparseVector]]],
+    def _mask_keep_fraction(self, masks: Optional[Sequence[Optional[Mask]]],
                             mask_complement: bool, k: int) -> float:
         """The mask-selectivity feature of the block fits (shared helper)."""
         return _mask_keep_fraction(masks, mask_complement, k, self.matrix.nrows)
@@ -521,7 +525,7 @@ class SpMSpVEngine:
                               segments=k * self.ctx.num_buckets)
 
     def select_block_mode(self, block: SparseVectorBlock,
-                          masks: Optional[Sequence[Optional[SparseVector]]] = None,
+                          masks: Optional[Sequence[Optional[Mask]]] = None,
                           mask_complement: bool = False) -> Tuple[str, bool]:
         """Fused or looped execution for one block; returns ``(mode, explored)``."""
         return self._select_block_mode(
@@ -555,7 +559,7 @@ class SpMSpVEngine:
     def multiply_block(self, block: SparseVectorBlock, *,
                        semiring: Semiring = PLUS_TIMES,
                        sorted_output: Optional[bool] = None,
-                       masks: Optional[Sequence[Optional[SparseVector]]] = None,
+                       masks: Optional[Sequence[Optional[Mask]]] = None,
                        mask_complement: bool = False,
                        algorithm: Optional[str] = None,
                        block_mode: str = "auto",
@@ -578,7 +582,7 @@ class SpMSpVEngine:
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
                       sorted_output: Optional[bool] = None,
-                      masks: Optional[Sequence[Optional[SparseVector]]] = None,
+                      masks: Optional[Sequence[Optional[Mask]]] = None,
                       mask_complement: bool = False,
                       algorithm: Optional[str] = None,
                       block_mode: str = "auto",
@@ -666,7 +670,7 @@ class SpMSpVEngine:
     def _multiply_block(self, xs: List[SparseVector],
                         phi: Optional[np.ndarray], *, batch: int,
                         semiring: Semiring, sorted_output: Optional[bool],
-                        masks: Optional[Sequence[Optional[SparseVector]]],
+                        masks: Optional[Sequence[Optional[Mask]]],
                         mask_complement: bool, requested: str,
                         explored: bool,
                         block_merge: str = "segmented",

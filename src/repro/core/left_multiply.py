@@ -19,6 +19,7 @@ from ..formats.sparse_vector import SparseVector
 from ..parallel.context import ExecutionContext
 from ..semiring import PLUS_TIMES, Semiring
 from .result import SpMSpVResult
+from .vector_ops import Mask
 
 
 def transpose_for_left_multiply(matrix: CSCMatrix) -> CSCMatrix:
@@ -31,7 +32,7 @@ def spmspv_left(matrix: CSCMatrix, x: SparseVector,
                 algorithm: str = "bucket",
                 semiring: Semiring = PLUS_TIMES,
                 sorted_output: Optional[bool] = None,
-                mask: Optional[SparseVector] = None,
+                mask: Optional[Mask] = None,
                 mask_complement: bool = False,
                 transposed: Optional[CSCMatrix] = None,
                 ) -> Tuple[SpMSpVResult, CSCMatrix]:

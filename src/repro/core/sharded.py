@@ -89,7 +89,7 @@ from .engine import (
     unpin_engine,
 )
 from .result import SpMSpVResult
-from .vector_ops import check_mask, check_operands
+from .vector_ops import Mask, check_operands, mask_bitmap, snapshot_mask
 from .workspace import SpMSpVWorkspace
 
 
@@ -217,22 +217,18 @@ class ShardedEngine:
     # ------------------------------------------------------------------ #
     # shard plumbing
     # ------------------------------------------------------------------ #
-    def _slice_mask(self, mask: Optional[SparseVector]
-                    ) -> List[Optional[SparseVector]]:
-        """Slice a row-space mask into the strips' local row spaces.
+    def _slice_mask(self, mask: Optional[Mask]) -> List[Optional[np.ndarray]]:
+        """Compile a row-space mask once and view it per strip.
 
-        Entry order is preserved, so each strip's packed bitmap / finalize
-        select behaves exactly like the full mask restricted to its rows.
+        Strip ``s`` gets ``map[lo:hi]`` — its rows of the one dense row map
+        (:func:`~repro.core.vector_ops.mask_bitmap`), with no copy — so each
+        strip's early and late masking behave exactly like the full mask
+        restricted to its rows.  Raises for a mask outside the row space.
         """
-        if mask is None:
+        bitmap = mask_bitmap(mask, self.matrix.nrows)
+        if bitmap is None:
             return [None] * self.num_shards
-        out: List[Optional[SparseVector]] = []
-        for lo, hi in self.split.row_ranges:
-            keep = (mask.indices >= lo) & (mask.indices < hi)
-            out.append(SparseVector(hi - lo, mask.indices[keep] - lo,
-                                    mask.values[keep], sorted=mask.sorted,
-                                    check=False))
-        return out
+        return [bitmap[lo:hi] for lo, hi in self.split.row_ranges]
 
     def _concatenate(self, vectors: List[SparseVector], sorted_flag: bool
                      ) -> SparseVector:
@@ -296,7 +292,7 @@ class ShardedEngine:
 
     def _run_strip_calls(self, name: str, x: SparseVector, *, semiring: Semiring,
                          sorted_output: Optional[bool],
-                         mask_slices: List[Optional[SparseVector]],
+                         mask_slices: List[Optional[np.ndarray]],
                          mask_complement: bool, kwargs: Dict
                          ) -> List[SpMSpVResult]:
         """One independent kernel call per strip, on the engine's backend."""
@@ -438,7 +434,7 @@ class ShardedEngine:
     def _overlay_strip_outs_locked(self, outs: List[SpMSpVResult], name: str, x,
                                    *, semiring: Semiring,
                                    sorted_output: Optional[bool],
-                                   mask_slices: List[Optional[SparseVector]],
+                                   mask_slices: List[Optional[np.ndarray]],
                                    mask_complement: bool,
                                    kwargs: Dict) -> List[SpMSpVResult]:
         """Splice parent-side patch corrections into the strips' base outputs."""
@@ -469,7 +465,7 @@ class ShardedEngine:
     def multiply(self, x: SparseVector, *,
                  semiring: Semiring = PLUS_TIMES,
                  sorted_output: Optional[bool] = None,
-                 mask: Optional[SparseVector] = None,
+                 mask: Optional[Mask] = None,
                  mask_complement: bool = False,
                  algorithm: Optional[str] = None,
                  _batch: Optional[int] = None,
@@ -496,7 +492,7 @@ class ShardedEngine:
     def _plan_call(self, x: SparseVector, *,
                    semiring: Semiring = PLUS_TIMES,
                    sorted_output: Optional[bool] = None,
-                   mask: Optional[SparseVector] = None,
+                   mask: Optional[Mask] = None,
                    mask_complement: bool = False,
                    algorithm: Optional[str] = None,
                    _batch: Optional[int] = None,
@@ -506,14 +502,14 @@ class ShardedEngine:
         This is the submit half of a multiplication: everything that must
         happen *before* the strip calls go out (operand/mask checks,
         adaptive kernel selection against the current fits, sorted-output
-        resolution, mask slicing) — so the pipelined :meth:`gather` can
+        resolution, mask compilation) — so the pipelined :meth:`gather` can
         broadcast a call to the backend and plan the next one while workers
         are still running.  The bookkeeping half is :meth:`_finish_call`.
         """
         from .dispatch import get_algorithm  # late: avoids import cycle
 
         check_operands(self.matrix, x)
-        check_mask(mask, self.matrix.nrows)
+        mask_slices = self._slice_mask(mask)
         requested = algorithm if algorithm is not None else self.algorithm
         explored = _explored
         if requested == "auto":
@@ -525,7 +521,7 @@ class ShardedEngine:
                            else (x.sorted and self.ctx.sorted_vectors))
         return {"x": x, "name": name, "requested": requested,
                 "explored": explored, "resolved_sorted": resolved_sorted,
-                "semiring": semiring, "mask_slices": self._slice_mask(mask),
+                "semiring": semiring, "mask_slices": mask_slices,
                 "mask_complement": mask_complement, "kwargs": kwargs,
                 "batch": _batch, "t0": time.perf_counter()}
 
@@ -594,7 +590,7 @@ class ShardedEngine:
     def multiply_block(self, block: SparseVectorBlock, *,
                        semiring: Semiring = PLUS_TIMES,
                        sorted_output: Optional[bool] = None,
-                       masks: Optional[Sequence[Optional[SparseVector]]] = None,
+                       masks: Optional[Sequence[Optional[Mask]]] = None,
                        mask_complement: bool = False,
                        algorithm: Optional[str] = None,
                        block_mode: str = "auto",
@@ -614,7 +610,7 @@ class ShardedEngine:
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
                       sorted_output: Optional[bool] = None,
-                      masks: Optional[Sequence[Optional[SparseVector]]] = None,
+                      masks: Optional[Sequence[Optional[Mask]]] = None,
                       mask_complement: bool = False,
                       algorithm: Optional[str] = None,
                       block_mode: str = "auto",
@@ -690,16 +686,13 @@ class ShardedEngine:
     def _multiply_many_fused(self, xs: List[SparseVector],
                              phi: Optional[np.ndarray], *, batch: int,
                              semiring: Semiring, sorted_output: Optional[bool],
-                             masks: Optional[Sequence[Optional[SparseVector]]],
+                             masks: Optional[Sequence[Optional[Mask]]],
                              mask_complement: bool, requested: str,
                              explored: bool,
                              block_merge: str,
                              block: Optional[SparseVectorBlock] = None
                              ) -> List[SpMSpVResult]:
         """Fused block execution across strips: one shared block, P fused calls."""
-        if masks is not None:
-            for mask in masks:
-                check_mask(mask, self.matrix.nrows)
         t0 = time.perf_counter()
         k = len(xs)
         if block is None:
@@ -796,12 +789,13 @@ class ShardedEngine:
         Nothing executes until :meth:`gather` — including validation, so a
         bad call (wrong vector length, wrong mask dimension) raises from the
         failing strip at gather time, exactly like a remote shard would fail
-        its batch.
+        its batch.  A mask map is copied here, so the caller may reuse or
+        update it before the gather (a BFS updates its visited map).
         """
         with self._lock:
             ticket = self._ticket
             self._ticket += 1
-            self._pending.append((ticket, x, kwargs))
+            self._pending.append((ticket, x, snapshot_mask(kwargs)))
             return ticket
 
     @property

@@ -14,9 +14,9 @@ whole :class:`~repro.formats.vector_block.SparseVectorBlock` is executed with
   array of ``(row, vector-id)`` pairs (each vector's pairs in its *original*
   gather order, replayed from the block's stored positions) living in
   persistent :class:`~repro.core.workspace.BlockBuffers`.  Per-vector masks
-  are folded in right here: a packed row bitmap
-  (:class:`~repro.formats.bitvector.BitVector`) is probed per gathered entry
-  and dead ``(row, vector-id)`` pairs never enter the buffers, so masked
+  are folded in right here: each vector's dense row map is probed once per
+  gathered entry and dead ``(row, vector-id)`` pairs never enter the buffers
+  (nor are their values read or multiplied), so masked
   batched workloads (multi-source BFS frontiers, restricted PageRank) do
   O(surviving pairs) merge work;
 * **one segmented merge** — pairs are already partitioned by vector (each
@@ -64,7 +64,7 @@ from ..semiring import PLUS_TIMES, Semiring
 from .buckets import bucket_of_rows, bucket_row_ranges, stable_row_argsort
 from .result import SpMSpVResult
 from .spmspv_bucket import _radix_sort_ops
-from .vector_ops import check_mask, check_operands, finalize_output, mask_bitmap, mask_keep
+from .vector_ops import Mask, check_mask, check_operands, finalize_output, mask_bitmap, mask_keep
 from .workspace import BlockBuffers, SpMSpVWorkspace
 
 #: merge strategies of the fused kernel: the segmented per-(vector, bucket)
@@ -127,7 +127,7 @@ def spmspv_bucket_block(matrix: CSCMatrix,
                         ctx: Optional[ExecutionContext] = None, *,
                         semiring: Semiring = PLUS_TIMES,
                         sorted_output: Optional[bool] = None,
-                        masks: Optional[Sequence[Optional[SparseVector]]] = None,
+                        masks: Optional[Sequence[Optional[Mask]]] = None,
                         mask_complement: bool = False,
                         early_mask: bool = True,
                         merge: str = "segmented",
@@ -138,8 +138,9 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     Parameters mirror :func:`~repro.core.spmspv_bucket.spmspv_bucket`, with
     ``block`` either a :class:`SparseVectorBlock` or a plain sequence of
     :class:`SparseVector` (packed on the fly) and ``masks`` an optional
-    per-vector mask list (each mask of length ``nrows`` — anything else
-    raises :class:`~repro.errors.DimensionError`).  ``early_mask`` folds the
+    per-vector mask list (each a :class:`SparseVector` of length ``nrows``
+    or a dense row map, a 1-D ``bool`` array of length ``nrows`` — anything
+    else raises :class:`~repro.errors.DimensionError`).  ``early_mask`` folds the
     masks into the scatter (bit-identical to finalize-time masking, see
     module docstring); ``merge`` selects the segmented per-(vector, bucket)
     merge or the historical ``"global"`` composite-key sort — also
@@ -257,7 +258,8 @@ def spmspv_bucket_block(matrix: CSCMatrix,
             # early masking: dead (row, vector-id) pairs are dropped before
             # they are scattered, merged or even multiplied
             mask_probes += df_i
-            keep = mask_keep(bitmaps[i], rows_i, complement=mask_complement)
+            keep = np.flatnonzero(
+                mask_keep(bitmaps[i], rows_i, complement=mask_complement))
             rows_i, gpos = rows_i[keep], gpos[keep]
         lo, hi = cursor, cursor + len(rows_i)
         exp_rows[lo:hi] = rows_i

@@ -52,6 +52,7 @@ from .buckets import (
 )
 from .result import SpMSpVResult
 from .vector_ops import (
+    Mask,
     check_mask,
     check_operands,
     finalize_output,
@@ -72,6 +73,25 @@ def _radix_sort_ops(n: int) -> int:
     return 2 * n
 
 
+def _masked_gather(matrix: CSCMatrix, cols: np.ndarray,
+                   bitmap: Optional[np.ndarray], complement: bool):
+    """Gather the selected columns, early-masking rows before any value read.
+
+    Each gathered row id is probed once against the mask map; values are
+    read only for survivors, so dead entries never reach the counting pass,
+    scatter, multiply or merge.  Returns ``(rows, values, source,
+    gathered)``, ``gathered`` counting the entries read before masking.
+    """
+    positions, src = matrix.gather_positions(cols)
+    rows = matrix.indices[positions]
+    gathered = len(rows)
+    keep = mask_keep(bitmap, rows, complement=complement)
+    if keep is not None:
+        live = np.flatnonzero(keep)
+        rows, positions, src = rows[live], positions[live], src[live]
+    return rows, matrix.data[positions], src, gathered
+
+
 # --------------------------------------------------------------------------- #
 # production (vectorized) implementation
 # --------------------------------------------------------------------------- #
@@ -79,7 +99,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
                   ctx: Optional[ExecutionContext] = None, *,
                   semiring: Semiring = PLUS_TIMES,
                   sorted_output: Optional[bool] = None,
-                  mask: Optional[SparseVector] = None,
+                  mask: Optional[Mask] = None,
                   mask_complement: bool = False,
                   early_mask: bool = True,
                   workspace: Optional[BucketStore | SpMSpVWorkspace] = None,
@@ -101,15 +121,18 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
         Whether the output must be sorted by index.  Defaults to the
         sortedness of ``x`` (the paper requires output format == input format).
     mask, mask_complement:
-        Optional structural mask applied to the output (GraphBLAS-style).
-        With ``mask_complement=True`` entries *in* the mask are dropped —
-        the pattern BFS uses to discard already-visited vertices.  The mask
-        must span the matrix's row space (length ``nrows``), else
-        :class:`~repro.errors.DimensionError` is raised.
+        Optional structural mask applied to the output (GraphBLAS-style):
+        a :class:`SparseVector` of length ``nrows`` or a dense row map (1-D
+        ``bool`` array of length ``nrows``; see
+        :func:`~repro.core.vector_ops.check_mask`).  With
+        ``mask_complement=True`` entries *in* the mask are dropped — the
+        pattern BFS uses to discard already-visited vertices.  A mask that
+        does not span the matrix's row space raises
+        :class:`~repro.errors.DimensionError`.
     early_mask:
-        With the default True the mask is folded into the kernel: a packed
-        row bitmap is probed at scatter time and dead entries never enter
-        the buckets, so masked calls do O(surviving pairs) merge work
+        With the default True the mask is folded into the kernel: the dense
+        row map is probed once per gathered entry and dead entries never
+        enter the buckets, so masked calls do O(surviving pairs) merge work
         instead of merging everything and discarding at finalize.  Because
         masking drops whole rows, the output is **bit-identical** to the
         finalize-time path (``early_mask=False``, the pre-fold behavior).
@@ -185,18 +208,12 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
         chunk = chunks[tid]
         if len(chunk) == 0:
             return metrics
-        cols = x_indices[chunk]
-        rows, vals, src = matrix.gather_columns(cols)
+        rows, vals, src, probes = _masked_gather(
+            matrix, x_indices[chunk], bitmap, mask_complement)
         metrics.vector_reads = len(chunk)
         metrics.colptr_reads = len(chunk)
-        metrics.matrix_nnz_reads = len(rows)
-        if bitmap is not None:
-            # early masking: probe the row bitmap once per gathered entry and
-            # drop dead rows here, so neither counting nor the scatter nor the
-            # merge ever sees them (the work-efficiency point of the fold)
-            metrics.bitmap_probes = len(rows)
-            keep = mask_keep(bitmap, rows, complement=mask_complement)
-            rows, vals, src = rows[keep], vals[keep], src[keep]
+        metrics.matrix_nnz_reads = probes
+        metrics.bitmap_probes = probes if bitmap is not None else 0
         gathered[tid] = (rows, vals, src, chunk)
         bucket_ids = bucket_of_rows(rows, nb, m)
         counts[tid, :] = np.bincount(bucket_ids, minlength=nb)
@@ -356,7 +373,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
 # --------------------------------------------------------------------------- #
 def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
                           ctx: ExecutionContext, *, semiring: Semiring,
-                          sorted_output: bool, mask: Optional[SparseVector],
+                          sorted_output: bool, mask: Optional[Mask],
                           mask_complement: bool, bitmap, ws, workspace
                           ) -> SpMSpVResult:
     """The ``single_pass`` body of :func:`spmspv_bucket` (t == 1, validated).
@@ -394,14 +411,12 @@ def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
     estimate_phase = PhaseRecord(name="estimate", parallel=True)
     est = WorkMetrics()
     if f:
-        rows, vals, src = matrix.gather_columns(x.indices)
+        rows, vals, src, probes = _masked_gather(matrix, x.indices, bitmap,
+                                                 mask_complement)
         est.vector_reads = f
         est.colptr_reads = f
-        est.matrix_nnz_reads = len(rows)
-        if bitmap is not None:
-            est.bitmap_probes = len(rows)
-            keep = mask_keep(bitmap, rows, complement=mask_complement)
-            rows, vals, src = rows[keep], vals[keep], src[keep]
+        est.matrix_nnz_reads = probes
+        est.bitmap_probes = probes if bitmap is not None else 0
         est.buffer_writes = nb
     else:
         rows = np.empty(0, dtype=INDEX_DTYPE)

@@ -9,7 +9,8 @@ the two halves of that scheme as pure functions:
 
 * :func:`column_partial` — everything a strip can do privately: gather the
   DCSC columns selected by its frontier slice, early-mask the scattered
-  rows, scale under the semiring, and row-sort the stream.  The result is an
+  rows against the shared row map, scale under the semiring, and row-sort
+  the stream.  The result is an
   **unreduced** ``(rows, values, gpos)`` stream — ``gpos`` is each addend's
   position in the *global* frontier's storage order.
 * :func:`reduce_partials` — the reduction phase: concatenate the strip
@@ -34,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .._typing import INDEX_DTYPE
-from ..formats.bitvector import BitVector
 from ..formats.dcsc import DCSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..parallel.context import ExecutionContext
@@ -95,14 +95,15 @@ def column_partial(strip: DCSCMatrix,
                    semiring: Semiring,
                    out_dtype,
                    algorithm: str = "bucket",
-                   bitmap: Optional[BitVector] = None,
+                   bitmap: Optional[np.ndarray] = None,
                    mask_complement: bool = False) -> ColumnPartial:
     """The private (pre-reduction) half of one column strip's SpMSpV.
 
-    Gathers the strip's DCSC columns selected by the frontier slice,
-    early-masks the scattered rows (whole rows drop, so surviving addend
-    streams are untouched — the same argument that keeps early masking
-    bit-identical in the monolithic kernels), scales under the semiring
+    Gathers the row ids of the strip's DCSC columns selected by the
+    frontier slice, early-masks them against the dense row map ``bitmap``
+    (whole rows drop, so surviving addend streams are untouched — the same
+    argument that keeps early masking bit-identical in the monolithic
+    kernels), reads values for the survivors only, scales under the semiring
     through ``out_dtype`` (the *global* ``result_type(A, x)``, fixed by the
     caller so every strip casts exactly like the monolithic stream), and
     stably row-sorts.  ``algorithm`` names the kernel family driving the
@@ -121,14 +122,17 @@ def column_partial(strip: DCSCMatrix,
     gather_phase = PhaseRecord(name="gather", parallel=True)
     g = WorkMetrics()
     if f and strip.nnz:
-        rows, vals, src = strip.gather_columns(xs_idx)
+        positions, src = strip.gather_positions(xs_idx)
+        rows = strip.ir[positions]
         g.vector_reads = f
         g.colptr_reads = f
         g.matrix_nnz_reads = len(rows)
-        if bitmap is not None:
+        keep = mask_keep(bitmap, rows, complement=mask_complement)
+        if keep is not None:
             g.bitmap_probes = len(rows)
-            keep = mask_keep(bitmap, rows, complement=mask_complement)
-            rows, vals, src = rows[keep], vals[keep], src[keep]
+            live = np.flatnonzero(keep)
+            rows, positions, src = rows[live], positions[live], src[live]
+        vals = strip.num[positions]
     else:
         rows = np.empty(0, dtype=INDEX_DTYPE)
         vals = np.empty(0, dtype=strip.dtype)

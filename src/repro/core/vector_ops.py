@@ -8,15 +8,19 @@ keep those algorithms readable while staying vectorized.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
 from .._typing import INDEX_DTYPE
 from ..errors import DimensionError, DimensionMismatchError
-from ..formats.bitvector import BitVector
 from ..formats.sparse_vector import SparseVector
 from ..semiring import PLUS_TIMES, Semiring
+
+
+#: an output mask: a :class:`SparseVector` whose stored indices are the
+#: member rows, or a dense row-membership map (1-D ``bool``, length nrows)
+Mask = Union[SparseVector, np.ndarray]
 
 
 def _check_same_length(a: SparseVector, b: SparseVector) -> None:
@@ -77,54 +81,81 @@ def check_operands(matrix, x: SparseVector) -> None:
             f"matrix has {matrix.ncols} columns but vector has length {x.n}")
 
 
-def check_mask(mask: Optional[SparseVector], nrows: int) -> None:
+def check_mask(mask: Optional[Mask], nrows: int) -> None:
     """Validate that an output mask lives in the matrix's row space.
 
-    An output mask selects rows of ``y = A·x`` and must therefore have length
-    ``nrows``.  Historically a mask of the wrong length was silently accepted
-    (``select`` only compares indices, so an undersized mask just dropped
-    rows); now every kernel raises instead, in both the late (finalize-time)
-    and early (scatter-time) masking paths.
+    A mask is either a :class:`SparseVector` of length ``nrows`` (its stored
+    indices are the member rows) or a dense row-membership map: a 1-D
+    ``bool`` array of length ``nrows``, checked in O(1).  An output mask
+    selects rows of ``y = A·x``, so anything else — a wrong length, or a map
+    of another dtype or dimension — raises, in both the late
+    (finalize-time) and early (scatter-time) masking paths.
     """
-    if mask is not None and mask.n != nrows:
+    if mask is None:
+        return
+    if isinstance(mask, np.ndarray):
+        if mask.ndim != 1 or mask.dtype != np.bool_ or len(mask) != nrows:
+            raise DimensionError(
+                f"output mask map has shape {mask.shape} and dtype {mask.dtype}; "
+                f"a mask map must be a 1-D bool array of length nrows={nrows}")
+        return
+    if mask.n != nrows:
         raise DimensionError(
             f"output mask has length {mask.n} but the matrix has {nrows} rows; "
             f"masks select rows of y = A·x and must be of length nrows")
 
 
-def mask_bitmap(mask: Optional[SparseVector], nrows: int) -> Optional[BitVector]:
-    """The packed row-membership bitmap the early-masking kernels probe.
+def mask_bitmap(mask: Optional[Mask], nrows: int) -> Optional[np.ndarray]:
+    """The dense row-membership map every masking path probes.
 
-    Returns None for no mask.  The bitmap spans the matrix's row space, so
-    :meth:`~repro.formats.bitvector.BitVector.are_set` is a valid O(1) probe
-    for any gathered row id (:func:`check_mask` is re-run here as the guard).
+    Returns None for no mask, passes a map through unchanged (after the O(1)
+    :func:`check_mask`), and compiles a :class:`SparseVector` mask into a
+    fresh map once.  Callers compile at the kernel, or once per call at the
+    plan step of a sharded layout, so strips share one map.
     """
     if mask is None:
         return None
     check_mask(mask, nrows)
-    return BitVector.from_indices(nrows, mask.indices)
+    if isinstance(mask, np.ndarray):
+        return mask
+    bitmap = np.zeros(nrows, dtype=bool)
+    bitmap[mask.indices] = True
+    return bitmap
 
 
-def mask_keep(bitmap: Optional[BitVector], rows: np.ndarray, *,
+def mask_keep(bitmap: Optional[np.ndarray], rows: np.ndarray, *,
               complement: bool = False) -> Optional[np.ndarray]:
-    """Boolean keep-filter of scattered row ids against a mask bitmap.
+    """Boolean keep-filter of scattered row ids against a mask map.
 
     This is the scatter-time (early) form of the GraphBLAS structural mask:
     an entry bound for row ``i`` survives iff ``i`` is in the mask (or not
-    in it, under ``complement``).  Because masking drops *whole rows*, the
-    surviving rows' addend streams — and therefore their floating-point
-    reductions and first-touch order — are untouched, which is what keeps
-    early-masked kernels bit-identical to finalize-time masking.  Returns
-    None when nothing is filtered (no bitmap).
+    in it, under ``complement``) — one lookup per row id.  Because masking
+    drops *whole rows*, the surviving rows' addend streams — and therefore
+    their floating-point reductions and first-touch order — are untouched,
+    which is what keeps early-masked kernels bit-identical to finalize-time
+    masking.  Returns None when nothing is filtered (no map).
     """
     if bitmap is None:
         return None
-    member = bitmap.are_set(rows) if len(rows) else np.empty(0, dtype=bool)
-    return ~member if complement else member
+    keep = bitmap[rows]
+    return np.logical_not(keep, out=keep) if complement else keep
+
+
+def snapshot_mask(kwargs: Dict) -> Dict:
+    """A queued call's options with its mask map copied.
+
+    Queued calls run at a later gather; copying the map at submit keeps
+    updates the caller makes in between (a BFS marking vertices visited)
+    out of the queued call's answer.
+    """
+    mask = kwargs.get("mask")
+    if isinstance(mask, np.ndarray):
+        return dict(kwargs, mask=mask.copy())
+    return kwargs
 
 
 def finalize_output(y: SparseVector, semiring: Semiring, *,
-                    mask: Optional[SparseVector] = None,
+                    mask: Optional[Mask] = None,
                     mask_complement: bool = False) -> SparseVector:
     """Standard SpMSpV output post-processing: apply the mask, prune identities.
 
@@ -134,8 +165,10 @@ def finalize_output(y: SparseVector, semiring: Semiring, *,
     user-defined plus-times-like semirings behave identically to the builtin.
     """
     if mask is not None:
-        check_mask(mask, y.n)
-        y = y.select(mask.indices, complement=mask_complement)
+        keep = mask_keep(mask_bitmap(mask, y.n), y.indices,
+                         complement=mask_complement)
+        y = SparseVector(y.n, y.indices[keep], y.values[keep],
+                         sorted=y.sorted, check=False)
     return y.drop_values(semiring.add_identity)
 
 

@@ -12,8 +12,6 @@ small constant, as in the original) plus the list of (index, value) pairs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .._typing import INDEX_DTYPE, as_index_array, as_value_array
@@ -56,17 +54,6 @@ class BitVector:
     def empty(cls, n: int, dtype=np.float64) -> "BitVector":
         return cls(n, np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=dtype), check=False)
 
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "BitVector":
-        """Build a pure membership bitmap (all stored values 1).
-
-        This is the representation the masked SpMSpV kernels consult at
-        scatter time: only :meth:`are_set` matters, so the value list is a
-        token ``1.0`` per index.  ``indices`` need not be sorted.
-        """
-        indices = as_index_array(indices)
-        return cls(n, indices, np.ones(len(indices), dtype=np.float64), check=False)
-
     # ------------------------------------------------------------------ #
     @property
     def nnz(self) -> int:
@@ -91,12 +78,6 @@ class BitVector:
             raise IndexError(f"index {i} out of range")
         word = self.bitmap[i // _WORD_BITS]
         return bool((word >> np.uint64(i % _WORD_BITS)) & np.uint64(1))
-
-    def are_set(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for an array of indices."""
-        idx = as_index_array(idx)
-        words = self.bitmap[idx // _WORD_BITS]
-        return ((words >> (idx % _WORD_BITS).astype(np.uint64)) & np.uint64(1)).astype(bool)
 
     def memory_words(self) -> int:
         """Bitmap words + stored pairs — the O(n)/64 + O(nnz) footprint."""

@@ -164,8 +164,8 @@ class CSCMatrix:
         """Number of nonzeros in column ``j``."""
         return int(self.indptr[j + 1] - self.indptr[j])
 
-    def gather_columns(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather all nonzeros from the selected columns in one vectorized pass.
+    def gather_positions(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Storage positions of every nonzero of the selected columns, in one pass.
 
         Parameters
         ----------
@@ -176,32 +176,24 @@ class CSCMatrix:
 
         Returns
         -------
-        (rows, values, source) where for the k-th gathered nonzero ``rows[k]``
-        is its row id, ``values[k]`` its stored value and ``source[k]`` the
-        *position within* ``cols`` of the column it came from (so that the
-        caller can look up the corresponding ``x`` value).
+        (positions, source) where the k-th gathered nonzero is stored at
+        ``indices[positions[k]]`` / ``data[positions[k]]`` and ``source[k]``
+        is the *position within* ``cols`` of the column it came from (so that
+        the caller can look up the corresponding ``x`` value).
         """
         cols = as_index_array(cols)
-        if cols.size == 0:
-            return (np.empty(0, dtype=INDEX_DTYPE),
-                    np.empty(0, dtype=self.dtype),
-                    np.empty(0, dtype=INDEX_DTYPE))
-        if cols.min() < 0 or cols.max() >= self.ncols:
+        if cols.size and (cols.min() < 0 or cols.max() >= self.ncols):
             raise IndexError("column index out of range in gather_columns")
         starts = self.indptr[cols]
         lengths = self.indptr[cols + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return (np.empty(0, dtype=INDEX_DTYPE),
-                    np.empty(0, dtype=self.dtype),
-                    np.empty(0, dtype=INDEX_DTYPE))
-        # Build, without a Python loop, the flat positions of every nonzero of
-        # every selected column:  for column k the positions are
-        # starts[k], starts[k]+1, ..., starts[k]+lengths[k]-1.
-        source = np.repeat(np.arange(len(cols), dtype=INDEX_DTYPE), lengths)
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        within = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(offsets, lengths)
-        positions = np.repeat(starts, lengths) + within
+        return _segment_positions(starts, lengths)
+
+    def gather_columns(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gather ``(rows, values, source)`` of the selected columns.
+
+        :meth:`gather_positions` followed by the row and value reads.
+        """
+        positions, source = self.gather_positions(cols)
         return self.indices[positions], self.data[positions], source
 
     def gather_columns_block(self, cols: np.ndarray, values_slab: Optional[np.ndarray] = None,
@@ -330,3 +322,21 @@ class CSCMatrix:
         if rows.size:
             np.add.at(y, rows, vals * x[nz_cols][src])
         return y
+
+
+def _segment_positions(starts: np.ndarray, lengths: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(positions, source)`` of the storage segments ``[start, start+length)``.
+
+    Segment k contributes ``starts[k], ..., starts[k] + lengths[k] - 1``, all
+    tagged with source ``k`` — built without a Python loop (shared by the
+    CSC and DCSC column gathers).
+    """
+    lengths = lengths.astype(INDEX_DTYPE, copy=False)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=INDEX_DTYPE)
+    source = np.repeat(np.arange(len(lengths), dtype=INDEX_DTYPE), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    positions = np.repeat(starts - offsets, lengths) + np.arange(total, dtype=INDEX_DTYPE)
+    return positions, source

@@ -29,7 +29,7 @@ import numpy as np
 from .._typing import INDEX_DTYPE, as_index_array, as_value_array, check_shape
 from ..errors import FormatError
 from .coo import COOMatrix
-from .csc import CSCMatrix
+from .csc import CSCMatrix, _segment_positions
 
 
 class DCSCMatrix:
@@ -173,26 +173,24 @@ class DCSCMatrix:
             np.zeros(len(cols), dtype=bool)
         return np.where(found, pos_clamped, -1).astype(INDEX_DTYPE)
 
-    def gather_columns(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """DCSC analogue of :meth:`CSCMatrix.gather_columns` (empty columns contribute nothing)."""
+    def gather_positions(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """DCSC analogue of :meth:`CSCMatrix.gather_positions` (positions index ``ir``/``num``).
+
+        Empty columns contribute nothing; ``source`` still indexes ``cols``.
+        """
         cols = as_index_array(cols)
         if cols.size == 0 or self.nzc == 0:
-            return (np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=self.dtype),
-                    np.empty(0, dtype=INDEX_DTYPE))
+            return np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=INDEX_DTYPE)
         pos = self.column_positions(cols)
-        present = pos >= 0
+        present = np.flatnonzero(pos >= 0).astype(INDEX_DTYPE)
         ppos = pos[present]
         starts = self.cp[ppos]
-        lengths = self.cp[ppos + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return (np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=self.dtype),
-                    np.empty(0, dtype=INDEX_DTYPE))
-        src_present = np.flatnonzero(present).astype(INDEX_DTYPE)
-        source = np.repeat(src_present, lengths)
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        within = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(offsets, lengths)
-        positions = np.repeat(starts, lengths) + within
+        positions, k = _segment_positions(starts, self.cp[ppos + 1] - starts)
+        return positions, present[k]
+
+    def gather_columns(self, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """DCSC analogue of :meth:`CSCMatrix.gather_columns` (empty columns contribute nothing)."""
+        positions, source = self.gather_positions(cols)
         return self.ir[positions], self.num[positions], source
 
     # ------------------------------------------------------------------ #

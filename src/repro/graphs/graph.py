@@ -5,16 +5,11 @@ pseudo-diameter, networkx bridge).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .._typing import INDEX_DTYPE
-from ..core.dispatch import spmspv
 from ..formats.csc import CSCMatrix
-from ..formats.sparse_vector import SparseVector
 from ..parallel.context import default_context
-from ..semiring import MIN_SELECT2ND
 
 
 class Graph:
@@ -92,21 +87,9 @@ class Graph:
 
     def _bfs_levels(self, source: int) -> np.ndarray:
         """Internal BFS used by :meth:`pseudo_diameter` (level array, -1 = unreached)."""
-        n = self.num_vertices
-        levels = np.full(n, -1, dtype=INDEX_DTYPE)
-        levels[source] = 0
-        frontier = SparseVector.full_like_indices(n, np.array([source]), 1.0)
-        ctx = default_context(num_threads=1)
-        level = 0
-        while frontier.nnz:
-            level += 1
-            visited = SparseVector.full_like_indices(n, np.flatnonzero(levels >= 0), 1.0)
-            result = spmspv(self.matrix, frontier, ctx, algorithm="bucket",
-                            semiring=MIN_SELECT2ND, mask=visited, mask_complement=True)
-            frontier = result.vector
-            if frontier.nnz:
-                levels[frontier.indices] = level
-        return levels
+        from ..algorithms.bfs import bfs  # late: the algorithms import Graph
+
+        return bfs(self.matrix, source, default_context(num_threads=1)).levels
 
     # ------------------------------------------------------------------ #
     def to_networkx(self):

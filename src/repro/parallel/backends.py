@@ -16,7 +16,8 @@ module's concern, behind one small seam:
   :class:`~repro.core.workspace.SpMSpVWorkspace` objects, and keeps both for
   its lifetime.  Per call, the input frontier (or packed
   :class:`~repro.formats.vector_block.SparseVectorBlock`) and every
-  per-strip mask slice are packed **once** into a shared-memory input arena
+  per-strip slice of the dense row-mask map (one ``bool`` per strip row)
+  are packed **once** into a shared-memory input arena
   (:class:`~repro.core.workspace.SlabArena`) that all strips attach —
   broadcast-once, instead of P pickled copies — and workers write their
   ``(indices, values)`` outputs directly into preallocated per-strip output
@@ -153,9 +154,13 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def run_multiply(self, algorithm: str, x: SparseVector, *,
                      semiring: Semiring, sorted_output: Optional[bool],
-                     mask_slices: Sequence[Optional[SparseVector]],
+                     mask_slices: Sequence[Optional[np.ndarray]],
                      mask_complement: bool, kwargs: Dict) -> List:
-        """One kernel call per strip; returns per-strip results in strip order."""
+        """One kernel call per strip; returns per-strip results in strip order.
+
+        ``mask_slices[s]`` is strip ``s``'s rows of the dense row-mask map
+        (a 1-D ``bool`` array of the strip's length) or None.
+        """
 
     @abstractmethod
     def run_block(self, block, *, semiring: Semiring,
@@ -164,14 +169,14 @@ class ExecutionBackend(ABC):
         """One fused block call per strip; per-strip lists of k results."""
 
     def run_partial(self, algorithm: str, slices: Sequence[tuple], *,
-                    semiring: Semiring, mask: Optional[SparseVector],
+                    semiring: Semiring, mask: Optional[np.ndarray],
                     mask_complement: bool, out_dtype) -> List:
         """One column-strip partial per strip (column-split scheme).
 
         ``slices`` holds one ``(local_idx, values, gpos)`` frontier slice
         per strip (see :func:`repro.core.spmspv_column.slice_frontier`);
-        ``mask`` is the **full row-space** output mask (column strips all
-        span the full row space, so one mask serves every strip).  Returns
+        ``mask`` is the **full row-space** dense row-mask map (column strips
+        all span the full row space, so one map serves every strip).  Returns
         per-strip :class:`~repro.core.spmspv_column.ColumnPartial` streams
         in strip order; the caller runs the reduction phase.  Only backends
         built with ``scheme="column"`` support this operation.
@@ -189,7 +194,7 @@ class ExecutionBackend(ABC):
     # ------------------------------------------------------------------ #
     def submit_multiply(self, algorithm: str, x: SparseVector, *,
                         semiring: Semiring, sorted_output: Optional[bool],
-                        mask_slices: Sequence[Optional[SparseVector]],
+                        mask_slices: Sequence[Optional[np.ndarray]],
                         mask_complement: bool, kwargs: Dict):
         """Queue one multiply; returns an opaque token for :meth:`gather_multiply`.
 
@@ -209,7 +214,7 @@ class ExecutionBackend(ABC):
         return token()
 
     def submit_partial(self, algorithm: str, slices: Sequence[tuple], *,
-                       semiring: Semiring, mask: Optional[SparseVector],
+                       semiring: Semiring, mask: Optional[np.ndarray],
                        mask_complement: bool, out_dtype):
         """Queue one column-partial fan-out; token for :meth:`gather_partial`."""
         def run():
@@ -348,16 +353,12 @@ class EmulatedBackend(ExecutionBackend):
     def run_partial(self, algorithm, slices, *, semiring, mask,
                     mask_complement, out_dtype):
         from ..core.spmspv_column import column_partial
-        from ..core.vector_ops import mask_bitmap
 
         if self.scheme != "column":
             return super().run_partial(
                 algorithm, slices, semiring=semiring, mask=mask,
                 mask_complement=mask_complement, out_dtype=out_dtype)
         t0 = time.monotonic()
-        # one bitmap for the whole fan-out: every column strip spans the
-        # full row space, so the mask is shared rather than sliced
-        bitmap = mask_bitmap(mask, self.strips[0].nrows) if self.strips else None
 
         def call(s: int):
             self._deadline_check(t0, s)
@@ -366,7 +367,7 @@ class EmulatedBackend(ExecutionBackend):
                 return column_partial(
                     self.strips[s], idx, vals, gpos, self.shard_ctx,
                     semiring=semiring, out_dtype=out_dtype,
-                    algorithm=algorithm, bitmap=bitmap,
+                    algorithm=algorithm, bitmap=mask,
                     mask_complement=mask_complement)
             except Exception as exc:
                 raise _attach_strip_id(exc, s, self.name)
@@ -442,14 +443,28 @@ def _payload_nbytes(descs) -> int:
     return _align_up(end)
 
 
+def _pack_map(arrays: List[np.ndarray], mask: Optional[np.ndarray]
+              ) -> Optional[int]:
+    """Queue a row-mask map for the input slab; its index in ``arrays`` (or None)."""
+    if mask is None:
+        return None
+    arrays.append(np.ascontiguousarray(mask))
+    return len(arrays) - 1
+
+
+def _map_desc(descs, at: Optional[int]):
+    """The packed descriptor of a map queued by :func:`_pack_map` (or None)."""
+    return None if at is None else descs[at]
+
+
 def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
     """Serve calls until stopped; every shm view lives inside this frame.
 
     The worker holds, for its assigned strips, zero-copy CSC views over the
     parent's shared-memory slabs and locally-allocated persistent
     workspaces.  Inputs arrive as region descriptors into the engine's
-    input arena (one packed frontier/block + mask slices per call, shared by
-    every strip); outputs are packed into the parent-granted per-strip
+    input arena (one packed frontier/block + row-mask maps per call, shared
+    by every strip); outputs are packed into the parent-granted per-strip
     output regions, so replies carry only descriptors, records and stats.
     A result that outgrows its grant is retained locally and reported as a
     ``grow`` record; the parent re-grants a large-enough region and the
@@ -470,7 +485,6 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
     from ..core.engine import _accepts_workspace
     from ..core.spmspv_block import spmspv_bucket_block
     from ..core.spmspv_column import column_partial
-    from ..core.vector_ops import mask_bitmap
     from ..core.workspace import (
         SharedSlab,
         SlabReader,
@@ -528,6 +542,10 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
         idx_desc, val_desc, n, sorted_flag = vec_spec
         idx, vals = unpack_arrays(region, [idx_desc, val_desc])
         return SparseVector(n, idx, vals, sorted=sorted_flag, check=False)
+
+    def read_map(region, desc) -> Optional[np.ndarray]:
+        """A row-mask map: one zero-copy ``bool`` view (None for no mask)."""
+        return None if desc is None else unpack_arrays(region, [desc])[0]
 
     def write_results(out_ref, results):
         """Pack result vectors + metric matrices into the granted region.
@@ -623,16 +641,12 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
             fn = get_algorithm(algorithm)
             takes_ws = _accepts_workspace(fn)
         elif op == "partial":
-            # column-split: one shared full-row mask, per-strip frontier
+            # column-split: one shared full-row map, per-strip frontier
             # slices riding the mask_specs slot of the generic message
             (_, _, _, expected_versions, algorithm, sr, comp, out_dtype_str,
              in_ref, mask_spec, x_specs, out_refs) = msg
             in_region = reader.region(in_ref)
-            if mask_spec is None:
-                bitmap = None
-            else:
-                mvec = read_vector(in_region, mask_spec)
-                bitmap = mask_bitmap(mvec, mvec.n)
+            bitmap = read_map(in_region, mask_spec)
         else:  # block
             (_, _, _, expected_versions, sr, so, comp, merge, in_ref,
              block_spec, mask_specs, out_refs) = msg
@@ -651,9 +665,7 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
                         f"v{versions.get(strip, 0)} — a compaction raced "
                         f"this call")
                 if op == "multiply":
-                    mspec = mask_specs[strip]
-                    mask = (None if mspec is None
-                            else read_vector(in_region, mspec))
+                    mask = read_map(in_region, mask_specs[strip])
                     kw = dict(kwargs)
                     if takes_ws:
                         kw["workspace"] = workspaces[strip]
@@ -674,9 +686,7 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
                 elif op == "block":
                     mspecs = mask_specs[strip]
                     masks = (None if mspecs is None
-                             else [None if ms is None
-                                   else read_vector(in_region, ms)
-                                   for ms in mspecs])
+                             else [read_map(in_region, ms) for ms in mspecs])
                     results = spmspv_bucket_block(
                         strips[strip], block, ctx, semiring=get_semiring(sr),
                         sorted_output=so, masks=masks,
@@ -1453,15 +1463,12 @@ class ProcessBackend(ExecutionBackend):
         try:
             if token.op == "partial":
                 from ..core.spmspv_column import column_partial
-                from ..core.vector_ops import mask_bitmap
 
                 idx, vals, gpos = args["slices"][strip]
-                bitmap = mask_bitmap(args["mask"],
-                                     self._strips[strip].nrows)
                 token.local_results[strip] = [column_partial(
                     self._strips[strip], idx, vals, gpos, self.shard_ctx,
                     semiring=args["semiring"], out_dtype=args["out_dtype"],
-                    algorithm=args["algorithm"], bitmap=bitmap,
+                    algorithm=args["algorithm"], bitmap=args["mask"],
                     mask_complement=args["mask_complement"])]
             elif token.op == "multiply":
                 fn = get_algorithm(args["algorithm"])
@@ -1560,14 +1567,7 @@ class ProcessBackend(ExecutionBackend):
         sr = self._semiring_name(semiring)
         arrays = [np.ascontiguousarray(x.indices),
                   np.ascontiguousarray(x.values)]
-        mask_at: List[Optional[int]] = []
-        for mask in mask_slices:
-            if mask is None:
-                mask_at.append(None)
-            else:
-                mask_at.append(len(arrays))
-                arrays.append(np.ascontiguousarray(mask.indices))
-                arrays.append(np.ascontiguousarray(mask.values))
+        mask_at = [_pack_map(arrays, mask) for mask in mask_slices]
         token = self._begin_call("multiply", None)
         region, in_ref, descs = self._pack_input(arrays)
         token.input_region = region
@@ -1575,10 +1575,7 @@ class ProcessBackend(ExecutionBackend):
         token.proto = (algorithm, sr, sorted_output, mask_complement,
                        kwargs, in_ref, x_spec)
         for s in range(self.num_strips):
-            at = mask_at[s]
-            token.mask_specs[s] = None if at is None else (
-                descs[at], descs[at + 1], mask_slices[s].n,
-                mask_slices[s].sorted)
+            token.mask_specs[s] = _map_desc(descs, mask_at[s])
         if self._degraded_fallback:
             token.call_args = {
                 "algorithm": algorithm, "x": x, "semiring": semiring,
@@ -1633,8 +1630,8 @@ class ProcessBackend(ExecutionBackend):
                        mask_complement, out_dtype):
         """Queue one column-partial fan-out over the slab comm plane.
 
-        Broadcast-once applies twice over: the (optional) full-row mask is
-        packed a single time for all strips, and each strip's frontier
+        Broadcast-once applies twice over: the (optional) full-row mask map
+        is packed a single time for all strips, and each strip's frontier
         *slice* — not the whole vector — rides the same input region (the
         paper's work-efficiency point: a column strip reads only its
         private piece of ``x``).  Per-strip slice specs travel in the
@@ -1648,9 +1645,7 @@ class ProcessBackend(ExecutionBackend):
                 f"to run column partials")
         sr = self._semiring_name(semiring)
         arrays = []
-        if mask is not None:
-            arrays.append(np.ascontiguousarray(mask.indices))
-            arrays.append(np.ascontiguousarray(mask.values))
+        mask_at = _pack_map(arrays, mask)
         slice_at = []
         for idx, vals, gpos in slices:
             slice_at.append(len(arrays))
@@ -1660,10 +1655,9 @@ class ProcessBackend(ExecutionBackend):
         token = self._begin_call("partial", None)
         region, in_ref, descs = self._pack_input(arrays)
         token.input_region = region
-        mask_spec = None if mask is None else \
-            (descs[0], descs[1], mask.n, mask.sorted)
         token.proto = (algorithm, sr, mask_complement,
-                       np.dtype(out_dtype).str, in_ref, mask_spec)
+                       np.dtype(out_dtype).str, in_ref,
+                       _map_desc(descs, mask_at))
         for s in range(self.num_strips):
             at = slice_at[s]
             token.mask_specs[s] = (descs[at], descs[at + 1], descs[at + 2])
@@ -1701,20 +1695,9 @@ class ProcessBackend(ExecutionBackend):
         block_meta, block_arrays = block.pack_arrays()
         arrays = list(block_arrays)
         #: strip -> None | list over k of None | index into ``arrays``
-        mask_at: List = []
-        for masks in strip_masks:
-            if masks is None:
-                mask_at.append(None)
-                continue
-            ats = []
-            for mask in masks:
-                if mask is None:
-                    ats.append(None)
-                else:
-                    ats.append(len(arrays))
-                    arrays.append(np.ascontiguousarray(mask.indices))
-                    arrays.append(np.ascontiguousarray(mask.values))
-            mask_at.append(ats)
+        mask_at = [None if masks is None
+                   else [_pack_map(arrays, mask) for mask in masks]
+                   for masks in strip_masks]
         token = self._begin_call("block", None)
         region, in_ref, descs = self._pack_input(arrays)
         token.input_region = region
@@ -1723,14 +1706,8 @@ class ProcessBackend(ExecutionBackend):
                        in_ref, block_spec)
         for s in range(self.num_strips):
             ats = mask_at[s]
-            if ats is None:
-                token.mask_specs[s] = None
-            else:
-                token.mask_specs[s] = [
-                    None if at is None else (
-                        descs[at], descs[at + 1], strip_masks[s][i].n,
-                        strip_masks[s][i].sorted)
-                    for i, at in enumerate(ats)]
+            token.mask_specs[s] = (None if ats is None
+                                   else [_map_desc(descs, at) for at in ats])
         if self._degraded_fallback:
             token.call_args = {
                 "block": block, "semiring": semiring,

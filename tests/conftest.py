@@ -32,6 +32,23 @@ def random_sparse_vector(n: int, nnz: int, seed: int = 0, *, sorted: bool = True
     return vec
 
 
+def row_map(mask: SparseVector) -> np.ndarray:
+    """The dense row-membership map (1-D bool) of a SparseVector mask."""
+    bitmap = np.zeros(mask.n, dtype=bool)
+    bitmap[mask.indices] = True
+    return bitmap
+
+
+def malformed_maps(nrows: int) -> dict:
+    """Row maps that must be rejected: wrong length, dtype, or dimension."""
+    return {
+        "short": np.zeros(nrows - 1, dtype=bool),
+        "long": np.zeros(nrows + 1, dtype=bool),
+        "uint8": np.zeros(nrows, dtype=np.uint8),
+        "2d": np.zeros((1, nrows), dtype=bool),
+    }
+
+
 def random_coo(m: int, n: int, nnz: int, seed: int = 0, *, allow_dups: bool = True
                ) -> COOMatrix:
     rng = np.random.default_rng(seed)

@@ -49,7 +49,7 @@ from repro.semiring import (
     Semiring,
 )
 
-from conftest import random_csc
+from conftest import malformed_maps, random_csc, row_map
 
 #: the CI chaos job runs this suite under a seeded fault plan (the "chaos"
 #: wrapper backend + resilience defaults absorb injected worker deaths), so
@@ -62,7 +62,7 @@ ALL_SEMIRINGS = [PLUS_TIMES, MIN_PLUS, MAX_TIMES, OR_AND, MIN_SELECT2ND,
 #: the cross-kernel sweep uses a reduced semiring set; the bucket kernel —
 #: the one the fused/sharded fast paths specialize — runs all seven
 CORE_SEMIRINGS = [PLUS_TIMES, MIN_SELECT2ND]
-MASK_MODES = ["none", "mask", "complement"]
+MASK_MODES = ["none", "mask", "complement", "map"]
 SHARD_COUNTS = [1, 2, 3, 7]
 
 
@@ -102,7 +102,14 @@ def as_semiring_input(x: SparseVector, semiring: Semiring) -> SparseVector:
 def mask_kwargs(mode, mask):
     if mode == "none":
         return {"mask": None, "mask_complement": False}
+    if mode == "map":  # the dense row map of the same set, in BFS's shape
+        return {"mask": row_map(mask), "mask_complement": True}
     return {"mask": mask, "mask_complement": mode == "complement"}
+
+
+def reference_kwargs(mode, mask):
+    """The emulated side's mask: a row map is checked against its SparseVector."""
+    return mask_kwargs("complement" if mode == "map" else mode, mask)
 
 
 def assert_bit_identical(a, b, label):
@@ -175,12 +182,13 @@ def test_process_backend_bit_identical_across_kernel_grid(shards):
             for semiring in semirings:
                 for mode in MASK_MODES:
                     kw = mask_kwargs(mode, mask)
+                    ref_kw = reference_kwargs(mode, mask)
                     for x in (x_sorted, x_unsorted):
                         x = as_semiring_input(x, semiring)
                         label = f"{kernel}/{semiring.name}/{mode}/P={shards}" \
                                 f"/sorted={x.sorted}"
                         ref = emu.multiply(x, algorithm=kernel,
-                                           semiring=semiring, **kw)
+                                           semiring=semiring, **ref_kw)
                         out = proc.multiply(x, algorithm=kernel,
                                             semiring=semiring, **kw)
                         assert_same_pairs(ref.vector, out.vector, label)
@@ -189,7 +197,7 @@ def test_process_backend_bit_identical_across_kernel_grid(shards):
                     # forced sorted output: identical storage bytes
                     xs = as_semiring_input(x_sorted, semiring)
                     ref = emu.multiply(xs, algorithm=kernel, semiring=semiring,
-                                       sorted_output=True, **kw)
+                                       sorted_output=True, **ref_kw)
                     out = proc.multiply(xs, algorithm=kernel, semiring=semiring,
                                         sorted_output=True, **kw)
                     assert_results_match(ref, out, label + "/sorted_out")
@@ -205,9 +213,11 @@ def test_process_backend_fused_and_looped_blocks_bit_identical(shards, block_mer
     emu, proc = engine_pair(matrix, shards)
     try:
         for block_mode in ("fused", "looped"):
-            for masks in (None, [mask] * len(xs), [mask, None, mask]):
+            bitmap = row_map(mask)
+            for masks in (None, [mask] * len(xs), [mask, None, mask],
+                          [bitmap, None, bitmap]):
                 label = f"{block_mode}/{block_merge}/P={shards}" \
-                        f"/masked={masks is not None}"
+                        f"/masks={masks is not None and type(masks[0]).__name__}"
                 refs = emu.multiply_many(xs, masks=masks, block_mode=block_mode,
                                          block_merge=block_merge)
                 outs = proc.multiply_many(xs, masks=masks, block_mode=block_mode,
@@ -411,6 +421,10 @@ def test_invalid_operands_raise_parent_side_before_any_worker_runs():
         with pytest.raises(DimensionError):
             engine.multiply(SparseVector.full_like_indices(30, [0], 1.0),
                             mask=SparseVector.full_like_indices(29, [0], 1.0))
+        for bad_map in malformed_maps(30).values():
+            with pytest.raises(DimensionError):
+                engine.multiply(SparseVector.full_like_indices(30, [0], 1.0),
+                                mask=bad_map)
         with pytest.raises(Exception):
             engine.multiply(SparseVector.full_like_indices(17, [0], 1.0))
     finally:

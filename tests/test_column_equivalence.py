@@ -8,7 +8,7 @@ monolithic kernel's order (see :mod:`repro.core.spmspv_column`).  Outputs
 are therefore **bit-identical** to the monolithic engine across
 
     randomized problems x P ∈ {1, 2, 3, 7} x all 5 kernels x semirings
-        x {no mask, mask, complement mask} x sorted/unsorted inputs
+        x {no mask, mask, complement mask, row map} x sorted/unsorted inputs
         x both execution backends x sync / async front-ends
         x injected worker kills (chaos).
 
@@ -51,12 +51,12 @@ from repro.semiring import (
     PLUS_TIMES,
 )
 
-from conftest import random_csc
+from conftest import random_csc, row_map
 
 KERNELS = ["bucket", "combblas_spa", "combblas_heap", "graphmat", "sort"]
 ALL_SEMIRINGS = [PLUS_TIMES, MIN_PLUS, MAX_TIMES, OR_AND, MIN_SELECT2ND,
                  MAX_SELECT2ND, MIN_SELECT1ST]
-MASK_MODES = ["none", "mask", "complement"]
+MASK_MODES = ["none", "mask", "complement", "map"]
 SHARD_COUNTS = [1, 2, 3, 7]
 
 SETTINGS = dict(deadline=None, max_examples=6,
@@ -97,7 +97,14 @@ def as_semiring_input(x: SparseVector, semiring) -> SparseVector:
 def mask_kwargs(mode: str, mask: SparseVector) -> dict:
     if mode == "none":
         return {"mask": None, "mask_complement": False}
+    if mode == "map":  # the dense row map of the same set, in BFS's shape
+        return {"mask": row_map(mask), "mask_complement": True}
     return {"mask": mask, "mask_complement": mode == "complement"}
+
+
+def reference_kwargs(mode: str, mask: SparseVector) -> dict:
+    """The reference side's mask: a row map is checked against its SparseVector."""
+    return mask_kwargs("complement" if mode == "map" else mode, mask)
 
 
 def assert_bit_identical(a: SparseVector, b: SparseVector, label: str) -> None:
@@ -128,9 +135,10 @@ def test_column_all_kernels_bit_identical(semiring, mask_mode, problem):
     x = as_semiring_input(x, semiring)
     ctx = default_context(num_threads=threads)
     kw = mask_kwargs(mask_mode, mask)
+    ref_kw = reference_kwargs(mask_mode, mask)
     for name in KERNELS:
         ref = SpMSpVEngine(matrix, ctx, algorithm=name).multiply(
-            x, semiring=semiring, sorted_output=True, **kw)
+            x, semiring=semiring, sorted_output=True, **ref_kw)
         col = ColumnShardedEngine(matrix, shards, ctx, algorithm=name).multiply(
             x, semiring=semiring, **kw)
         assert_bit_identical(ref.vector, col.vector, f"{name} P={shards}")
@@ -327,7 +335,8 @@ def test_column_process_backend_bit_identical():
     with ColumnShardedEngine(matrix, 4, ctx, algorithm="bucket") as engine:
         for semiring in (PLUS_TIMES, MIN_SELECT2ND):
             for kw in ({"mask": None, "mask_complement": False},
-                       {"mask": mask, "mask_complement": True}):
+                       {"mask": mask, "mask_complement": True},
+                       {"mask": row_map(mask), "mask_complement": True}):
                 ref = mono.multiply(x, semiring=semiring, sorted_output=True,
                                     **kw)
                 out = engine.multiply(x, semiring=semiring, **kw)

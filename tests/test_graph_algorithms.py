@@ -6,6 +6,7 @@ import pytest
 
 from repro.algorithms import (
     bfs,
+    bfs_multi_source,
     connected_components,
     conductance,
     is_maximal_independent_set,
@@ -15,15 +16,19 @@ from repro.algorithms import (
     maximal_bipartite_matching,
     maximal_independent_set,
     pagerank,
+    pagerank_block,
     pagerank_dense_reference,
     sssp,
     validate_bfs_tree,
 )
 from repro.algorithms.pagerank import column_stochastic
+from repro.core import SpMSpVEngine
+from repro.core.column_sharded import make_sharded_engine
 from repro.errors import ReproError
-from repro.formats import CSCMatrix
+from repro.formats import CSCMatrix, SparseVector
 from repro.graphs import Graph, bipartite_random, erdos_renyi, grid_2d, path_graph, rmat
 from repro.parallel import default_context
+from repro.semiring import MIN_SELECT2ND
 
 CTX = default_context(num_threads=3)
 
@@ -89,6 +94,66 @@ def test_bfs_records_one_per_level(scale_free_graph):
 def test_bfs_source_validation(scale_free_graph):
     with pytest.raises(IndexError):
         bfs(scale_free_graph, 10**7, CTX)
+
+
+def _reference_bfs(engine, source):
+    """BFS levels and per-level work of a reference loop that passes the
+    visited set as a SparseVector mask rebuilt every level."""
+    n = engine.matrix.ncols
+    levels = np.full(n, -1)
+    levels[source] = 0
+    frontier = SparseVector(n, [source], [float(source)])
+    visited = [np.array([source])]
+    work = []
+    level = 0
+    while frontier.nnz:
+        level += 1
+        mask = SparseVector.full_like_indices(n, np.concatenate(visited), 1.0)
+        result = engine.multiply(frontier, semiring=MIN_SELECT2ND, mask=mask,
+                                 mask_complement=True)
+        work.append(result.record.total_work().as_dict())
+        reached = result.vector
+        if reached.nnz == 0:
+            break
+        levels[reached.indices] = level
+        visited.append(reached.indices.copy())
+        frontier = SparseVector(n, reached.indices.copy(),
+                                reached.indices.astype(np.float64),
+                                sorted=reached.sorted, check=False)
+    return levels, work
+
+
+@pytest.mark.parametrize("layout", ["whole", "row", "column"])
+def test_bfs_visited_map_does_the_reference_work_per_level(scale_free_graph, layout):
+    """The visited map changes how the mask is held, not the work: every
+    level's work counts equal the SparseVector-mask reference loop's."""
+    matrix = scale_free_graph.matrix
+    source = int(np.argmax(scale_free_graph.out_degrees()))
+    if layout == "whole":
+        result = bfs(matrix, source, CTX)
+        engine = SpMSpVEngine(matrix, CTX, algorithm="bucket")
+    else:
+        result = bfs(matrix, source, CTX, shards=3, shard_scheme=layout)
+        engine = make_sharded_engine(matrix, 3, CTX, algorithm="bucket",
+                                     scheme=layout)
+    with engine:
+        levels, work = _reference_bfs(engine, source)
+    assert np.array_equal(result.levels, levels)
+    assert [r.total_work().as_dict() for r in result.records] == work
+
+
+def test_bfs_multi_source_with_engine_ignores_env_knobs(scale_free_graph, monkeypatch):
+    """An explicit engine carries its own context: a malformed REPRO_* knob
+    must not break the call (the serving layer's warm path)."""
+    matrix = scale_free_graph.matrix
+    engine = SpMSpVEngine(matrix, CTX, algorithm="bucket")
+    expected = bfs_multi_source(matrix, [0, 7], engine=engine)
+    monkeypatch.setenv("REPRO_SHARD_SCHEME", "bogus")
+    with pytest.raises(ValueError):
+        default_context()  # the knob really is malformed
+    got = bfs_multi_source(matrix, [0, 7], engine=engine)
+    assert np.array_equal(got.levels, expected.levels)
+    assert np.array_equal(got.parents, expected.parents)
 
 
 # --------------------------------------------------------------------------- #
@@ -188,6 +253,16 @@ def test_personalized_pagerank_concentrates_mass(scale_free_graph):
     assert result.scores[0] > np.median(result.scores)
     top = [v for v, _ in result.top(5)]
     assert len(top) == 5
+
+
+def test_pagerank_block_with_engine_ignores_env_knobs(scale_free_graph, monkeypatch):
+    matrix = scale_free_graph.matrix
+    engine = SpMSpVEngine(column_stochastic(matrix), CTX, algorithm="bucket")
+    sources = [np.array([0]), np.array([3, 9])]
+    expected = pagerank_block(matrix, sources, engine=engine)
+    monkeypatch.setenv("REPRO_SHARD_SCHEME", "bogus")
+    got = pagerank_block(matrix, sources, engine=engine)
+    assert got.scores.tobytes() == expected.scores.tobytes()
 
 
 def test_column_stochastic_columns_sum_to_one(scale_free_graph):

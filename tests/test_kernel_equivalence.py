@@ -6,7 +6,7 @@ row's addends with the same stable row-grouped ``semiring.reduceat``, so
 their outputs are **bit-identical** — not merely numerically close — across
 
     randomized graphs x all 5 kernels x all semirings
-        x {no mask, mask, complement mask} x sorted/unsorted inputs.
+        x {no mask, mask, complement mask, row map} x sorted/unsorted inputs.
 
 Each (row, value) pair is bitwise equal across kernels; only the *storage
 order* of unsorted outputs is representation-specific (the bucket kernel
@@ -23,7 +23,9 @@ definition.
 
 Mask handling is part of the contract: masks live in the matrix's row space,
 and every kernel — per-vector and fused, early and late masking — rejects a
-mask of any other length with :class:`repro.errors.DimensionError`.
+mask of any other length with :class:`repro.errors.DimensionError`.  A dense
+row map (1-D bool array) is the same mask as the SparseVector of its member
+rows, bit for bit; a map of the wrong length, dtype or dimension raises too.
 """
 
 import numpy as np
@@ -47,12 +49,12 @@ from repro.semiring import (
     PLUS_TIMES,
 )
 
-from conftest import random_csc
+from conftest import malformed_maps, random_csc, row_map
 
 KERNELS = ["bucket", "combblas_spa", "combblas_heap", "graphmat", "sort"]
 ALL_SEMIRINGS = [PLUS_TIMES, MIN_PLUS, MAX_TIMES, OR_AND, MIN_SELECT2ND,
                  MAX_SELECT2ND, MIN_SELECT1ST]
-MASK_MODES = ["none", "mask", "complement"]
+MASK_MODES = ["none", "mask", "complement", "map"]
 
 SETTINGS = dict(deadline=None, max_examples=12,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -92,6 +94,8 @@ def as_semiring_input(x: SparseVector, semiring) -> SparseVector:
 def mask_kwargs(mode: str, mask: SparseVector) -> dict:
     if mode == "none":
         return {"mask": None, "mask_complement": False}
+    if mode == "map":  # the dense row map of the same set, in BFS's shape
+        return {"mask": row_map(mask), "mask_complement": True}
     return {"mask": mask, "mask_complement": mode == "complement"}
 
 
@@ -122,6 +126,10 @@ def test_all_kernels_bit_identical(semiring, mask_mode, problem):
     kw = mask_kwargs(mask_mode, mask)
     # default output mode: pairs bitwise equal, order canonicalized
     reference = spmspv_bucket(matrix, x, ctx, semiring=semiring, **kw)
+    if mask_mode == "map":  # a map is the same mask as its SparseVector
+        as_vector = spmspv_bucket(matrix, x, ctx, semiring=semiring,
+                                  **mask_kwargs("complement", mask))
+        assert_bit_identical(as_vector.vector, reference.vector, "map")
     for name in KERNELS[1:]:
         result = get_algorithm(name)(matrix, x, ctx, semiring=semiring, **kw)
         assert_same_pairs(reference.vector, result.vector, name)
@@ -150,7 +158,8 @@ def test_fused_block_variants_bit_identical(semiring, mask_mode, problem):
                            sorted=x.nnz <= 1, check=False)
     xs = [x, shifted, SparseVector.empty(x.n, dtype=x.dtype)]
     refs = [spmspv_bucket(matrix, v, ctx, semiring=semiring, **kw) for v in xs]
-    masks = None if kw["mask"] is None else [mask] * len(xs)
+    # in "map" mode the block mixes both forms of the same mask
+    masks = None if kw["mask"] is None else [kw["mask"], mask, kw["mask"]]
     for merge in ("segmented", "global"):
         for early in (True, False):
             fused = spmspv_bucket_block(
@@ -227,6 +236,24 @@ def test_multiply_many_rejects_mask_of_wrong_dimension(block_mode):
     bad_masks = [SparseVector.full_like_indices(30, np.arange(5), 1.0)] * 4
     with pytest.raises(DimensionError):
         engine.multiply_many(xs, masks=bad_masks, block_mode=block_mode)
+
+
+@pytest.mark.parametrize("bad", sorted(malformed_maps(50)))
+def test_kernels_reject_malformed_row_map(bad):
+    """A row map of the wrong length, dtype or dimension raises everywhere."""
+    matrix = random_csc(50, 40, 0.15, seed=8)
+    x = SparseVector.full_like_indices(40, np.arange(0, 12), 1.0)
+    bad_map = malformed_maps(50)[bad]
+    ctx = default_context()
+    for kernel in KERNELS:
+        with pytest.raises(DimensionError):
+            get_algorithm(kernel)(matrix, x, ctx, mask=bad_map)
+    for early in (True, False):
+        with pytest.raises(DimensionError):
+            spmspv_bucket(matrix, x, ctx, mask=bad_map, early_mask=early)
+        with pytest.raises(DimensionError):
+            spmspv_bucket_block(matrix, [x, x], ctx, masks=[None, bad_map],
+                                early_mask=early)
 
 
 def test_mask_list_length_mismatch_still_raises():

@@ -20,6 +20,7 @@ from repro.core import (
     spmspv,
     unpin_engine,
 )
+from repro.core.column_sharded import make_sharded_engine
 from repro.core.workspace import SpMSpVWorkspace
 from repro.errors import DimensionError, DimensionMismatchError
 from repro.formats import SparseVector
@@ -105,6 +106,28 @@ def test_bad_mask_raises_at_gather_not_submit():
     assert engine.pending == 1  # submission itself does not validate
     with pytest.raises(DimensionError):
         engine.gather()
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_mask_map_updated_after_submit_does_not_change_the_answer(scheme):
+    """Queued calls run at gather (strips included, on the emulated backend),
+    so submit copies a row map: updating it afterwards — as a BFS updates its
+    visited map — must not leak into the queued call."""
+    matrix = random_csc(40, 40, 0.2, seed=6)
+    x = random_sparse_vector(40, 8, seed=2)
+    visited = np.zeros(40, dtype=bool)
+    visited[::3] = True
+    with make_sharded_engine(matrix, 3, default_context(), algorithm="bucket",
+                             scheme=scheme) as engine:
+        expected = engine.multiply(x, mask=visited.copy(), mask_complement=True)
+        engine.submit(x, mask=visited, mask_complement=True)
+        visited[:] = True  # now masks every row out
+        engine.submit(x, mask=visited, mask_complement=True)
+        first, second = engine.gather()
+    assert expected.vector.nnz > 0
+    assert np.array_equal(first.vector.indices, expected.vector.indices)
+    assert np.array_equal(first.vector.values, expected.vector.values)
+    assert second.vector.nnz == 0
 
 
 # --------------------------------------------------------------------------- #

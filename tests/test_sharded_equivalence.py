@@ -8,7 +8,7 @@ unsharded kernel reduces, and the concatenated outputs are **bit-identical**
 to the monolithic engine across
 
     randomized problems x P ∈ {1, 2, 3, 7} x all 5 kernels x semirings
-        x {no mask, mask, complement mask} x sorted/unsorted inputs
+        x {no mask, mask, complement mask, row map} x sorted/unsorted inputs
         x fused / looped ``multiply_many`` x sync / async front-ends.
 
 As in ``test_kernel_equivalence``, sorted outputs are compared byte-for-byte
@@ -18,7 +18,9 @@ canonical row order, since first-touch storage order is bucket-layout
 specific.  The same file locks down the ``single_pass`` fast path of the
 bucket kernel — the lever that makes per-strip calls cheap — to be bit- and
 *metric*-identical to the generic path, which is what entitles the sharded
-engine to use it.
+engine to use it.  In the row-map mode the sharded side passes a dense
+bool map and the monolithic reference the SparseVector of the same rows, so
+every comparison also checks that the two mask forms are interchangeable.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import bfs, bfs_multi_source, pagerank, pagerank_block
-from repro.core import ShardedEngine, SpMSpVEngine, spmspv_bucket
+from repro.core import ColumnShardedEngine, ShardedEngine, SpMSpVEngine, spmspv_bucket
 from repro.core.dispatch import get_algorithm
 from repro.errors import DimensionError, DimensionMismatchError
 from repro.formats import SparseVector
@@ -43,12 +45,12 @@ from repro.semiring import (
     PLUS_TIMES,
 )
 
-from conftest import random_csc
+from conftest import malformed_maps, random_csc, row_map
 
 KERNELS = ["bucket", "combblas_spa", "combblas_heap", "graphmat", "sort"]
 ALL_SEMIRINGS = [PLUS_TIMES, MIN_PLUS, MAX_TIMES, OR_AND, MIN_SELECT2ND,
                  MAX_SELECT2ND, MIN_SELECT1ST]
-MASK_MODES = ["none", "mask", "complement"]
+MASK_MODES = ["none", "mask", "complement", "map"]
 SHARD_COUNTS = [1, 2, 3, 7]
 
 SETTINGS = dict(deadline=None, max_examples=6,
@@ -89,7 +91,14 @@ def as_semiring_input(x: SparseVector, semiring) -> SparseVector:
 def mask_kwargs(mode: str, mask: SparseVector) -> dict:
     if mode == "none":
         return {"mask": None, "mask_complement": False}
+    if mode == "map":  # the dense row map of the same set, in BFS's shape
+        return {"mask": row_map(mask), "mask_complement": True}
     return {"mask": mask, "mask_complement": mode == "complement"}
+
+
+def reference_kwargs(mode: str, mask: SparseVector) -> dict:
+    """The reference side's mask: a row map is checked against its SparseVector."""
+    return mask_kwargs("complement" if mode == "map" else mode, mask)
 
 
 def assert_bit_identical(a: SparseVector, b: SparseVector, label: str) -> None:
@@ -115,15 +124,16 @@ def test_sharded_all_kernels_bit_identical(semiring, mask_mode, problem):
     x = as_semiring_input(x, semiring)
     ctx = default_context(num_threads=threads)
     kw = mask_kwargs(mask_mode, mask)
+    ref_kw = reference_kwargs(mask_mode, mask)
     for name in KERNELS:
         ref = SpMSpVEngine(matrix, ctx, algorithm=name).multiply(
-            x, semiring=semiring, **kw)
+            x, semiring=semiring, **ref_kw)
         sharded = ShardedEngine(matrix, shards, ctx, algorithm=name).multiply(
             x, semiring=semiring, **kw)
         assert_same_pairs(ref.vector, sharded.vector, f"{name} P={shards}")
         # forced sorted output: identical storage bytes
         ref = SpMSpVEngine(matrix, ctx, algorithm=name).multiply(
-            x, semiring=semiring, sorted_output=True, **kw)
+            x, semiring=semiring, sorted_output=True, **ref_kw)
         sharded = ShardedEngine(matrix, shards, ctx, algorithm=name).multiply(
             x, semiring=semiring, sorted_output=True, **kw)
         assert_bit_identical(ref.vector, sharded.vector,
@@ -157,9 +167,10 @@ def test_sharded_fused_multiply_many_bit_identical(mask_mode, block_merge, probl
     shifted = SparseVector(x.n, x.indices[::-1].copy(), x.values[::-1].copy(),
                            sorted=x.nnz <= 1, check=False)
     xs = [x, shifted, SparseVector.empty(x.n, dtype=x.dtype)]
-    masks = None if kw["mask"] is None else [mask] * len(xs)
+    masks = None if kw["mask"] is None else [kw["mask"]] * len(xs)
     refs = SpMSpVEngine(matrix, ctx, algorithm="bucket").multiply_many(
-        xs, masks=masks, mask_complement=kw["mask_complement"],
+        xs, masks=None if masks is None else [mask] * len(xs),
+        mask_complement=kw["mask_complement"],
         block_mode="fused", block_merge=block_merge)
     outs = ShardedEngine(matrix, shards, ctx, algorithm="bucket").multiply_many(
         xs, masks=masks, mask_complement=kw["mask_complement"],
@@ -274,6 +285,35 @@ def test_sharded_multiply_many_rejects_mask_of_wrong_dimension(block_mode):
     bad_masks = [SparseVector.full_like_indices(30, np.arange(5), 1.0)] * 4
     with pytest.raises(DimensionError):
         engine.multiply_many(xs, masks=bad_masks, block_mode=block_mode)
+
+
+ENGINE_FACTORIES = {
+    "whole": lambda matrix: SpMSpVEngine(matrix, default_context(),
+                                         algorithm="bucket"),
+    "row": lambda matrix: ShardedEngine(matrix, 3, default_context(),
+                                        algorithm="bucket"),
+    "column": lambda matrix: ColumnShardedEngine(matrix, 3, default_context(),
+                                                 algorithm="bucket"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(ENGINE_FACTORIES))
+def test_every_engine_rejects_malformed_row_map(layout):
+    """Wrong length, dtype or dimension raises from multiply and multiply_many."""
+    matrix = random_csc(50, 50, 0.15, seed=9)
+    x = SparseVector.full_like_indices(50, np.arange(0, 12), 1.0)
+    engine = ENGINE_FACTORIES[layout](matrix)
+    try:
+        for bad_map in malformed_maps(50).values():
+            with pytest.raises(DimensionError):
+                engine.multiply(x, mask=bad_map)
+            modes = ("looped",) if layout == "column" else ("fused", "looped")
+            for block_mode in modes:
+                with pytest.raises(DimensionError):
+                    engine.multiply_many([x, x, x, x], masks=[None, bad_map] * 2,
+                                         block_mode=block_mode)
+    finally:
+        engine.close()
 
 
 def test_sharded_engine_rejects_vector_of_wrong_length():

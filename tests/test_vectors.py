@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.vector_ops import mask_bitmap, mask_keep
 from repro.errors import FormatError
 from repro.formats import BitVector, SparseVector
 
@@ -133,10 +134,14 @@ def test_bitvector_vectorized_membership():
     sv = random_sparse_vector(500, 60, seed=4)
     bv = BitVector.from_sparse_vector(sv)
     probe = np.arange(500)
-    member = bv.are_set(probe)
     expected = np.zeros(500, dtype=bool)
     expected[sv.indices] = True
+    member = np.array([bv.is_set(i) for i in probe])
     np.testing.assert_array_equal(member, expected)
+    # the vectorized probe is the mask map: one lookup per index
+    np.testing.assert_array_equal(mask_keep(mask_bitmap(sv, 500), probe), expected)
+    np.testing.assert_array_equal(
+        mask_keep(mask_bitmap(sv, 500), probe, complement=True), ~expected)
 
 
 def test_bitvector_memory_is_o_n_plus_nnz():
