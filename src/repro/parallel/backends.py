@@ -30,6 +30,9 @@ module's concern, behind one small seam:
   strips immediately and drains completion records as they land, so
   consecutive multiplies pipeline across workers instead of barriering per
   call (:meth:`~repro.core.sharded.ShardedEngine.gather` drives this).
+  A call gathering fewer than :data:`POOL_MIN_WORK` matrix entries skips
+  the pool round trip and runs in the parent on the emulated backend's
+  per-strip code.
 
 Determinism contract: a kernel is a pure function of (strip, vector, call
 options), so for any *fixed* kernel/mode the two backends are **bit
@@ -102,6 +105,15 @@ _FAULTS_ENV = "REPRO_BACKEND_FAULTS"
 
 _DEFAULT_INPUT_SLAB = 1 << 16
 _DEFAULT_OUTPUT_SLAB = 1 << 16
+
+#: gathered entries (the nonzeros in the frontier's columns, summed over
+#: strips and over a block's vectors) below which a process-backend call
+#: runs in the parent instead of on the pool.  GraphBLAS's chunk rule
+#: (SuiteSparse ``GxB_CHUNK``, default 64K): work below one chunk gets no
+#: parallel dispatch.  It sits at or below the measured break-even: on a
+#: 2-vCPU host a 2-strip call at 64K entries costs the same or less in the
+#: parent, and the pool wins clearly from ~280K.  Read at call time.
+POOL_MIN_WORK = 1 << 16
 
 
 def _fresh_stats(spa_rows: int) -> Dict[str, float]:
@@ -305,75 +317,83 @@ class EmulatedBackend(ExecutionBackend):
                 f"emulated backend call exceeded its {deadline:.3f}s deadline "
                 f"before strip {s} started")
 
-    def run_multiply(self, algorithm, x, *, semiring, sorted_output,
-                     mask_slices, mask_complement, kwargs):
-        from ..core.dispatch import get_algorithm
-        from ..core.engine import _accepts_workspace
+    def strip_call(self, op: str, s: int, args: Dict) -> List:
+        """Run strip ``s`` of one call in this process; the strip's results.
 
-        fn = get_algorithm(algorithm)
-        takes_ws = _accepts_workspace(fn)
+        ``op`` is ``"multiply"``, ``"block"`` or ``"partial"`` and ``args``
+        the arguments of the matching ``run_*`` method, by name.  The
+        process backend runs its in-parent and degraded-fallback strips here.
+        """
+        if op == "multiply":
+            from ..core.dispatch import get_algorithm
+            from ..core.engine import _accepts_workspace
+
+            fn = get_algorithm(args["algorithm"])
+            kw = dict(args["kwargs"])
+            if _accepts_workspace(fn):
+                kw["workspace"] = self.workspaces[s]
+            return [fn(self.strips[s], args["x"], self.shard_ctx,
+                       semiring=args["semiring"],
+                       sorted_output=args["sorted_output"],
+                       mask=args["mask_slices"][s],
+                       mask_complement=args["mask_complement"], **kw)]
+        if op == "block":
+            from ..core.spmspv_block import spmspv_bucket_block
+
+            return spmspv_bucket_block(
+                self.strips[s], args["block"], self.shard_ctx,
+                semiring=args["semiring"],
+                sorted_output=args["sorted_output"],
+                masks=args["strip_masks"][s],
+                mask_complement=args["mask_complement"],
+                merge=args["block_merge"], workspace=self.workspaces[s])
+        from ..core.spmspv_column import column_partial
+
+        idx, vals, gpos = args["slices"][s]
+        return [column_partial(
+            self.strips[s], idx, vals, gpos, self.shard_ctx,
+            semiring=args["semiring"], out_dtype=args["out_dtype"],
+            algorithm=args["algorithm"], bitmap=args["mask"],
+            mask_complement=args["mask_complement"])]
+
+    def _run(self, op: str, args: Dict) -> List[List]:
+        """Every strip of one call, in strip order; per-strip result lists."""
         t0 = time.monotonic()
 
         def call(s: int):
             self._deadline_check(t0, s)
-            kw = dict(kwargs)
-            if takes_ws:
-                kw["workspace"] = self.workspaces[s]
             try:
-                return fn(self.strips[s], x, self.shard_ctx,
-                          semiring=semiring, sorted_output=sorted_output,
-                          mask=mask_slices[s], mask_complement=mask_complement,
-                          **kw)
+                return self.strip_call(op, s, args)
             except Exception as exc:
                 raise _attach_strip_id(exc, s, self.name)
 
         return run_chunks(call, len(self.strips),
                           use_thread_pool=self.use_thread_pool)
+
+    def run_multiply(self, algorithm, x, *, semiring, sorted_output,
+                     mask_slices, mask_complement, kwargs):
+        return [results[0] for results in self._run("multiply", {
+            "algorithm": algorithm, "x": x, "semiring": semiring,
+            "sorted_output": sorted_output, "mask_slices": mask_slices,
+            "mask_complement": mask_complement, "kwargs": kwargs})]
 
     def run_block(self, block, *, semiring, sorted_output, strip_masks,
                   mask_complement, block_merge):
-        from ..core.spmspv_block import spmspv_bucket_block
-
-        t0 = time.monotonic()
-
-        def call(s: int):
-            self._deadline_check(t0, s)
-            try:
-                return spmspv_bucket_block(
-                    self.strips[s], block, self.shard_ctx, semiring=semiring,
-                    sorted_output=sorted_output, masks=strip_masks[s],
-                    mask_complement=mask_complement, merge=block_merge,
-                    workspace=self.workspaces[s])
-            except Exception as exc:
-                raise _attach_strip_id(exc, s, self.name)
-
-        return run_chunks(call, len(self.strips),
-                          use_thread_pool=self.use_thread_pool)
+        return self._run("block", {
+            "block": block, "semiring": semiring,
+            "sorted_output": sorted_output, "strip_masks": strip_masks,
+            "mask_complement": mask_complement, "block_merge": block_merge})
 
     def run_partial(self, algorithm, slices, *, semiring, mask,
                     mask_complement, out_dtype):
-        from ..core.spmspv_column import column_partial
-
         if self.scheme != "column":
             return super().run_partial(
                 algorithm, slices, semiring=semiring, mask=mask,
                 mask_complement=mask_complement, out_dtype=out_dtype)
-        t0 = time.monotonic()
-
-        def call(s: int):
-            self._deadline_check(t0, s)
-            idx, vals, gpos = slices[s]
-            try:
-                return column_partial(
-                    self.strips[s], idx, vals, gpos, self.shard_ctx,
-                    semiring=semiring, out_dtype=out_dtype,
-                    algorithm=algorithm, bitmap=mask,
-                    mask_complement=mask_complement)
-            except Exception as exc:
-                raise _attach_strip_id(exc, s, self.name)
-
-        return run_chunks(call, len(self.strips),
-                          use_thread_pool=self.use_thread_pool)
+        return [results[0] for results in self._run("partial", {
+            "algorithm": algorithm, "slices": slices, "semiring": semiring,
+            "mask": mask, "mask_complement": mask_complement,
+            "out_dtype": out_dtype})]
 
     def workspace_stats(self):
         return [ws.stats() for ws in self.workspaces]
@@ -791,22 +811,25 @@ def _shutdown_pool(workers: List, conns: List, slabs: List, arenas: List,
 class _Inflight:
     """Parent-side state of one submitted (possibly still running) call."""
 
-    __slots__ = ("call_id", "op", "pending", "flushing", "payloads", "errors",
-                 "input_region", "out_regions", "abandoned",
+    __slots__ = ("call_id", "op", "inline", "pending", "flushing", "payloads",
+                 "errors", "input_region", "out_regions", "abandoned",
                  "finalized", "legacy_out",
                  # resilience state
                  "proto", "mask_specs", "call_args", "outstanding", "lost",
                  "last_death", "attempts", "redispatches", "local_results",
                  "local_errors", "deadline_at", "used_fallback")
 
-    def __init__(self, call_id: int, op: str, input_region):
+    def __init__(self, call_id: int, op: str, inline: bool,
+                 call_args: Dict[str, object]):
         self.call_id = call_id
         self.op = op
+        #: runs in the parent at gather time (below POOL_MIN_WORK)
+        self.inline = inline
         self.pending: Set[int] = set()
         self.flushing: Set[int] = set()
         self.payloads: Dict[int, object] = {}
         self.errors: Dict[int, tuple] = {}
-        self.input_region = input_region
+        self.input_region = None
         self.out_regions: Dict[int, tuple] = {}
         self.abandoned = False
         self.finalized = False
@@ -815,8 +838,9 @@ class _Inflight:
         self.proto: Optional[tuple] = None
         #: strip -> packed mask spec (all strips, for re-dispatch)
         self.mask_specs: Dict[int, object] = {}
-        #: parent-side Python objects of the call (degraded-fallback inputs)
-        self.call_args: Dict[str, object] = {}
+        #: parent-side Python objects of the call: the inputs of in-parent
+        #: execution and of degraded-fallback recomputes
+        self.call_args = call_args
         #: worker -> strips dispatched to it and not yet resolved
         self.outstanding: Dict[int, Set[int]] = {}
         #: strips lost to a worker death, awaiting retry/fallback/raise
@@ -825,9 +849,9 @@ class _Inflight:
         #: strip -> total dispatch attempts (first dispatch counts as 1)
         self.attempts: Dict[int, int] = {}
         self.redispatches = 0
-        #: strip -> results recomputed in-process (degraded fallback)
+        #: strip -> results computed in the parent (in-parent or fallback)
         self.local_results: Dict[int, List] = {}
-        #: strip -> kernel exception raised by a fallback recompute
+        #: strip -> kernel exception raised computing it in the parent
         self.local_errors: Dict[int, BaseException] = {}
         #: monotonic instant the call's deadline expires (None = no deadline)
         self.deadline_at: Optional[float] = None
@@ -850,6 +874,12 @@ class ProcessBackend(ExecutionBackend):
     every strip attaches the same region), one shared-memory write per strip
     of the output ``(indices, values)``, and small fixed-shape control
     records over the pipes.
+
+    A call that gathers fewer than :data:`POOL_MIN_WORK` entries skips all
+    of that and runs in the parent at gather time, on the emulated backend's
+    per-strip code (as the degraded fallback does), counted in
+    ``inline_calls``.  Its work is an O(nnz(x)) lookup in a per-column
+    nonzero count that :meth:`update_strip` keeps current.
 
     Environment knobs: ``REPRO_BACKEND_WORKERS`` caps the pool when the
     context doesn't, ``REPRO_BACKEND_START`` picks the multiprocessing start
@@ -878,9 +908,21 @@ class ProcessBackend(ExecutionBackend):
                              else ("indptr", "indices", "data"))
         self._strip_format = "dcsc" if scheme == "column" else "csc"
         self.num_strips = len(strips)
-        #: parent-side strip references (zero-copy: the engine's own split)
-        #: — the degraded-fallback path recomputes a lost strip from these
-        self._strips = list(strips)
+        #: in-parent executor over the parent's strip references (zero-copy:
+        #: the engine's own split) with its own warm workspaces; it runs the
+        #: calls below POOL_MIN_WORK and recomputes strips in degraded fallback
+        self._local = EmulatedBackend(strips=strips, shard_ctx=shard_ctx,
+                                      dtype=dtype, scheme=scheme)
+        #: each strip's first global column (row strips span every column)
+        widths = [strip.ncols for strip in strips]
+        self._col_lo = (np.cumsum([0] + widths[:-1]).tolist()
+                        if scheme == "column" else [0] * self.num_strips)
+        #: stored entries per global column, summed over strips: a call's
+        #: gathered work is one lookup per frontier entry
+        self._col_nnz = np.zeros(sum(widths) if scheme == "column"
+                                 else widths[0], dtype=np.int64)
+        for s, strip in enumerate(strips):
+            self._count_columns(s, strip, 1)
         self._dtype = np.dtype(dtype)
         #: resilience knobs (older pickled contexts may lack the fields)
         self._retry: RetryPolicy = getattr(shard_ctx, "retry", None) or RetryPolicy()
@@ -889,8 +931,6 @@ class ProcessBackend(ExecutionBackend):
         self._deadline_s: Optional[float] = getattr(shard_ctx, "deadline", None)
         self._shutdown_timeouts: Tuple[float, float, float] = tuple(
             getattr(shard_ctx, "shutdown_timeouts", (2.0, 1.0, 1.0)))
-        #: lazily-built parent-side workspaces for fallback recomputes
-        self._fallback_ws: Dict[int, object] = {}
         cap = int(workers) or int(os.environ.get("REPRO_BACKEND_WORKERS", "0") or 0) \
             or (os.cpu_count() or 1)
         self.num_workers = max(1, min(self.num_strips, cap))
@@ -954,7 +994,8 @@ class ProcessBackend(ExecutionBackend):
         }
         self._audit = bool(os.environ.get(_COMM_AUDIT_ENV))
         self._comm: Dict[str, float] = {
-            "calls": 0, "pipe_bytes_out": 0, "pipe_bytes_in": 0,
+            "calls": 0, "inline_calls": 0, "pipe_bytes_out": 0,
+            "pipe_bytes_in": 0,
             "pipe_msgs_out": 0, "pipe_msgs_in": 0,
             "slab_bytes_in": 0, "slab_bytes_out": 0,
             "output_overflows": 0, "max_inflight": 0,
@@ -1106,10 +1147,10 @@ class ProcessBackend(ExecutionBackend):
             raise BackendError(
                 f"update_strip({strip}) with {len(self._tokens)} call(s) "
                 f"in flight; gather or abandon them first")
-        if matrix.nrows != self._strips[strip].nrows:
+        if matrix.nrows != self._local.strips[strip].nrows:
             raise BackendError(
                 f"strip {strip} replacement has {matrix.nrows} rows, "
-                f"expected {self._strips[strip].nrows} (row ranges are "
+                f"expected {self._local.strips[strip].nrows} (row ranges are "
                 f"fixed at engine build)")
         old_slabs = list(self._strip_slabs[strip])
         arrays = {}
@@ -1125,11 +1166,14 @@ class ProcessBackend(ExecutionBackend):
                 "arrays": arrays, "format": self._strip_format,
                 "dtype": self._dtype.str, "version": version}
         # commit parent-side state first: even if the worker dies below, its
-        # respawn and the degraded-fallback path both see the new strip
+        # respawn, the in-parent path and the degraded fallback all see the
+        # new strip
         self._strip_specs[strip] = spec
         self._strip_slabs[strip] = new_slabs
         self._strip_versions[strip] = version
-        self._strips[strip] = matrix
+        self._count_columns(strip, self._local.strips[strip], -1)
+        self._count_columns(strip, matrix, 1)
+        self._local.update_strip(strip, matrix)
         w = strip % self.num_workers
         key = (strip, version)
         if self._workers[w] is not None and self._send(w, ("update_strip", spec)):
@@ -1158,6 +1202,16 @@ class ProcessBackend(ExecutionBackend):
                 continue
             slab.close()
             slab.unlink()
+
+    def _count_columns(self, s: int, strip, sign: int) -> None:
+        """Add (``sign=1``) or remove (``-1``) strip ``s``'s column counts."""
+        if self._strip_format == "dcsc":  # only nonempty columns are stored
+            counts = np.zeros(strip.ncols, dtype=np.int64)
+            counts[strip.jc] = np.diff(strip.cp)
+        else:
+            counts = strip.column_counts()
+        lo = self._col_lo[s]
+        self._col_nnz[lo:lo + len(counts)] += sign * counts
 
     @staticmethod
     def _semiring_name(semiring: Semiring) -> str:
@@ -1220,18 +1274,27 @@ class ProcessBackend(ExecutionBackend):
         token.out_regions[strip] = region
         return self._out_arenas[strip].ref(region)
 
-    def _begin_call(self, op: str, input_region) -> _Inflight:
+    def _begin_call(self, op: str, work: int,
+                    call_args: Dict[str, object]) -> _Inflight:
+        """Register one call that gathers ``work`` entries.
+
+        Below :data:`POOL_MIN_WORK` the call will run in the parent at
+        gather time and touches no worker or pipe; it stays registered until
+        gathered, so :meth:`update_strip` refuses while it is queued.
+        """
         if self._closed:
             raise BackendError("process backend is closed")
-        self._drain_ready()
-        self._ensure_workers()
+        inline = work < POOL_MIN_WORK
+        if not inline:
+            self._drain_ready()
+            self._ensure_workers()
         self._call_seq += 1
-        token = _Inflight(self._call_seq, op, input_region)
+        token = _Inflight(self._call_seq, op, inline, call_args)
         if self._deadline_s is not None:
             # the budget covers the whole call, measured from submission
             token.deadline_at = time.monotonic() + self._deadline_s
         self._tokens[token.call_id] = token
-        self._comm["calls"] += 1
+        self._comm["inline_calls" if inline else "calls"] += 1
         self._comm["max_inflight"] = max(self._comm["max_inflight"],
                                          len(self._tokens))
         return token
@@ -1321,8 +1384,12 @@ class ProcessBackend(ExecutionBackend):
         the whole call.  A configured ``deadline`` is checked before every
         wait, so a stalled worker can never hang the gather past its
         budget: the call is abandoned (regions release as late replies
-        drain) and :class:`~repro.errors.DeadlineError` raised.
+        drain) and :class:`~repro.errors.DeadlineError` raised.  An
+        in-parent call resolves by running its strips now.
         """
+        if token.inline:
+            self._run_inline(token)
+            return
         while True:
             if token.lost:
                 self._recover(token)
@@ -1330,7 +1397,11 @@ class ProcessBackend(ExecutionBackend):
                 return
             if token.deadline_at is not None and \
                     time.monotonic() >= token.deadline_at:
-                self._deadline_hit(token)
+                self._deadline_hit(
+                    f"with worker(s) {sorted(token.pending | token.flushing)} "
+                    f"still running; the call was abandoned — its "
+                    f"shared-memory regions are released as the late "
+                    f"replies drain")
             waiting = token.pending or token.flushing
             w = next(iter(waiting))
             conn = self._conns[w]
@@ -1351,15 +1422,36 @@ class ProcessBackend(ExecutionBackend):
             if ready:
                 self._pump_worker(w)
 
-    def _deadline_hit(self, token: _Inflight) -> None:
-        """Abandon a call that exceeded its deadline and raise DeadlineError."""
+    def _deadline_hit(self, detail: str) -> None:
+        """Count a call that exceeded its deadline and raise DeadlineError."""
         self._health["deadline_hits"] += 1
-        waiting = sorted(token.pending | token.flushing)
         raise DeadlineError(
             f"backend call exceeded its {self._deadline_s:.3f}s deadline "
-            f"with worker(s) {waiting} still running; the call was "
-            f"abandoned — its shared-memory regions are released as the "
-            f"late replies drain, and no partial result is returned")
+            f"{detail}, and no partial result is returned")
+
+    def _run_inline(self, token: _Inflight) -> None:
+        """Run an in-parent call's strips now, in strip order; like the
+        emulated backend, check the deadline before each strip and stop at
+        the first (lowest) failing strip."""
+        for s in range(self.num_strips):
+            if token.deadline_at is not None and \
+                    time.monotonic() >= token.deadline_at:
+                self._deadline_hit(f"in the parent before strip {s} started")
+            self._run_local(token, s)
+            if token.local_errors:
+                return
+
+    def _run_local(self, token: _Inflight, strip: int) -> None:
+        """Compute one strip of a call in the parent, bit-identical to the
+        worker's result; a kernel exception is kept, annotated with the
+        strip id, exactly as a worker-side failure would surface."""
+        try:
+            token.local_results[strip] = self._local.strip_call(
+                token.op, strip, token.call_args)
+        except Exception as exc:
+            token.local_errors[strip] = _attach_strip_id(exc, strip, self.name)
+            return
+        self._stats[strip] = self._local.workspaces[strip].stats()
 
     # ------------------------------------------------------------------ #
     # resilience: re-dispatch, degraded fallback
@@ -1427,7 +1519,12 @@ class ProcessBackend(ExecutionBackend):
                     token.used_fallback = True
                     self._health["fallback_calls"] += 1
                 for s in exhausted:
-                    self._fallback_strip(token, s)
+                    # nothing will ever write the strip's output region
+                    old = token.out_regions.pop(s, None)
+                    if old is not None:
+                        self._out_arenas[s].release(old)
+                    self._health["fallback_strips"] += 1
+                    self._run_local(token, s)
             else:
                 w, pid = token.last_death or (None, None)
                 raise BackendError(
@@ -1436,65 +1533,6 @@ class ProcessBackend(ExecutionBackend):
                     f"{max(token.attempts.get(s, 1) for s in exhausted)} "
                     f"attempt(s); retry policy {self._retry} exhausted — "
                     f"the pool respawns dead workers on the next call")
-
-    def _fallback_strip(self, token: _Inflight, strip: int) -> None:
-        """Recompute one lost strip in-process (the degraded path).
-
-        Runs the same kernel on the parent's own copy of the strip CSC with
-        the same shard context and Python-object inputs retained at submit
-        time, so the result is bit-identical to what the worker would have
-        produced.  The strip's output region (if any) is released here —
-        nothing will ever write it.
-        """
-        from ..core.dispatch import get_algorithm
-        from ..core.engine import _accepts_workspace
-        from ..core.spmspv_block import spmspv_bucket_block
-        from ..core.workspace import SpMSpVWorkspace
-
-        self._health["fallback_strips"] += 1
-        old = token.out_regions.pop(strip, None)
-        if old is not None:
-            self._out_arenas[strip].release(old)
-        ws = self._fallback_ws.get(strip)
-        if ws is None:
-            ws = SpMSpVWorkspace(self._strips[strip].nrows, dtype=self._dtype)
-            self._fallback_ws[strip] = ws
-        args = token.call_args
-        try:
-            if token.op == "partial":
-                from ..core.spmspv_column import column_partial
-
-                idx, vals, gpos = args["slices"][strip]
-                token.local_results[strip] = [column_partial(
-                    self._strips[strip], idx, vals, gpos, self.shard_ctx,
-                    semiring=args["semiring"], out_dtype=args["out_dtype"],
-                    algorithm=args["algorithm"], bitmap=args["mask"],
-                    mask_complement=args["mask_complement"])]
-            elif token.op == "multiply":
-                fn = get_algorithm(args["algorithm"])
-                kw = dict(args["kwargs"])
-                if _accepts_workspace(fn):
-                    kw["workspace"] = ws
-                result = fn(self._strips[strip], args["x"], self.shard_ctx,
-                            semiring=args["semiring"],
-                            sorted_output=args["sorted_output"],
-                            mask=args["mask_slices"][strip],
-                            mask_complement=args["mask_complement"], **kw)
-                token.local_results[strip] = [result]
-            else:
-                results = spmspv_bucket_block(
-                    self._strips[strip], args["block"], self.shard_ctx,
-                    semiring=args["semiring"],
-                    sorted_output=args["sorted_output"],
-                    masks=args["strip_masks"][strip],
-                    mask_complement=args["mask_complement"],
-                    merge=args["block_merge"], workspace=ws)
-                token.local_results[strip] = list(results)
-            self._stats[strip] = ws.stats()
-        except Exception as exc:
-            # kernel exceptions are deterministic: surface exactly as a
-            # worker-side failure would, annotated with the strip id
-            token.local_errors[strip] = _attach_strip_id(exc, strip, self.name)
 
     def _finalize(self, token: _Inflight) -> None:
         """Release the call's arena regions once nothing can still write them."""
@@ -1565,10 +1603,16 @@ class ProcessBackend(ExecutionBackend):
     def submit_multiply(self, algorithm, x, *, semiring, sorted_output,
                         mask_slices, mask_complement, kwargs):
         sr = self._semiring_name(semiring)
+        token = self._begin_call(
+            "multiply", int(self._col_nnz[x.indices].sum()),
+            {"algorithm": algorithm, "x": x, "semiring": semiring,
+             "sorted_output": sorted_output, "mask_slices": mask_slices,
+             "mask_complement": mask_complement, "kwargs": kwargs})
+        if token.inline:
+            return token
         arrays = [np.ascontiguousarray(x.indices),
                   np.ascontiguousarray(x.values)]
         mask_at = [_pack_map(arrays, mask) for mask in mask_slices]
-        token = self._begin_call("multiply", None)
         region, in_ref, descs = self._pack_input(arrays)
         token.input_region = region
         x_spec = (descs[0], descs[1], x.n, x.sorted)
@@ -1576,11 +1620,6 @@ class ProcessBackend(ExecutionBackend):
                        kwargs, in_ref, x_spec)
         for s in range(self.num_strips):
             token.mask_specs[s] = _map_desc(descs, mask_at[s])
-        if self._degraded_fallback:
-            token.call_args = {
-                "algorithm": algorithm, "x": x, "semiring": semiring,
-                "sorted_output": sorted_output, "mask_slices": mask_slices,
-                "mask_complement": mask_complement, "kwargs": kwargs}
         for w in range(self.num_workers):
             if self.assignment[w]:
                 self._dispatch(token, w, self.assignment[w])
@@ -1617,7 +1656,7 @@ class ProcessBackend(ExecutionBackend):
             self._raise_strip_error(token)
             results = [self._strip_results(token, s)[0]
                        for s in range(self.num_strips)]
-            if self._audit:
+            if self._audit and not token.inline:
                 self._audit_reply(token, [[r] for r in results])
             return results
         finally:
@@ -1644,6 +1683,15 @@ class ProcessBackend(ExecutionBackend):
                 f"{self.scheme!r} scheme; construct it with scheme='column' "
                 f"to run column partials")
         sr = self._semiring_name(semiring)
+        work = sum(int(self._col_nnz[lo + idx].sum())
+                   for (idx, _vals, _gpos), lo in zip(slices, self._col_lo))
+        token = self._begin_call(
+            "partial", work,
+            {"algorithm": algorithm, "slices": slices, "semiring": semiring,
+             "mask": mask, "mask_complement": mask_complement,
+             "out_dtype": np.dtype(out_dtype)})
+        if token.inline:
+            return token
         arrays = []
         mask_at = _pack_map(arrays, mask)
         slice_at = []
@@ -1652,7 +1700,6 @@ class ProcessBackend(ExecutionBackend):
             arrays.append(np.ascontiguousarray(idx))
             arrays.append(np.ascontiguousarray(vals))
             arrays.append(np.ascontiguousarray(gpos))
-        token = self._begin_call("partial", None)
         region, in_ref, descs = self._pack_input(arrays)
         token.input_region = region
         token.proto = (algorithm, sr, mask_complement,
@@ -1661,12 +1708,6 @@ class ProcessBackend(ExecutionBackend):
         for s in range(self.num_strips):
             at = slice_at[s]
             token.mask_specs[s] = (descs[at], descs[at + 1], descs[at + 2])
-        if self._degraded_fallback:
-            token.call_args = {
-                "algorithm": algorithm, "slices": slices,
-                "semiring": semiring, "mask": mask,
-                "mask_complement": mask_complement,
-                "out_dtype": np.dtype(out_dtype)}
         for w in range(self.num_workers):
             if self.assignment[w]:
                 self._dispatch(token, w, self.assignment[w])
@@ -1692,13 +1733,22 @@ class ProcessBackend(ExecutionBackend):
     def submit_block(self, block, *, semiring, sorted_output, strip_masks,
                      mask_complement, block_merge):
         sr = self._semiring_name(semiring)
+        # each union column is gathered once per vector that holds it
+        work = int(self._col_nnz[block.indices]
+                   @ np.count_nonzero(block.member, axis=1))
+        token = self._begin_call(
+            "block", work,
+            {"block": block, "semiring": semiring,
+             "sorted_output": sorted_output, "strip_masks": strip_masks,
+             "mask_complement": mask_complement, "block_merge": block_merge})
+        if token.inline:
+            return token
         block_meta, block_arrays = block.pack_arrays()
         arrays = list(block_arrays)
         #: strip -> None | list over k of None | index into ``arrays``
         mask_at = [None if masks is None
                    else [_pack_map(arrays, mask) for mask in masks]
                    for masks in strip_masks]
-        token = self._begin_call("block", None)
         region, in_ref, descs = self._pack_input(arrays)
         token.input_region = region
         block_spec = (descs[:4], block_meta)
@@ -1708,12 +1758,6 @@ class ProcessBackend(ExecutionBackend):
             ats = mask_at[s]
             token.mask_specs[s] = (None if ats is None
                                    else [_map_desc(descs, at) for at in ats])
-        if self._degraded_fallback:
-            token.call_args = {
-                "block": block, "semiring": semiring,
-                "sorted_output": sorted_output, "strip_masks": strip_masks,
-                "mask_complement": mask_complement,
-                "block_merge": block_merge}
         for w in range(self.num_workers):
             if self.assignment[w]:
                 self._dispatch(token, w, self.assignment[w])
@@ -1734,7 +1778,7 @@ class ProcessBackend(ExecutionBackend):
             self._raise_strip_error(token)
             results = [self._strip_results(token, s)
                        for s in range(self.num_strips)]
-            if self._audit:
+            if self._audit and not token.inline:
                 self._audit_reply(token, results)
             return results
         finally:
@@ -1781,7 +1825,11 @@ class ProcessBackend(ExecutionBackend):
         return out
 
     def comm_stats(self) -> Dict[str, float]:
-        """Comm-plane accounting: pipe vs. slab traffic, growth, overlap."""
+        """Comm-plane accounting: pipe vs. slab traffic, growth, overlap.
+
+        ``calls`` and every byte counter count pool round trips only;
+        ``inline_calls`` counts the calls that ran in the parent.
+        """
         stats = dict(self._comm)
         stats["inflight"] = len(self._tokens)
         stats["input_grows"] = self._input_arena.grow_count

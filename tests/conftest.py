@@ -6,6 +6,27 @@ import numpy as np
 import pytest
 
 from repro.formats import COOMatrix, CSCMatrix, SparseVector
+from repro.parallel import backends
+
+#: the process backend's production in-parent floor (gathered entries)
+POOL_MIN_WORK = backends.POOL_MIN_WORK
+
+
+@pytest.fixture(autouse=True)
+def pool_for_every_call(monkeypatch):
+    """Send every process-backend call to a worker, however small.
+
+    The test problems gather far fewer than ``POOL_MIN_WORK`` entries, so at
+    the production floor their calls would all run in the parent and the
+    pool, comm-plane and fault suites would never reach a worker.
+    """
+    monkeypatch.setattr(backends, "POOL_MIN_WORK", 0)
+
+
+@pytest.fixture
+def production_floor(monkeypatch):
+    """Opt a test back into the production ``POOL_MIN_WORK``."""
+    monkeypatch.setattr(backends, "POOL_MIN_WORK", POOL_MIN_WORK)
 
 
 def random_dense(m: int, n: int, density: float, seed: int = 0) -> np.ndarray:

@@ -169,6 +169,20 @@ def test_process_backend_bit_identical_across_kernel_grid(shards):
     equivalence suite.  Merged records (and so every work metric) must match
     field for field.
     """
+    assert check_kernel_grid(shards)["inline_calls"] == 0
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_in_parent_calls_bit_identical_across_kernel_grid(shards,
+                                                          production_floor):
+    """The same grid at the production floor, where these small calls all
+    skip the pool and run in the parent."""
+    stats = check_kernel_grid(shards)
+    assert stats["calls"] == 0 and stats["inline_calls"] > 0
+
+
+def check_kernel_grid(shards):
+    """Drive the kernel grid through one engine pair; the process comm stats."""
     matrix, x_sorted, x_unsorted, mask = problem(shards, seed=100 + shards)
     with ShardedEngine(matrix, shards,
                        default_context(num_threads=2, backend="emulated"),
@@ -202,12 +216,27 @@ def test_process_backend_bit_identical_across_kernel_grid(shards):
                                         sorted_output=True, **kw)
                     assert_results_match(ref, out, label + "/sorted_out")
                     assert out.vector.sorted
+        return proc.backend.comm_stats()
 
 
 @pytest.mark.parametrize("shards", [1, 3, 7])
 @pytest.mark.parametrize("block_merge", ["segmented", "global"])
 def test_process_backend_fused_and_looped_blocks_bit_identical(shards, block_merge):
     """multiply_many across backends: fused and looped, masked and unmasked."""
+    assert check_blocks(shards, block_merge)["inline_calls"] == 0
+
+
+@pytest.mark.parametrize("shards", [1, 3, 7])
+@pytest.mark.parametrize("block_merge", ["segmented", "global"])
+def test_in_parent_fused_and_looped_blocks_bit_identical(shards, block_merge,
+                                                         production_floor):
+    """The same blocks at the production floor, all run in the parent."""
+    stats = check_blocks(shards, block_merge)
+    assert stats["calls"] == 0 and stats["inline_calls"] > 0
+
+
+def check_blocks(shards, block_merge):
+    """Fused and looped blocks through one engine pair; process comm stats."""
     matrix, x_sorted, x_unsorted, mask = problem(shards, seed=300 + shards)
     xs = [x_sorted, x_unsorted, SparseVector.empty(x_sorted.n)]
     emu, proc = engine_pair(matrix, shards)
@@ -227,6 +256,7 @@ def test_process_backend_fused_and_looped_blocks_bit_identical(shards, block_mer
                     assert_same_pairs(ref.vector, out.vector, f"{label}/vec{i}")
                     assert record_signature(ref.record) == \
                         record_signature(out.record), f"{label}/vec{i}"
+        return proc.backend.comm_stats()
     finally:
         proc.close()
 

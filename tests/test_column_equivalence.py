@@ -324,6 +324,17 @@ def test_pagerank_with_column_scheme_matches_unsharded():
 # process backend + chaos
 # --------------------------------------------------------------------------- #
 def test_column_process_backend_bit_identical():
+    assert check_column_process_backend()["inline_calls"] == 0
+
+
+def test_column_in_parent_bit_identical(production_floor):
+    """The same calls at the production floor, all run in the parent."""
+    stats = check_column_process_backend()
+    assert stats["calls"] == 0 and stats["inline_calls"] > 0
+
+
+def check_column_process_backend():
+    """Partials, updates and async gathers on the process backend; its stats."""
     matrix = random_csc(45, 50, 0.15, seed=10)
     rng = np.random.default_rng(10)
     x = SparseVector(50, np.sort(rng.choice(50, size=12, replace=False)),
@@ -353,6 +364,7 @@ def test_column_process_backend_bit_identical():
             engine.submit(x)
         for got in engine.gather():
             assert_bit_identical(ref2.vector, got.vector, "process async")
+        return engine.backend.comm_stats()
 
 
 def test_column_chaos_worker_kills_retried_bit_identically(monkeypatch):
