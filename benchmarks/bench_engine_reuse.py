@@ -1,17 +1,9 @@
-"""Engine study: workspace-reuse and adaptive-dispatch gains on the Fig. 3 sweep.
+"""Engine study: workspace-reuse gains on the Fig. 3 sweep.
 
-Two experiments on the ljournal-like graph of Figs. 2/3/6:
-
-1. **Adaptive dispatch** — the Fig. 3 frontier-density sweep run through
-   single-algorithm engines (bucket-only, graphmat-only) and through the
-   adaptive ``"auto"`` engine.  The paper's §V future work proposes exactly
-   this hybrid: vector-driven on sparse frontiers, matrix-driven once the
-   vector densifies.  The report shows the per-size choice and the end-to-end
-   simulated-time gain over the best single algorithm.
-
-2. **Allocation reuse** (§III-A) — a BFS-like sequence of multiplications
-   executed with fresh per-call allocations versus one persistent engine
-   workspace; reports buffer constructions and Python wall time.
+**Allocation reuse** (§III-A) on the ljournal-like graph of Figs. 2/3/6 —
+a BFS-like sequence of multiplications executed with fresh per-call
+allocations versus one persistent engine workspace; reports buffer
+constructions and Python wall time.
 """
 
 import time
@@ -21,7 +13,6 @@ import pytest
 from repro.core import SpMSpVEngine, get_algorithm
 from repro.core.buckets import BucketStore
 from repro.core.spa import SparseAccumulator
-from repro.machine import EDISON, cost_model_for
 from repro.parallel import default_context
 
 from bench_common import emit, random_frontier, scale_free_graph
@@ -62,36 +53,6 @@ def _count_constructions(fn):
     return counts["buffers"], wall_ms
 
 
-def _adaptive_block(graph, ctx, model) -> str:
-    matrix = graph.matrix
-    engines = {name: SpMSpVEngine(matrix, ctx, algorithm=name)
-               for name in ("bucket", "graphmat")}
-    auto = SpMSpVEngine(matrix, ctx, algorithm="auto")
-    totals = {"bucket": 0.0, "graphmat": 0.0, "auto": 0.0}
-    rows = []
-    for nnz in NNZ_VALUES:
-        x = random_frontier(graph, nnz, seed=31)
-        times = {}
-        for name, engine in engines.items():
-            record = engine.multiply(x).record
-            times[name] = model.record_time_ms(record)
-            totals[name] += times[name]
-        auto_record = auto.multiply(x).record
-        auto_ms = model.record_time_ms(auto_record)
-        totals["auto"] += auto_ms
-        rows.append([x.nnz, round(times["bucket"], 4), round(times["graphmat"], 4),
-                     round(auto_ms, 4), auto.history[-1].algorithm])
-    best_single = min(totals["bucket"], totals["graphmat"])
-    rows.append(["TOTAL", round(totals["bucket"], 4), round(totals["graphmat"], 4),
-                 round(totals["auto"], 4),
-                 f"{ratio(best_single, totals['auto']):.2f}x vs best single"])
-    return format_table(
-        ["nnz(x)", "bucket", "graphmat", "auto", "auto chose"], rows,
-        title=f"Adaptive dispatch on the Fig. 3 sweep (ms, simulated Edison, "
-              f"{ctx.num_threads} threads, {graph.name}); switches: "
-              f"{auto.switch_count}, algorithms used: {auto.algorithms_used()}")
-
-
 def _reuse_block(graph, ctx) -> str:
     matrix = graph.matrix
     frontiers = [random_frontier(graph, nnz, seed=33)
@@ -124,10 +85,7 @@ def _reuse_block(graph, ctx) -> str:
 
 
 def _engine_report() -> str:
-    graph = scale_free_graph()
-    ctx = default_context(num_threads=12)
-    model = cost_model_for(EDISON)
-    return "\n\n".join([_adaptive_block(graph, ctx, model), _reuse_block(graph, ctx)])
+    return _reuse_block(scale_free_graph(), default_context(num_threads=12))
 
 
 @pytest.mark.benchmark(group="engine")

@@ -6,13 +6,12 @@ sketches, betweenness sampling, and landmark labelings) runs one BFS from
 each of several sources.  Doing the searches one by one re-dispatches and
 re-allocates per call; :func:`repro.algorithms.bfs_multi_source` instead
 batches the active frontiers of *all* searches into a single
-``engine.multiply_many`` per level, so the whole job shares
-
-* one persistent workspace (buckets + SPA allocated once, §III-A), and
-* one adaptive dispatch decision per level.
+``engine.multiply_many`` per level, so the whole job shares one persistent
+workspace (buckets + SPA allocated once, §III-A) and, where the block is
+wide enough, one fused gather/scatter per level.
 
 The example compares the batched run against per-source ``bfs`` calls and
-prints the engine's dispatch history and workspace-reuse statistics.
+prints the engine's call summary and workspace-reuse statistics.
 """
 
 import time
@@ -35,15 +34,15 @@ def main() -> None:
 
     # batched: one engine, one multiply_many per level
     t0 = time.perf_counter()
-    multi = bfs_multi_source(matrix, sources, ctx, algorithm="auto")
+    multi = bfs_multi_source(matrix, sources, ctx)
     batched_s = time.perf_counter() - t0
     print(f"\nbatched multi-source BFS: {multi.num_iterations} levels, "
           f"{len(multi.engine.history)} SpMSpV calls, {batched_s * 1e3:.1f} ms wall")
     print(f"per-level total frontier sizes: {multi.frontier_sizes}")
 
-    # per-source baseline: six independent runs (six workspaces, six dispatchers)
+    # per-source baseline: six independent runs (six engines, six workspaces)
     t0 = time.perf_counter()
-    singles = [bfs(matrix, s, ctx, algorithm="auto") for s in sources]
+    singles = [bfs(matrix, s, ctx) for s in sources]
     single_s = time.perf_counter() - t0
     print(f"per-source BFS runs:      {single_s * 1e3:.1f} ms wall")
 

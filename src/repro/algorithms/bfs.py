@@ -92,7 +92,7 @@ def bfs(graph: Graph | CSCMatrix, source: int,
         Execution context forwarded to every SpMSpV.
     algorithm:
         Which SpMSpV implementation expands the frontiers
-        (``'bucket' | 'combblas_spa' | 'combblas_heap' | 'graphmat' | 'sort' | 'auto'``).
+        (``'bucket' | 'combblas_spa' | 'combblas_heap' | 'graphmat' | 'sort'``).
     max_levels:
         Optional cap on the number of levels (useful for tests / truncated runs).
     collect_frontiers:
@@ -226,8 +226,8 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
 
     Every level performs one :meth:`~repro.core.engine.SpMSpVEngine.multiply_many`
     over the block of still-active frontiers, so all searches share a single
-    persistent workspace, a single per-level dispatch decision, and — when
-    the engine's block cost model favours it — the fused block kernel (one
+    persistent workspace, the ``algorithm`` kernel, and — when the engine's
+    block cost model favours it — the fused block kernel (one
     gather/scatter per level for all frontiers).  Each search keeps one
     dense visited map (a row of a ``(k, n)`` bool array, updated in place)
     as its mask, and the masks are folded into the fused scatter (early masking):
@@ -246,8 +246,9 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
     ``"auto"``; the column scheme always runs the looped block path).
     ``engine`` supplies a *persistent* engine already holding this adjacency
     matrix (the serving layer's reuse path: one warm workspace across many
-    traversals); when given, ``ctx``/``shards``/``backend``/``algorithm``
-    are ignored in favour of the engine's own configuration.
+    traversals); when given, ``ctx``/``shards``/``backend``/``shard_scheme``
+    are ignored in favour of the engine's own configuration, and
+    ``algorithm`` still selects the kernel of every level.
     """
     matrix = graph.matrix if isinstance(graph, Graph) else graph
     if matrix.nrows != matrix.ncols:
@@ -295,7 +296,8 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
         xs = [frontiers[i] for i in active]
         masks = [visited[i] for i in active]
         results = engine.multiply_many(xs, semiring=MIN_SELECT2ND, masks=masks,
-                                       mask_complement=True, block_mode=block_mode)
+                                       mask_complement=True, algorithm=algorithm,
+                                       block_mode=block_mode)
         for i, result in zip(active, results):
             reached = result.vector
             if reached.nnz == 0:

@@ -211,7 +211,7 @@ def pagerank_block(graph: Graph | CSCMatrix,
     Every iteration multiplies the transition matrix by the **block** of the
     still-active delta vectors through one
     :meth:`~repro.core.engine.SpMSpVEngine.multiply_many` — one workspace, one
-    dispatch decision and (when the block cost model favours it) one fused
+    kernel and (when the block cost model favours it) one fused
     gather/scatter for all k personalizations.  Each personalization follows
     exactly the iteration of :func:`pagerank`, so ``scores[i]`` equals a
     standalone ``pagerank(..., personalization=personalizations[i])`` run
@@ -230,7 +230,8 @@ def pagerank_block(graph: Graph | CSCMatrix,
     engine already holding the column-stochastic transition operator
     (``column_stochastic(adjacency)``) — the serving layer's reuse path: no
     per-call normalization or engine construction, and ``ctx``/``shards``/
-    ``backend``/``algorithm`` are ignored in favour of the engine's own.
+    ``backend``/``shard_scheme`` are ignored in favour of the engine's own
+    (``algorithm`` still selects the kernel of every iteration).
     """
     matrix = graph.matrix if isinstance(graph, Graph) else graph
     if matrix.nrows != matrix.ncols:
@@ -274,7 +275,7 @@ def pagerank_block(graph: Graph | CSCMatrix,
         results = engine.multiply_many(
             [deltas[i] for i in active], semiring=PLUS_TIMES,
             masks=[mask] * len(active) if mask is not None else None,
-            block_mode=block_mode)
+            algorithm=algorithm, block_mode=block_mode)
         for i, result in zip(active, results):
             iterations_per_source[i] += 1
             spread = result.vector

@@ -75,25 +75,26 @@ def banner(text: str, *, char: str = "=") -> str:
 def format_engine_history(engine: "SpMSpVEngine", *,
                           title: Optional[str] = None,
                           max_rows: Optional[int] = None) -> str:
-    """Render an engine's per-call dispatch decisions as a table.
+    """Render an engine's per-call history as a table.
 
-    One row per SpMSpV call: which algorithm the adaptive policy picked, at
-    what frontier size/density, the simulated cost, and whether the call was
-    a deliberate exploration of the predicted runner-up.
+    One row per SpMSpV call: which kernel ran, at what frontier
+    size/density, its measured wall time, and whether it was fused, part of
+    a batch, or the first call of a batch that explored the predicted
+    runner-up block mode.
     """
     calls = engine.history
     clipped = 0
     if max_rows is not None and len(calls) > max_rows:
         clipped = len(calls) - max_rows
         calls = calls[:max_rows]
-    rows = [[c.index, c.algorithm, c.f, float(c.density), float(c.cost_ms),
+    rows = [[c.index, c.algorithm, c.f, float(c.density), float(c.wall_ms),
              "explore" if c.explored
              else ("fused" if c.fused
                    else ("batch" if c.batch is not None else ""))]
             for c in calls]
     text = format_table(
-        ["call", "algorithm", "nnz(x)", "density", "cost (ms)", "note"], rows,
-        title=title if title is not None else "Engine dispatch history")
+        ["call", "algorithm", "nnz(x)", "density", "wall (ms)", "note"], rows,
+        title=title if title is not None else "Engine call history")
     if clipped:
         text += f"\n... ({clipped} more calls)"
     return text
@@ -122,7 +123,7 @@ def summarize_engine(engine: "SpMSpVEngine") -> str:
     return (f"{summary['calls']} SpMSpV calls ({mix}); "
             f"{summary['switches']} algorithm switch(es), "
             f"{summary['explored_calls']} exploration call(s); "
-            f"simulated total {summary['total_cost_ms']:.4f} ms; "
+            f"wall total {summary['total_wall_ms']:.4f} ms; "
             f"workspace served {ws['acquisitions']} acquisitions with "
             f"{ws['allocations']} allocations "
             f"({100 * ws['reuse_fraction']:.0f}% reused)")

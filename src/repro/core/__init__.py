@@ -2,13 +2,7 @@
 
 from .buckets import BucketOffsets, BucketStore, bucket_of_rows, bucket_row_ranges, \
     compute_offsets
-from .dispatch import (
-    AUTO_DENSITY_SWITCH,
-    available_algorithms,
-    get_algorithm,
-    register_algorithm,
-    spmspv,
-)
+from .dispatch import available_algorithms, get_algorithm, register_algorithm, spmspv
 from .engine import (
     CostFit,
     EngineCall,
@@ -44,7 +38,6 @@ from .vector_ops import (
 from .workspace import BlockBuffers, DenseScratch, SharedSlab, SpMSpVWorkspace
 
 __all__ = [
-    "AUTO_DENSITY_SWITCH",
     "BlockBuffers",
     "SharedSlab",
     "BucketOffsets",

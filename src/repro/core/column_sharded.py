@@ -53,17 +53,11 @@ from ..formats.delta import DeltaLog, apply_delta
 from ..formats.partition import ColumnSplit, column_split
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..machine.cost_model import cost_model_for, scheme_crossover, scheme_features
+from ..machine.cost_model import scheme_crossover
 from ..parallel.backends import ExecutionBackend, make_backend
 from ..parallel.context import ExecutionContext, default_context
 from ..semiring import PLUS_TIMES, Semiring
-from .engine import (
-    DEFAULT_CANDIDATES,
-    CostFit,
-    EngineCall,
-    _density_seed_choice,
-    _ranked_selection,
-)
+from .engine import EngineCall
 from .result import SpMSpVResult
 from .spmspv_column import merge_partial_records, reduce_partials, slice_frontier
 from .vector_ops import Mask, check_operands, mask_bitmap, snapshot_mask
@@ -86,35 +80,25 @@ class ColumnShardedEngine:
         (``"emulated"`` | ``"process"``); ``ctx.backend_workers`` caps the
         process pool.
     algorithm:
-        Default per-call policy: a registered kernel name (it labels the
-        partial calls and drives adaptive pricing — the private half is
-        shared by the whole kernel family), or ``"auto"`` for adaptive
-        selection over the scheme features.
-    candidates, density_threshold, explore_every:
-        As in :class:`~repro.core.engine.SpMSpVEngine`.
+        Default kernel name (``"bucket"`` unless given; overridable per
+        call).  It labels the partial calls — the private half is shared by
+        the whole kernel family.  An unknown name raises
+        :class:`~repro.errors.NotSupportedError`.
     """
 
     scheme = "column"
 
     def __init__(self, matrix: CSCMatrix, shards: int,
                  ctx: Optional[ExecutionContext] = None, *,
-                 algorithm: str = "auto",
-                 candidates: Sequence[str] = DEFAULT_CANDIDATES,
-                 density_threshold: Optional[float] = None,
-                 explore_every: int = 8):
-        from .dispatch import AUTO_DENSITY_SWITCH  # late: avoids import cycle
+                 algorithm: str = "bucket"):
+        from .dispatch import get_algorithm  # late: avoids import cycle
 
         if int(shards) < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        get_algorithm(algorithm)  # fail before a worker pool starts
         self.matrix = matrix
         self.ctx = ctx if ctx is not None else default_context()
         self.algorithm = algorithm
-        self.candidates = tuple(candidates)
-        if not self.candidates:
-            raise ValueError("engine needs at least one candidate algorithm")
-        self.density_threshold = (density_threshold if density_threshold is not None
-                                  else AUTO_DENSITY_SWITCH)
-        self.explore_every = int(explore_every)
         self.split: ColumnSplit = column_split(matrix, int(shards))
         #: hypersparse per-strip matrices the backend actually executes on;
         #: :attr:`split` keeps the CSC originals for update compaction
@@ -134,12 +118,7 @@ class ColumnShardedEngine:
         self.history: List[EngineCall] = []
         self.max_history = 4096
         self.total_calls = 0
-        self.total_cost_ms = 0.0
-        self.total_explored = 0
-        self._models: Dict[str, CostFit] = {
-            name: CostFit(dim=5) for name in self.candidates}
-        self._price = cost_model_for(self.ctx.platform)
-        self._modeled_calls = 0
+        self.total_wall_ms = 0.0
         self._batches = 0
         self.compactions = 0
         #: queued async calls: (ticket, vector, kwargs), drained by gather()
@@ -149,27 +128,9 @@ class ColumnShardedEngine:
         self.execution_log: List[int] = []
         self._lock = threading.RLock()
 
-    # ------------------------------------------------------------------ #
-    # adaptive selection over scheme features
-    # ------------------------------------------------------------------ #
     @property
     def num_shards(self) -> int:
         return self.split.num_parts
-
-    def call_features(self, x: SparseVector) -> np.ndarray:
-        """The (bias, nnz(x), density, P, balance) features of one call."""
-        return scheme_features(x.nnz, x.n, self.num_shards, self.nnz_balance)
-
-    def select_algorithm(self, x: SparseVector) -> Tuple[str, bool]:
-        """Pick the kernel label for one input; returns ``(name, explored)``."""
-        phi = self.call_features(x)
-        choice = _ranked_selection(self._models, phi, self.explore_every,
-                                   self._modeled_calls + 1)
-        if choice is not None:
-            self._modeled_calls += 1
-            return choice
-        return _density_seed_choice(self.candidates, x.nnz / max(x.n, 1),
-                                    self.density_threshold), False
 
     # ------------------------------------------------------------------ #
     # dynamic updates (eager per-strip compaction — no DCSC overlay)
@@ -259,7 +220,6 @@ class ColumnShardedEngine:
                  mask_complement: bool = False,
                  algorithm: Optional[str] = None,
                  _batch: Optional[int] = None,
-                 _explored: bool = False,
                  **kwargs) -> SpMSpVResult:
         """Run ``y <- A x`` as P private strip partials plus one reduction.
 
@@ -272,7 +232,7 @@ class ColumnShardedEngine:
             plan = self._plan_call(
                 x, semiring=semiring, sorted_output=sorted_output, mask=mask,
                 mask_complement=mask_complement, algorithm=algorithm,
-                _batch=_batch, _explored=_explored, **kwargs)
+                _batch=_batch, **kwargs)
             partials = self.backend.run_partial(
                 plan["name"], plan["slices"], semiring=semiring,
                 mask=plan["mask"], mask_complement=mask_complement,
@@ -285,9 +245,8 @@ class ColumnShardedEngine:
                    mask: Optional[Mask] = None,
                    mask_complement: bool = False,
                    algorithm: Optional[str] = None,
-                   _batch: Optional[int] = None,
-                   _explored: bool = False, **kwargs) -> Dict:
-        """Validate + select + slice one call, without executing it."""
+                   _batch: Optional[int] = None, **kwargs) -> Dict:
+        """Validate + slice one call, without executing it."""
         from .dispatch import get_algorithm  # late: avoids import cycle
 
         if kwargs:
@@ -297,15 +256,9 @@ class ColumnShardedEngine:
         check_operands(self.matrix, x)
         # column strips all span the full row space: one map serves them all
         bitmap = mask_bitmap(mask, self.matrix.nrows)
-        requested = algorithm if algorithm is not None else self.algorithm
-        explored = _explored
-        if requested == "auto":
-            name, explored = self.select_algorithm(x)
-        else:
-            name = requested
+        name = algorithm if algorithm is not None else self.algorithm
         get_algorithm(name)  # validate the kernel name before dispatching
-        return {"x": x, "name": name, "requested": requested,
-                "explored": explored, "semiring": semiring,
+        return {"x": x, "name": name, "semiring": semiring,
                 "mask": bitmap, "mask_complement": mask_complement,
                 "slices": slice_frontier(x, self.split.col_ranges),
                 "out_dtype": np.result_type(self.matrix.dtype, x.dtype),
@@ -328,16 +281,12 @@ class ColumnShardedEngine:
                             "nnz_A": self.matrix.nnz, "f": x.nnz,
                             "nnz_y": y.nnz, "shards": self.num_shards,
                             "early_mask": plan["mask"] is not None})
-        cost_ms = self._price.record_time_ms(record)
-        if name in self._models:
-            self._models[name].observe(self.call_features(x), cost_ms)
+        wall_ms = record.wall_time_s * 1e3
         self.history.append(EngineCall(
-            index=self.total_calls, algorithm=name, requested=plan["requested"],
-            f=x.nnz, density=x.nnz / max(x.n, 1), cost_ms=cost_ms,
-            explored=plan["explored"], batch=plan["batch"]))
+            index=self.total_calls, algorithm=name, f=x.nnz,
+            density=x.nnz / max(x.n, 1), wall_ms=wall_ms, batch=plan["batch"]))
         self.total_calls += 1
-        self.total_cost_ms += cost_ms
-        self.total_explored += int(plan["explored"])
+        self.total_wall_ms += wall_ms
         if len(self.history) > 2 * self.max_history:
             del self.history[:len(self.history) - self.max_history]
         return SpMSpVResult(vector=y, record=record,
@@ -395,18 +344,13 @@ class ColumnShardedEngine:
         with self._lock:
             batch = self._batches
             self._batches += 1
-            requested = algorithm if algorithm is not None else self.algorithm
-            explored = False
-            if requested == "auto" and xs:
-                densest = max(xs, key=lambda x: x.nnz)
-                requested, explored = self.select_algorithm(densest)
             results = []
             for i, x in enumerate(xs):
                 results.append(self.multiply(
                     x, semiring=semiring, sorted_output=sorted_output,
                     mask=masks[i] if masks is not None else None,
-                    mask_complement=mask_complement, algorithm=requested,
-                    _batch=batch, _explored=explored and i == 0, **kwargs))
+                    mask_complement=mask_complement, algorithm=algorithm,
+                    _batch=batch, **kwargs))
             return results
 
     # ------------------------------------------------------------------ #
@@ -520,8 +464,8 @@ class ColumnShardedEngine:
             "fused_batches": 0,
             "algorithms_used": self.algorithms_used(),
             "switches": self.switch_count,
-            "explored_calls": self.total_explored,
-            "total_cost_ms": self.total_cost_ms,
+            "explored_calls": 0,
+            "total_wall_ms": self.total_wall_ms,
             "shards": self.num_shards,
             "scheme": "column",
             "nnz_balance": self.nnz_balance,
@@ -540,7 +484,7 @@ class ColumnShardedEngine:
 
 def make_sharded_engine(matrix: CSCMatrix, shards: int,
                         ctx: Optional[ExecutionContext] = None, *,
-                        algorithm: str = "auto",
+                        algorithm: str = "bucket",
                         scheme: Optional[str] = None,
                         **kwargs) -> Union["ColumnShardedEngine", object]:
     """Build a sharded engine, resolving the partitioning scheme.

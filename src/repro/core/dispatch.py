@@ -10,10 +10,7 @@ so graph algorithms and benchmarks can switch implementations by name.
 :func:`spmspv` itself is a thin shim over the unified execution engine
 (:class:`repro.core.engine.SpMSpVEngine`): every call is served by a cached
 per-``(matrix, context)`` engine, which reuses one persistent workspace
-across repeated calls on the same matrix and implements the "auto" policy
-sketched in the paper's future work (§V) — switch to a matrix-driven
-algorithm once the input vector becomes relatively dense, refined online
-from observed per-algorithm cost.
+across repeated calls on the same matrix.
 """
 
 from __future__ import annotations
@@ -32,11 +29,6 @@ from .vector_ops import Mask
 AlgorithmFn = Callable[..., SpMSpVResult]
 
 _REGISTRY: Dict[str, AlgorithmFn] = {}
-
-#: fraction of columns that must be populated in x before "auto" prefers the
-#: matrix-driven algorithm (the paper observes matrix-driven algorithms become
-#: competitive only for relatively dense input vectors).
-AUTO_DENSITY_SWITCH = 0.10
 
 
 def register_algorithm(name: str, fn: AlgorithmFn, *, overwrite: bool = False) -> None:
@@ -94,13 +86,9 @@ def spmspv(matrix: CSCMatrix, x: SparseVector,
 
     * ``'bucket'`` — the paper's SpMSpV-bucket algorithm (default),
     * ``'combblas_spa'`` / ``'combblas_heap'`` / ``'graphmat'`` / ``'sort'`` —
-      the baselines of Table I,
-    * ``'auto'`` — vector-driven bucket algorithm for sparse inputs, switching
-      to the matrix-driven algorithm when ``nnz(x)/n`` exceeds
-      ``AUTO_DENSITY_SWITCH`` (the §V future-work heuristic), refined online
-      by the engine's per-algorithm cost models.  The refinement makes the
-      choice depend (deterministically) on the prior call history for this
-      matrix; cold-start calls follow the pure density rule.
+      the baselines of Table I.
+
+    Any other name raises :class:`~repro.errors.NotSupportedError`.
 
     Every call executes through the cached :class:`~repro.core.engine.SpMSpVEngine`
     for ``(matrix, ctx)``, so repeated calls on the same matrix reuse one

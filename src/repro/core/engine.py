@@ -7,23 +7,16 @@ live, instead of being re-plumbed by every graph algorithm:
   one :class:`~repro.core.workspace.SpMSpVWorkspace` per matrix and threads
   it through every kernel call, so an iterative algorithm performs zero
   per-iteration ``BucketStore``/SPA allocations.
-* **Adaptive dispatch** (§V future work) — with ``algorithm="auto"`` each
-  call picks between the vector-driven bucket algorithm and the
-  matrix-driven GraphMat baseline.  The choice is *seeded* by the paper's
-  density heuristic (switch once ``nnz(x)/n`` passes the threshold) and then
-  *refined online*: every executed kernel's
-  :class:`~repro.parallel.metrics.ExecutionRecord` is priced with the
-  platform cost model, and per-algorithm linear cost models ``cost ≈ α + β·f``
-  are fit from those observations.  Once every candidate has enough samples
-  the learned models take over from the static threshold, with a periodic
-  exploration call keeping the losing model fresh.
+* **One kernel per engine** — every call runs the registered kernel it is
+  given (the engine default is the paper's bucket algorithm, overridable
+  per call) and records the call's measured wall time.
 * **Batched multi-vector execution** — :meth:`SpMSpVEngine.multiply_many`
   runs a block of input vectors (multi-source BFS frontiers, blocked
-  PageRank deltas) through one dispatch decision and one shared workspace,
-  and — when the block cost model favours it — through the genuinely fused
-  block kernel (:func:`repro.core.spmspv_block.spmspv_bucket_block`): one
-  gather and one scatter for the whole vector block instead of a per-vector
-  loop.
+  PageRank deltas) through one shared workspace, and — when the block cost
+  fits (trained on measured wall time) favour it — through the genuinely
+  fused block kernel (:func:`repro.core.spmspv_block.spmspv_bucket_block`):
+  one gather and one scatter for the whole vector block instead of a
+  per-vector loop.
 
 :func:`engine_for` caches engines per ``(matrix, context)`` so the
 backward-compatible :func:`repro.core.dispatch.spmspv` entry point also
@@ -46,20 +39,13 @@ from ..formats.csc import CSCMatrix
 from ..formats.delta import DeltaLog, apply_delta, build_patch, splice_overlay
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..machine.cost_model import block_features, cost_model_for, dispatch_features
+from ..machine.cost_model import block_features
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord
 from ..semiring import PLUS_TIMES, Semiring
 from .result import SpMSpVResult
 from .vector_ops import Mask
 from .workspace import SpMSpVWorkspace
-
-#: candidate algorithms the adaptive policy arbitrates between by default:
-#: one vector-driven (bucket) and one matrix-driven (GraphMat) kernel.
-DEFAULT_CANDIDATES: Tuple[str, ...] = ("bucket", "graphmat")
-
-#: algorithms whose work is driven by the matrix structure, not nnz(x)
-MATRIX_DRIVEN = frozenset({"graphmat"})
 
 #: default compaction break-even: rebuild a matrix (or strip) once the
 #: delta-touched rows carry more than this fraction of its nonzeros.  The
@@ -104,15 +90,13 @@ class CostFit:
     """Online multi-feature least-squares fit of ``cost ≈ w · φ``.
 
     A running accumulation of the normal equations over observed
-    ``(features, cost)`` pairs, solved with a small ridge term so the
-    naturally collinear features (``nnz(x)``, density and nzc all grow
-    together on one matrix) stay well-posed.  Two samples are enough to
+    ``(features, cost)`` pairs, solved with a small ridge term so naturally
+    collinear features (the block width, total nnz and union width all grow
+    together on one workload) stay well-posed.  Two samples are enough to
     predict — the seed heuristic hands over early and the engine keeps
-    exploring so the fit tracks the workload.  This generalizes the previous
-    single-feature ``alpha + beta · nnz(x)`` fit to the richer
-    (nnz(x), density, nzc) features of
-    :func:`repro.machine.cost_model.dispatch_features` and the block
-    features of :func:`repro.machine.cost_model.block_features`.
+    exploring so the fit tracks the workload.  The engines fit the measured
+    wall time of fused and looped batches over the block features of
+    :func:`repro.machine.cost_model.block_features`.
     """
 
     __slots__ = ("dim", "count", "xtx", "xty", "_weights")
@@ -151,19 +135,6 @@ class CostFit:
         return max(float(w @ np.asarray(features, dtype=np.float64)), 0.0)
 
 
-def _density_seed_choice(candidates: Sequence[str], density: float,
-                         threshold: float) -> str:
-    """The paper's §V heuristic: matrix-driven once the vector densifies.
-
-    Shared by the monolithic and sharded engines' cold-start selection.
-    """
-    matrix_driven = [c for c in candidates if c in MATRIX_DRIVEN]
-    vector_driven = [c for c in candidates if c not in MATRIX_DRIVEN]
-    if density >= threshold and matrix_driven:
-        return matrix_driven[0]
-    return vector_driven[0] if vector_driven else candidates[0]
-
-
 def _ranked_selection(fits: Dict[str, CostFit], phi: np.ndarray,
                       explore_every: int, modeled_count: int
                       ) -> Optional[Tuple[str, bool]]:
@@ -171,8 +142,8 @@ def _ranked_selection(fits: Dict[str, CostFit], phi: np.ndarray,
 
     ``modeled_count`` is the 1-based index of this modeled decision — every
     ``explore_every``-th one deliberately runs the predicted runner-up to
-    keep the losing model fresh.  Shared by the per-call and fused-vs-looped
-    selections of both engines.
+    keep the losing model fresh.  Shared by the fused-vs-looped selections
+    of both engines that fuse.
     """
     predictions = {name: fit.predict(phi) for name, fit in fits.items()}
     if not all(p is not None for p in predictions.values()):
@@ -209,16 +180,16 @@ def _mask_keep_fraction(masks: Optional[Sequence[Optional[Mask]]],
 
 @dataclass
 class EngineCall:
-    """One dispatch decision of the engine (the unit of the reporting layer)."""
+    """One executed call of an engine (the unit of the reporting layer)."""
 
     index: int
     algorithm: str
-    #: what the caller asked for ('auto' or a fixed name)
-    requested: str
     f: int
     density: float
-    cost_ms: float
-    #: True when the adaptive policy deliberately ran the predicted runner-up
+    #: measured wall time of the call (its record's ``wall_time_s`` in ms)
+    wall_ms: float
+    #: True on the first call of a batch whose fused-vs-looped choice
+    #: deliberately ran the predicted runner-up
     explored: bool = False
     #: batch id for calls issued through multiply_many, else None
     batch: Optional[int] = None
@@ -227,7 +198,7 @@ class EngineCall:
 
 
 class SpMSpVEngine:
-    """Persistent-workspace, adaptively-dispatched SpMSpV executor for one matrix.
+    """Persistent-workspace SpMSpV executor for one matrix.
 
     Parameters
     ----------
@@ -237,57 +208,44 @@ class SpMSpVEngine:
         Execution context shared by all calls (defaults to a single-threaded
         Edison context).
     algorithm:
-        Default policy: a registered kernel name, or ``"auto"`` for adaptive
-        per-call selection.  Overridable per call.
-    candidates:
-        The algorithms the adaptive policy arbitrates between.
-    density_threshold:
-        The §V density heuristic seeding the adaptive choice before the
-        online cost models have enough samples.
+        Default kernel: a registered algorithm name (``"bucket"`` unless
+        given).  Overridable per call.  An unknown name raises
+        :class:`~repro.errors.NotSupportedError`.
     explore_every:
-        Once the cost models are trained, every ``explore_every``-th adaptive
-        call runs the predicted runner-up instead of the winner, keeping its
-        model fresh.  0 disables exploration.
+        Once the fused-vs-looped block fits are trained, every
+        ``explore_every``-th blocked decision runs the predicted runner-up
+        instead of the winner, keeping its fit fresh.  0 disables
+        exploration.
     workspace:
         An externally owned workspace to share (e.g. between engines over the
         same matrix); by default the engine allocates its own.
     """
 
     def __init__(self, matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
-                 algorithm: str = "auto",
-                 candidates: Sequence[str] = DEFAULT_CANDIDATES,
-                 density_threshold: Optional[float] = None,
+                 algorithm: str = "bucket",
                  explore_every: int = 8,
                  workspace: Optional[SpMSpVWorkspace] = None):
-        from .dispatch import AUTO_DENSITY_SWITCH  # late: avoids import cycle
+        from .dispatch import get_algorithm  # late: avoids import cycle
 
+        get_algorithm(algorithm)  # an unknown default fails at construction
         self.matrix = matrix
         self.ctx = ctx if ctx is not None else default_context()
         self.algorithm = algorithm
-        self.candidates = tuple(candidates)
-        if not self.candidates:
-            raise ValueError("engine needs at least one candidate algorithm")
-        self.density_threshold = (density_threshold if density_threshold is not None
-                                  else AUTO_DENSITY_SWITCH)
         self.explore_every = int(explore_every)
         self.workspace = (workspace if workspace is not None
                           else SpMSpVWorkspace(matrix.nrows, dtype=matrix.dtype))
-        #: recent dispatch decisions (trimmed beyond max_history; lifetime
-        #: aggregates live in total_calls / total_cost_ms / total_explored)
+        #: recent calls (trimmed beyond max_history; lifetime aggregates
+        #: live in total_calls / total_wall_ms / total_explored)
         self.history: List[EngineCall] = []
         self.max_history = 4096
         self.total_calls = 0
-        self.total_cost_ms = 0.0
+        self.total_wall_ms = 0.0
         self.total_explored = 0
-        self._models: Dict[str, CostFit] = {
-            name: CostFit(dim=4) for name in self.candidates}
         #: wall-clock fits of blocked execution ('fused' vs 'looped'), over the
         #: block features (k, total nnz, union width, sharing ratio, mask
         #: selectivity, merge-segment count)
         self._block_fits: Dict[str, CostFit] = {
             mode: CostFit(dim=7) for mode in ("fused", "looped")}
-        self._price = cost_model_for(self.ctx.platform)
-        self._modeled_calls = 0
         self._modeled_blocks = 0
         self._batches = 0
         self._fused_batches = 0
@@ -302,45 +260,6 @@ class SpMSpVEngine:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # adaptive selection
-    # ------------------------------------------------------------------ #
-    def _seed_choice(self, density: float) -> str:
-        """The paper's §V heuristic: matrix-driven once the vector densifies."""
-        return _density_seed_choice(self.candidates, density, self.density_threshold)
-
-    def call_features(self, x: SparseVector) -> np.ndarray:
-        """The (bias, nnz(x), density, nzc) features of one call on this matrix.
-
-        ``nzc`` is the number of selected columns that are non-empty in the
-        matrix — an O(nnz(x)) indptr probe, and the feature that separates
-        hub-heavy frontiers from flat ones at equal nnz(x).
-        """
-        f = x.nnz
-        if f:
-            nzc = int(np.count_nonzero(
-                self.matrix.indptr[x.indices + 1] - self.matrix.indptr[x.indices]))
-        else:
-            nzc = 0
-        return dispatch_features(f, x.n, nzc)
-
-    def select_algorithm(self, x: SparseVector,
-                         features: Optional[np.ndarray] = None) -> Tuple[str, bool]:
-        """Pick the algorithm for one input vector; returns ``(name, explored)``.
-
-        ``features`` lets a caller that already computed :meth:`call_features`
-        (the nzc probe is O(nnz(x))) pass them in instead of recomputing.
-        """
-        f = x.nnz
-        density = f / max(x.n, 1)
-        phi = features if features is not None else self.call_features(x)
-        choice = _ranked_selection(self._models, phi, self.explore_every,
-                                   self._modeled_calls + 1)
-        if choice is not None:
-            self._modeled_calls += 1
-            return choice
-        return self._seed_choice(density), False
-
-    # ------------------------------------------------------------------ #
     # dynamic updates (delta overlay)
     # ------------------------------------------------------------------ #
     def apply_updates(self, rows, cols, values=None) -> Dict[str, object]:
@@ -349,7 +268,7 @@ class SpMSpVEngine:
         ``values=None`` deletes the listed edges; otherwise each ``(row,
         col)`` is inserted (or reweighted if present).  Updates take effect
         on the very next multiply via the delta overlay — the base matrix,
-        its workspace and the learned cost models all stay warm.  Once the
+        its workspace and the learned block fits all stay warm.  Once the
         delta-touched rows carry more than ``compact_fraction`` of the base
         nonzeros the engine compacts: the effective matrix is rebuilt once
         and the delta resets.
@@ -439,20 +358,12 @@ class SpMSpVEngine:
                  algorithm: Optional[str] = None,
                  workspace: Optional[object] = None,
                  _batch: Optional[int] = None,
-                 _explored: bool = False,
                  **kwargs) -> SpMSpVResult:
-        """Run ``y <- A x`` through the engine: select, execute, observe."""
+        """Run ``y <- A x`` through the engine's (or the given) kernel."""
         from .dispatch import get_algorithm  # late: avoids import cycle
 
         with self._lock:
-            requested = algorithm if algorithm is not None else self.algorithm
-            explored = _explored
-            phi = None  # call features, computed at most once per call
-            if requested == "auto":
-                phi = self.call_features(x)
-                name, explored = self.select_algorithm(x, features=phi)
-            else:
-                name = requested
+            name = algorithm if algorithm is not None else self.algorithm
             fn = get_algorithm(name)
 
             if workspace is None:
@@ -468,18 +379,12 @@ class SpMSpVEngine:
                     sorted_output=sorted_output, mask=mask,
                     mask_complement=mask_complement, kwargs=kwargs)
 
-            cost_ms = self._price.record_time_ms(result.record)
-            if name in self._models:
-                if phi is None:
-                    phi = self.call_features(x)
-                self._models[name].observe(phi, cost_ms)
+            wall_ms = result.record.wall_time_s * 1e3
             self.history.append(EngineCall(
-                index=self.total_calls, algorithm=name, requested=requested,
-                f=x.nnz, density=x.nnz / max(x.n, 1), cost_ms=cost_ms,
-                explored=explored, batch=_batch))
+                index=self.total_calls, algorithm=name, f=x.nnz,
+                density=x.nnz / max(x.n, 1), wall_ms=wall_ms, batch=_batch))
             self.total_calls += 1
-            self.total_cost_ms += cost_ms
-            self.total_explored += int(explored)
+            self.total_wall_ms += wall_ms
             if len(self.history) > 2 * self.max_history:
                 # cached engines live for the process: keep memory bounded
                 del self.history[:len(self.history) - self.max_history]
@@ -488,16 +393,16 @@ class SpMSpVEngine:
     # ------------------------------------------------------------------ #
     # blocked execution
     # ------------------------------------------------------------------ #
-    def _block_eligible(self, xs: List[SparseVector], requested: str,
+    def _block_eligible(self, xs: List[SparseVector], algorithm: str,
                         kwargs: Dict) -> bool:
         """Whether this batch can run through the fused block kernel.
 
         The fused kernel is the block variant of the bucket algorithm, so the
-        batch must have resolved to ``"bucket"``; it also needs ≥ 2 vectors of
-        one dtype (mixed-dtype blocks would promote the value slab and break
+        batch must run ``"bucket"``; it also needs ≥ 2 vectors of one dtype
+        (mixed-dtype blocks would promote the value slab and break
         bit-identity with per-vector calls) and no kernel-specific kwargs.
         """
-        return (requested == "bucket" and len(xs) >= 2 and not kwargs
+        return (algorithm == "bucket" and len(xs) >= 2 and not kwargs
                 and len({x.dtype for x in xs}) == 1)
 
     @staticmethod
@@ -551,6 +456,7 @@ class SpMSpVEngine:
                                    self._modeled_blocks + 1)
         if choice is not None:
             self._modeled_blocks += 1
+            self.total_explored += int(choice[1])
             return choice
         if k >= 4 or sharing >= 1.5:
             return "fused", False
@@ -591,10 +497,8 @@ class SpMSpVEngine:
                       **kwargs) -> List[SpMSpVResult]:
         """Blocked execution of one matrix against many input vectors.
 
-        The whole batch shares the engine's workspace and — under ``"auto"``
-        — a single dispatch decision, made for the *densest* vector of the
-        block (the worst case for a vector-driven kernel).  When the batch
-        resolves to the bucket kernel, the engine additionally chooses between
+        The whole batch shares the engine's workspace and one kernel.  When
+        that kernel is bucket, the engine additionally chooses between
         the **fused block kernel** (one gather, one masked scatter and one
         segmented merge for the whole block,
         :func:`~repro.core.spmspv_block.spmspv_bucket_block`) and the
@@ -619,15 +523,10 @@ class SpMSpVEngine:
             raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
         batch = self._batches
         self._batches += 1
-        requested = algorithm if algorithm is not None else self.algorithm
-        explored = False
-        if requested == "auto" and xs:
-            densest = max(xs, key=lambda x: x.nnz)
-            requested, explored = self.select_algorithm(densest)
-
-        eligible = self._block_eligible(xs, requested, kwargs)
+        name = algorithm if algorithm is not None else self.algorithm
+        eligible = self._block_eligible(xs, name, kwargs)
         mode = "looped"
-        block_explored = False
+        explored = False
         phi: Optional[np.ndarray] = None
         if eligible:
             total_nnz, union_nnz = self._block_stats(xs)
@@ -635,7 +534,7 @@ class SpMSpVEngine:
                                   self._mask_keep_fraction(masks, mask_complement,
                                                            len(xs)))
             if block_mode == "auto":
-                mode, block_explored = self._select_block_mode(
+                mode, explored = self._select_block_mode(
                     phi, len(xs), total_nnz / max(union_nnz, 1))
             else:
                 # forced mode: fused only applies to eligible batches — an
@@ -647,21 +546,19 @@ class SpMSpVEngine:
             return self._multiply_block(
                 xs, phi, batch=batch,
                 semiring=semiring, sorted_output=sorted_output, masks=masks,
-                mask_complement=mask_complement, requested=requested,
-                explored=explored or block_explored, block_merge=block_merge,
-                block=_block)
+                mask_complement=mask_complement, explored=explored,
+                block_merge=block_merge, block=_block)
 
-        # observed window spans the same per-call pricing/bookkeeping the
-        # fused window spans, so the two wall-time fits stay comparable
+        # observed window spans the same per-call bookkeeping the fused
+        # window spans, so the two wall-time fits stay comparable
         t0 = time.perf_counter()
         results = []
         for i, x in enumerate(xs):
             results.append(self.multiply(
                 x, semiring=semiring, sorted_output=sorted_output,
                 mask=masks[i] if masks is not None else None,
-                mask_complement=mask_complement, algorithm=requested,
-                # one exploration decision per batch: flag only its first call
-                _batch=batch, _explored=explored and i == 0, **kwargs))
+                mask_complement=mask_complement, algorithm=name,
+                _batch=batch, **kwargs))
         if eligible:
             self._block_fits["looped"].observe(
                 phi, (time.perf_counter() - t0) * 1e3)
@@ -671,8 +568,7 @@ class SpMSpVEngine:
                         phi: Optional[np.ndarray], *, batch: int,
                         semiring: Semiring, sorted_output: Optional[bool],
                         masks: Optional[Sequence[Optional[Mask]]],
-                        mask_complement: bool, requested: str,
-                        explored: bool,
+                        mask_complement: bool, explored: bool,
                         block_merge: str = "segmented",
                         block: Optional[SparseVectorBlock] = None
                         ) -> List[SpMSpVResult]:
@@ -682,7 +578,7 @@ class SpMSpVEngine:
         with self._lock:
             # the observed window covers everything fusion-specific the looped
             # path does not pay — block packing, the fused kernel, and the
-            # per-result pricing/bookkeeping below — so the fused and looped
+            # per-result bookkeeping below — so the fused and looped
             # wall-time fits stay comparable
             t0 = time.perf_counter()
             if block is None:
@@ -712,35 +608,17 @@ class SpMSpVEngine:
                     for r, p in zip(results, presults)]
             self._fused_batches += 1
             nnzs = block.nnz_per_vector()
-            # block-aware exploration of the per-call models: each fused
-            # vector's share of the block cost is an observation of what the
-            # bucket algorithm costs on that frontier, so fused batches keep
-            # the bucket-vs-graphmat fits current even for workloads that
-            # never issue a per-vector call (multi-source BFS, blocked
-            # PageRank).  The share is only faithful when the block's column
-            # unions barely overlap: the fused record amortizes ONE union
-            # gather across the block, so on heavily-shared blocks each share
-            # under-counts the gather a standalone call would pay and would
-            # train the fit systematically low — those observations are
-            # skipped rather than corrected (the merge side is not amortized,
-            # so no single scale factor fixes both).
-            sharing = block.sharing_ratio()
-            bucket_fit = self._models.get("bucket") if sharing <= 1.25 else None
             for i, result in enumerate(results):
-                cost_ms = self._price.record_time_ms(result.record)
-                if bucket_fit is not None:
-                    bucket_fit.observe(self.call_features(xs[i]), cost_ms)
                 f = int(nnzs[i])
+                wall_ms = result.record.wall_time_s * 1e3
                 self.history.append(EngineCall(
-                    index=self.total_calls, algorithm="bucket_block",
-                    requested=requested, f=f, density=f / max(block.n, 1),
-                    cost_ms=cost_ms, explored=explored and i == 0, batch=batch,
-                    fused=True))
+                    index=self.total_calls, algorithm="bucket_block", f=f,
+                    density=f / max(block.n, 1), wall_ms=wall_ms,
+                    explored=explored and i == 0, batch=batch, fused=True))
                 self.total_calls += 1
-                self.total_cost_ms += cost_ms
+                self.total_wall_ms += wall_ms
             self._block_fits["fused"].observe(
                 phi, (time.perf_counter() - t0) * 1e3)
-            self.total_explored += int(explored)
             if len(self.history) > 2 * self.max_history:
                 del self.history[:len(self.history) - self.max_history]
             return results
@@ -797,7 +675,7 @@ class SpMSpVEngine:
             "algorithms_used": self.algorithms_used(),
             "switches": self.switch_count,
             "explored_calls": self.total_explored,
-            "total_cost_ms": self.total_cost_ms,
+            "total_wall_ms": self.total_wall_ms,
             "workspace": self.workspace.stats(),
             "delta_entries": self.delta.entries,
             "compactions": self.compactions,
@@ -838,13 +716,9 @@ def engine_for(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
     Entries pin the matrix (so ids cannot be recycled while cached) and are
     evicted LRU beyond a small limit; repeated calls on the same matrix —
     the shape of every iterative algorithm and benchmark — therefore reuse
-    one workspace and one adaptive state.  ``pin=True`` additionally exempts
-    the entry from LRU eviction until a matching :func:`unpin_engine` (see
-    :func:`pin_engine`).  Shim engines run with exploration disabled:
-    ``spmspv(..., algorithm="auto")`` on identical inputs must pick the
-    predicted-best kernel deterministically (benchmarks time it), so the
-    deliberate runner-up calls are an opt-in of explicitly constructed
-    engines.
+    one workspace and one set of block fits.  ``pin=True`` additionally
+    exempts the entry from LRU eviction until a matching
+    :func:`unpin_engine` (see :func:`pin_engine`).
     """
     ctx = ctx if ctx is not None else default_context()
     key = (id(matrix), ctx)
@@ -852,7 +726,7 @@ def engine_for(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
     if engine is not None and engine.matrix is matrix:
         _ENGINE_CACHE.move_to_end(key)
     else:
-        engine = SpMSpVEngine(matrix, ctx, explore_every=0)
+        engine = SpMSpVEngine(matrix, ctx)
         _ENGINE_CACHE[key] = engine
     if pin:
         _ENGINE_PINS[key] = _ENGINE_PINS.get(key, 0) + 1
@@ -866,7 +740,7 @@ def pin_engine(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None
 
     A pinned engine survives any number of intervening ``spmspv`` calls on
     other matrices (the LRU limit only applies to unpinned entries), so its
-    workspace and adaptive state are never rebuilt mid-algorithm.  Pins
+    workspace and block fits are never rebuilt mid-algorithm.  Pins
     nest; every ``pin_engine`` needs a matching :func:`unpin_engine`.
     """
     return engine_for(matrix, ctx, pin=True)

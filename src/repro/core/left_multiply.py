@@ -56,7 +56,7 @@ def spmspv_left(matrix: CSCMatrix, x: SparseVector,
         # throwaway matrix does not pin a slot in (and evict hot engines
         # from) the shared spmspv cache
         transposed = transpose_for_left_multiply(matrix)
-        engine = SpMSpVEngine(transposed, ctx, explore_every=0)
+        engine = SpMSpVEngine(transposed, ctx)
     else:
         engine = engine_for(transposed, ctx)
     result = engine.multiply(x, algorithm=algorithm, semiring=semiring,

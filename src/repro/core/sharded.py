@@ -26,11 +26,7 @@ runs every multiplication against one monolithic matrix.
 * :meth:`ShardedEngine.multiply_many` shards fused blocks too: the
   column-union block is packed **once** and shared by every strip's fused
   kernel call, while the (row, vector-id) scatter and the segmented merge
-  stay strip-local;
-* per-call algorithm choice is priced over the **shard features** of
-  :func:`repro.machine.cost_model.shard_features` (shard count, static
-  per-strip nnz balance) by the same online :class:`~repro.core.engine.CostFit`
-  machinery the monolithic engine uses.
+  stay strip-local.
 
 An **async front-end** (:meth:`ShardedEngine.submit` /
 :meth:`ShardedEngine.gather`) queues calls and executes them in a
@@ -68,7 +64,7 @@ from ..formats.delta import DeltaLog, apply_delta, build_patch, splice_overlay
 from ..formats.partition import RowSplit, row_split
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..machine.cost_model import block_features, cost_model_for, shard_features
+from ..machine.cost_model import block_features
 from ..parallel.backends import ExecutionBackend, make_backend
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
@@ -76,12 +72,10 @@ from ..parallel.scheduler import Assignment, schedule
 from ..semiring import PLUS_TIMES, Semiring
 from .engine import (
     COMPACT_FRACTION,
-    DEFAULT_CANDIDATES,
     CostFit,
     EngineCall,
     SpMSpVEngine,
     _accepts_workspace,
-    _density_seed_choice,
     _mask_keep_fraction,
     _ranked_selection,
     merge_overlay_record,
@@ -109,31 +103,22 @@ class ShardedEngine:
         row-split configuration (one thread per strip, sync-free).
         ``ctx.backend`` selects the strip executor (``"emulated"`` |
         ``"process"``); ``ctx.backend_workers`` caps the process pool.
-    algorithm:
-        Default per-call policy: a registered kernel name, or ``"auto"``
-        for adaptive selection over the shard-feature cost fits.
-    candidates, density_threshold, explore_every:
+    algorithm, explore_every:
         As in :class:`~repro.core.engine.SpMSpVEngine`.
     """
 
     def __init__(self, matrix: CSCMatrix, shards: int,
                  ctx: Optional[ExecutionContext] = None, *,
-                 algorithm: str = "auto",
-                 candidates: Sequence[str] = DEFAULT_CANDIDATES,
-                 density_threshold: Optional[float] = None,
+                 algorithm: str = "bucket",
                  explore_every: int = 8):
-        from .dispatch import AUTO_DENSITY_SWITCH  # late: avoids import cycle
+        from .dispatch import get_algorithm  # late: avoids import cycle
 
         if int(shards) < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        get_algorithm(algorithm)  # fail before a worker pool starts
         self.matrix = matrix
         self.ctx = ctx if ctx is not None else default_context()
         self.algorithm = algorithm
-        self.candidates = tuple(candidates)
-        if not self.candidates:
-            raise ValueError("engine needs at least one candidate algorithm")
-        self.density_threshold = (density_threshold if density_threshold is not None
-                                  else AUTO_DENSITY_SWITCH)
         self.explore_every = int(explore_every)
         self.split: RowSplit = row_split(matrix, int(shards))
         #: per-strip execution context: the paper's row-split runs one strip
@@ -156,14 +141,10 @@ class ShardedEngine:
         self.history: List[EngineCall] = []
         self.max_history = 4096
         self.total_calls = 0
-        self.total_cost_ms = 0.0
+        self.total_wall_ms = 0.0
         self.total_explored = 0
-        self._models: Dict[str, CostFit] = {
-            name: CostFit(dim=4) for name in self.candidates}
         self._block_fits: Dict[str, CostFit] = {
             mode: CostFit(dim=7) for mode in ("fused", "looped")}
-        self._price = cost_model_for(self.ctx.platform)
-        self._modeled_calls = 0
         self._modeled_blocks = 0
         self._batches = 0
         self._fused_batches = 0
@@ -189,34 +170,12 @@ class ShardedEngine:
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
-    # adaptive selection over shard features
+    # shard plumbing
     # ------------------------------------------------------------------ #
     @property
     def num_shards(self) -> int:
         return self.split.num_parts
 
-    def call_features(self, x: SparseVector) -> np.ndarray:
-        """The (bias, nnz(x), P, balance) features of one sharded call."""
-        return shard_features(x.nnz, self.num_shards, self.nnz_balance)
-
-    def select_algorithm(self, x: SparseVector) -> Tuple[str, bool]:
-        """Pick the kernel for one input vector; returns ``(name, explored)``.
-
-        Same policy as the monolithic engine (shared helpers): the §V
-        density seed hands over to the shard-feature fits once trained.
-        """
-        phi = self.call_features(x)
-        choice = _ranked_selection(self._models, phi, self.explore_every,
-                                   self._modeled_calls + 1)
-        if choice is not None:
-            self._modeled_calls += 1
-            return choice
-        return _density_seed_choice(self.candidates, x.nnz / max(x.n, 1),
-                                    self.density_threshold), False
-
-    # ------------------------------------------------------------------ #
-    # shard plumbing
-    # ------------------------------------------------------------------ #
     def _slice_mask(self, mask: Optional[Mask]) -> List[Optional[np.ndarray]]:
         """Compile a row-space mask once and view it per strip.
 
@@ -469,7 +428,6 @@ class ShardedEngine:
                  mask_complement: bool = False,
                  algorithm: Optional[str] = None,
                  _batch: Optional[int] = None,
-                 _explored: bool = False,
                  **kwargs) -> SpMSpVResult:
         """Run ``y <- A x`` as P independent strip multiplications.
 
@@ -481,7 +439,7 @@ class ShardedEngine:
             plan = self._plan_call(
                 x, semiring=semiring, sorted_output=sorted_output, mask=mask,
                 mask_complement=mask_complement, algorithm=algorithm,
-                _batch=_batch, _explored=_explored, **kwargs)
+                _batch=_batch, **kwargs)
             outs = self._run_strip_calls(
                 plan["name"], x, semiring=semiring,
                 sorted_output=plan["resolved_sorted"],
@@ -495,14 +453,13 @@ class ShardedEngine:
                    mask: Optional[Mask] = None,
                    mask_complement: bool = False,
                    algorithm: Optional[str] = None,
-                   _batch: Optional[int] = None,
-                   _explored: bool = False, **kwargs) -> Dict:
-        """Validate + select + resolve one call, without executing it.
+                   _batch: Optional[int] = None, **kwargs) -> Dict:
+        """Validate + resolve one call, without executing it.
 
         This is the submit half of a multiplication: everything that must
-        happen *before* the strip calls go out (operand/mask checks,
-        adaptive kernel selection against the current fits, sorted-output
-        resolution, mask compilation) — so the pipelined :meth:`gather` can
+        happen *before* the strip calls go out (operand/mask checks, kernel
+        name validation, sorted-output resolution, mask compilation) — so
+        the pipelined :meth:`gather` can
         broadcast a call to the backend and plan the next one while workers
         are still running.  The bookkeeping half is :meth:`_finish_call`.
         """
@@ -510,17 +467,11 @@ class ShardedEngine:
 
         check_operands(self.matrix, x)
         mask_slices = self._slice_mask(mask)
-        requested = algorithm if algorithm is not None else self.algorithm
-        explored = _explored
-        if requested == "auto":
-            name, explored = self.select_algorithm(x)
-        else:
-            name = requested
+        name = algorithm if algorithm is not None else self.algorithm
         get_algorithm(name)  # validate the kernel name before dispatching
         resolved_sorted = (sorted_output if sorted_output is not None
                            else (x.sorted and self.ctx.sorted_vectors))
-        return {"x": x, "name": name, "requested": requested,
-                "explored": explored, "resolved_sorted": resolved_sorted,
+        return {"x": x, "name": name, "resolved_sorted": resolved_sorted,
                 "semiring": semiring, "mask_slices": mask_slices,
                 "mask_complement": mask_complement, "kwargs": kwargs,
                 "batch": _batch, "t0": time.perf_counter()}
@@ -529,8 +480,8 @@ class ShardedEngine:
         """Fold strip results into one result + all per-call bookkeeping.
 
         Runs in gather order (= the deterministic execution order), so the
-        history, cost observations and adaptive-fit updates are identical
-        across backends regardless of how the strip calls overlapped.
+        history is identical across backends regardless of how the strip
+        calls overlapped.
         """
         x = plan["x"]
         name = plan["name"]
@@ -555,17 +506,12 @@ class ShardedEngine:
                   "shard_imbalance": assignment.imbalance(),
                   "early_mask": outs[0].record.info.get("early_mask", False)})
         record.wall_time_s = time.perf_counter() - plan["t0"]
-
-        cost_ms = self._price.record_time_ms(record)
-        if name in self._models:
-            self._models[name].observe(self.call_features(x), cost_ms)
+        wall_ms = record.wall_time_s * 1e3
         self.history.append(EngineCall(
-            index=self.total_calls, algorithm=name, requested=plan["requested"],
-            f=x.nnz, density=x.nnz / max(x.n, 1), cost_ms=cost_ms,
-            explored=plan["explored"], batch=plan["batch"]))
+            index=self.total_calls, algorithm=name, f=x.nnz,
+            density=x.nnz / max(x.n, 1), wall_ms=wall_ms, batch=plan["batch"]))
         self.total_calls += 1
-        self.total_cost_ms += cost_ms
-        self.total_explored += int(plan["explored"])
+        self.total_wall_ms += wall_ms
         if len(self.history) > 2 * self.max_history:
             del self.history[:len(self.history) - self.max_history]
         return SpMSpVResult(vector=y, record=record,
@@ -582,6 +528,7 @@ class ShardedEngine:
                                    self._modeled_blocks + 1)
         if choice is not None:
             self._modeled_blocks += 1
+            self.total_explored += int(choice[1])
             return choice
         if k >= 4 or sharing >= 1.5:
             return "fused", False
@@ -638,16 +585,11 @@ class ShardedEngine:
         with self._lock:
             batch = self._batches
             self._batches += 1
-            requested = algorithm if algorithm is not None else self.algorithm
-            explored = False
-            if requested == "auto" and xs:
-                densest = max(xs, key=lambda x: x.nnz)
-                requested, explored = self.select_algorithm(densest)
-
-            eligible = (requested == "bucket" and len(xs) >= 2 and not kwargs
+            name = algorithm if algorithm is not None else self.algorithm
+            eligible = (name == "bucket" and len(xs) >= 2 and not kwargs
                         and len({x.dtype for x in xs}) == 1)
             mode = "looped"
-            block_explored = False
+            explored = False
             phi: Optional[np.ndarray] = None
             if eligible:
                 total_nnz, union_nnz = SpMSpVEngine._block_stats(xs)
@@ -657,7 +599,7 @@ class ShardedEngine:
                                                   len(xs), self.matrix.nrows),
                     segments=len(xs) * self.shard_ctx.num_buckets * self.num_shards)
                 if block_mode == "auto":
-                    mode, block_explored = self._select_block_mode(
+                    mode, explored = self._select_block_mode(
                         phi, len(xs), total_nnz / max(union_nnz, 1))
                 else:
                     mode = block_mode
@@ -666,8 +608,7 @@ class ShardedEngine:
                 return self._multiply_many_fused(
                     xs, phi, batch=batch, semiring=semiring,
                     sorted_output=sorted_output, masks=masks,
-                    mask_complement=mask_complement, requested=requested,
-                    explored=explored or block_explored,
+                    mask_complement=mask_complement, explored=explored,
                     block_merge=block_merge, block=_block)
 
             t0 = time.perf_counter()
@@ -676,8 +617,8 @@ class ShardedEngine:
                 results.append(self.multiply(
                     x, semiring=semiring, sorted_output=sorted_output,
                     mask=masks[i] if masks is not None else None,
-                    mask_complement=mask_complement, algorithm=requested,
-                    _batch=batch, _explored=explored and i == 0, **kwargs))
+                    mask_complement=mask_complement, algorithm=name,
+                    _batch=batch, **kwargs))
             if eligible:
                 self._block_fits["looped"].observe(
                     phi, (time.perf_counter() - t0) * 1e3)
@@ -687,8 +628,7 @@ class ShardedEngine:
                              phi: Optional[np.ndarray], *, batch: int,
                              semiring: Semiring, sorted_output: Optional[bool],
                              masks: Optional[Sequence[Optional[Mask]]],
-                             mask_complement: bool, requested: str,
-                             explored: bool,
+                             mask_complement: bool, explored: bool,
                              block_merge: str,
                              block: Optional[SparseVectorBlock] = None
                              ) -> List[SpMSpVResult]:
@@ -760,14 +700,13 @@ class ShardedEngine:
                       "block_k": k, "merge": block_merge,
                       "shards": self.num_shards})
             record.wall_time_s = wall_share_s
-            cost_ms = self._price.record_time_ms(record)
             self.history.append(EngineCall(
                 index=self.total_calls, algorithm="bucket_block",
-                requested=requested, f=int(nnzs[i]),
-                density=int(nnzs[i]) / max(block.n, 1), cost_ms=cost_ms,
-                explored=explored and i == 0, batch=batch, fused=True))
+                f=int(nnzs[i]), density=int(nnzs[i]) / max(block.n, 1),
+                wall_ms=wall_share_s * 1e3, explored=explored and i == 0,
+                batch=batch, fused=True))
             self.total_calls += 1
-            self.total_cost_ms += cost_ms
+            self.total_wall_ms += wall_share_s * 1e3
             results.append(SpMSpVResult(
                 vector=y, record=record,
                 info={"f": int(nnzs[i]), "df": df_i, "nnz_y": y.nnz,
@@ -775,7 +714,6 @@ class ShardedEngine:
                       "shards": self.num_shards}))
         self._fused_batches += 1
         self._block_fits["fused"].observe(phi, (time.perf_counter() - t0) * 1e3)
-        self.total_explored += int(explored)
         if len(self.history) > 2 * self.max_history:
             del self.history[:len(self.history) - self.max_history]
         return results
@@ -817,10 +755,10 @@ class ShardedEngine:
         submitted to the backend before the oldest is drained, so on the
         process backend consecutive multiplies overlap across the worker
         pool instead of barriering per call.  All per-call bookkeeping
-        (history, cost observations, adaptive-fit updates) happens at drain
-        time in execution order, so the pipeline depth never changes what
-        any backend records — and the emulated backend, whose submissions
-        are deferred thunks, remains bit-identical.
+        (history) happens at drain time in execution order, so the pipeline
+        depth never changes what any backend records — and the emulated
+        backend, whose submissions are deferred thunks, remains
+        bit-identical.
         """
         with self._lock:
             pending, self._pending = self._pending, []
@@ -929,7 +867,7 @@ class ShardedEngine:
             "algorithms_used": self.algorithms_used(),
             "switches": self.switch_count,
             "explored_calls": self.total_explored,
-            "total_cost_ms": self.total_cost_ms,
+            "total_wall_ms": self.total_wall_ms,
             "shards": self.num_shards,
             "nnz_balance": self.nnz_balance,
             "workspace": self.workspace_stats(),

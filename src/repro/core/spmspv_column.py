@@ -106,8 +106,8 @@ def column_partial(strip: DCSCMatrix,
     kernels), reads values for the survivors only, scales under the semiring
     through ``out_dtype`` (the *global* ``result_type(A, x)``, fixed by the
     caller so every strip casts exactly like the monolithic stream), and
-    stably row-sorts.  ``algorithm`` names the kernel family driving the
-    dispatch decision and labels; the gather/mask/scale/sort core here is
+    stably row-sorts.  ``algorithm`` names the kernel family in the
+    record's label; the gather/mask/scale/sort core here is
     the part all five kernels share — their differences (SPA vs heap vs
     bucket merge) live entirely in the merge, which column-split moves into
     the parent's reduction phase.

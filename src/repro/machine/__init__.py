@@ -5,11 +5,9 @@ from .cache import CacheStats, SetAssociativeCache, estimate_column_gather_misse
 from .cost_model import (
     BLOCK_FEATURE_NAMES,
     DEFAULT_WEIGHTS_NS,
-    DISPATCH_FEATURE_NAMES,
     CostModel,
     block_features,
     cost_model_for,
-    dispatch_features,
 )
 from .platforms import EDISON, KNL, LAPTOP, PLATFORMS, Platform, get_platform
 from .simulator import SimulatedRun, simulate_record, simulate_records, speedup_curve
@@ -19,9 +17,7 @@ __all__ = [
     "CacheStats",
     "CostModel",
     "DEFAULT_WEIGHTS_NS",
-    "DISPATCH_FEATURE_NAMES",
     "block_features",
-    "dispatch_features",
     "EDISON",
     "KNL",
     "LAPTOP",

@@ -30,15 +30,8 @@ from ..parallel.metrics import METRIC_FIELDS, ExecutionRecord, PhaseRecord, Work
 from .platforms import EDISON, Platform
 
 # --------------------------------------------------------------------------- #
-# feature vectors consumed by the engine's online cost fits
+# feature vectors consumed by the engines' fused-vs-looped block fits
 # --------------------------------------------------------------------------- #
-#: features of one SpMSpV call: bias, frontier size, frontier density and the
-#: number of *non-empty* selected columns (ROADMAP: "density + nzc, not just
-#: nnz(x)").  nzc separates hub-heavy frontiers (few useful columns, large
-#: d·f) from flat ones at the same nnz(x), which a single-feature fit on
-#: nnz(x) cannot express.
-DISPATCH_FEATURE_NAMES = ("bias", "nnz_x", "density", "nzc")
-
 #: features of one blocked multiply: bias, block width k, total stored
 #: entries, column-union width, the sharing ratio total/union (how much of
 #: the gather the fused kernel deduplicates), the mask selectivity (expected
@@ -47,18 +40,6 @@ DISPATCH_FEATURE_NAMES = ("bias", "nnz_x", "density", "nzc")
 #: independent merge-segment count k·nb of the segmented block merge.
 BLOCK_FEATURE_NAMES = ("bias", "k", "total_nnz", "union_nnz", "sharing",
                        "mask_keep", "segments")
-
-#: features of one sharded multiply: bias, frontier size, the shard count P
-#: (each shard pays an O(nnz(x)) input scan — the row-split work-inefficiency
-#: of §II-F — plus a fixed per-strip call overhead) and the static nnz
-#: balance of the row partition (max/mean stored entries per strip; an
-#: imbalanced partition serializes on its heaviest strip).
-SHARD_FEATURE_NAMES = ("bias", "nnz_x", "shards", "nnz_balance")
-
-
-def dispatch_features(nnz_x: int, n: int, nzc: int) -> np.ndarray:
-    """Feature vector of one SpMSpV call for :class:`repro.core.engine.CostFit`."""
-    return np.array([1.0, float(nnz_x), nnz_x / max(n, 1), float(nzc)])
 
 
 def block_features(k: int, total_nnz: int, union_nnz: int,
@@ -75,22 +56,6 @@ def block_features(k: int, total_nnz: int, union_nnz: int,
                      float(segments)])
 
 
-#: features of one column-split (scheme="column") multiply: bias, frontier
-#: size, frontier *density* d = f/n (the paper's §II-F crossover variable:
-#: row-split pays P·O(f) input scans while column-split pays one O(f) slice
-#: pass plus a reduction, so column wins when the shard count t exceeds d·n
-#: per strip — i.e. at sparse frontiers), the strip count P and the static
-#: nnz balance of the column partition.
-SCHEME_FEATURE_NAMES = ("bias", "nnz_x", "density", "shards", "nnz_balance")
-
-
-def scheme_features(nnz_x: int, n: int, shards: int,
-                    nnz_balance: float = 1.0) -> np.ndarray:
-    """Feature vector of one column-split multiply for the engine's cost fits."""
-    return np.array([1.0, float(nnz_x), nnz_x / max(n, 1), float(shards),
-                     float(nnz_balance)])
-
-
 def scheme_crossover(shards: int, avg_degree: float) -> str:
     """The paper's §II-F row-vs-column bound as a static scheme choice.
 
@@ -103,16 +68,6 @@ def scheme_crossover(shards: int, avg_degree: float) -> str:
     """
     return "column" if shards > avg_degree else "row"
 
-
-def shard_features(nnz_x: int, shards: int, nnz_balance: float = 1.0) -> np.ndarray:
-    """Feature vector of one sharded multiply for the sharded engine's cost fits.
-
-    ``shards`` is the partition width P and ``nnz_balance`` the max/mean
-    stored-entry ratio over the strips (1.0 = perfectly balanced row split) —
-    both static per :class:`~repro.core.sharded.ShardedEngine`, so the fits
-    learn the per-call cost surface over ``nnz_x`` for a fixed partition.
-    """
-    return np.array([1.0, float(nnz_x), float(shards), float(nnz_balance)])
 
 #: nanosecond cost per counted operation on a reference (Edison-class) core.
 DEFAULT_WEIGHTS_NS: Dict[str, float] = {

@@ -36,10 +36,9 @@ module's concern, behind one small seam:
 
 Determinism contract: a kernel is a pure function of (strip, vector, call
 options), so for any *fixed* kernel/mode the two backends are **bit
-identical** — outputs, work metrics, and the priced costs that drive
-adaptive dispatch (wall times differ, so the wall-time-trained fused-vs-
-looped block fits may take different internal routes under ``"auto"``; every
-route is itself bit-identical).  ``tests/test_backend_equivalence.py`` locks
+identical** — outputs and work metrics (wall times differ, so the
+wall-time-trained fused-vs-looped block fits may take different internal
+routes under ``block_mode="auto"``; every route is itself bit-identical).  ``tests/test_backend_equivalence.py`` locks
 this down across the full sharded grid, including the slab data plane
 (output overflow/regrow, broadcast-once blocks, overlapped async ordering).
 

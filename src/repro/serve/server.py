@@ -79,8 +79,8 @@ class QueryServer:
         ``"fused"`` runs every eligible batch through the fused block
         kernel (ineligible ones quietly loop, bit-identically).
     algorithm:
-        Kernel forced on multiply/BFS batches; the default ``"bucket"``
-        is the fused kernel's host algorithm.
+        Kernel forced on multiply, PageRank and BFS batches; the default
+        ``"bucket"`` is the fused kernel's host algorithm.
     shards:
         When given, members are :class:`~repro.core.sharded.ShardedEngine`
         instances over that many row strips (backend from ``ctx``).
@@ -422,7 +422,7 @@ class QueryServer:
         result = pagerank_block(
             self._matrices[graph],
             [np.asarray(q.personalization, dtype=np.int64) for q in queries],
-            engine=engine, damping=damping, tol=tol,
+            engine=engine, algorithm=self.algorithm, damping=damping, tol=tol,
             max_iterations=max_iterations, block_mode=self.block_mode)
         return [result.scores[i] for i in range(len(queries))]
 
@@ -432,7 +432,8 @@ class QueryServer:
         engine = self.group.engine(graph)
         result = bfs_multi_source(
             self._matrices[graph], [q.source for q in queries],
-            engine=engine, max_levels=max_levels, block_mode=self.block_mode)
+            engine=engine, algorithm=self.algorithm, max_levels=max_levels,
+            block_mode=self.block_mode)
         return [BFSAnswer(source=q.source, levels=result.levels[i],
                           parents=result.parents[i])
                 for i, q in enumerate(queries)]

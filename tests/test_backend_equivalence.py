@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import EngineGroup, ShardedEngine
+from repro.core import EngineGroup, ShardedEngine, make_sharded_engine
 from repro.errors import BackendError, DimensionError, NotSupportedError
 from repro.formats import SparseVector
 from repro.parallel import available_backends, default_context
@@ -293,33 +293,32 @@ def test_process_backend_preserves_value_dtype(dtype):
         proc.close()
 
 
-def test_process_backend_dispatch_decisions_match_emulated():
-    """Auto dispatch is priced from work metrics, which match bit for bit —
-    so the two backends' adaptive histories pick identical kernels."""
-    matrix = random_csc(60, 60, 0.2, seed=21)
-    emu = ShardedEngine(matrix, 3,
-                        default_context(num_threads=2, backend="emulated"),
-                        algorithm="auto", explore_every=2)
-    proc = ShardedEngine(matrix, 3,
-                         default_context(num_threads=2, backend="process",
-                                         backend_workers=2),
-                         algorithm="auto", explore_every=2)
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_auto_is_rejected_before_any_strip_is_dispatched(scheme):
+    """"auto" is an unknown kernel name: every entry point raises before a
+    strip call reaches the pool (and construction before a pool starts)."""
+    matrix = random_csc(40, 40, 0.2, seed=83)
+    x = SparseVector.full_like_indices(40, np.arange(10), 1.0)
+    ctx = default_context(backend="process", backend_workers=1)
+    with pytest.raises(NotSupportedError):
+        make_sharded_engine(matrix, 2, ctx, algorithm="auto", scheme=scheme)
+    engine = make_sharded_engine(matrix, 2, ctx, scheme=scheme)
     try:
-        sparse_x = SparseVector.full_like_indices(60, np.arange(3), 1.0)
-        dense_x = SparseVector.full_like_indices(60, np.arange(40), 1.0)
-        for _ in range(3):
-            for x in (sparse_x, dense_x):
-                assert_results_match(emu.multiply(x), proc.multiply(x), "auto")
-        for _ in range(6):
-            assert_results_match(emu.multiply(sparse_x), proc.multiply(sparse_x),
-                                 "auto-modeled")
-        assert [c.algorithm for c in emu.history] == \
-            [c.algorithm for c in proc.history]
-        assert [c.explored for c in emu.history] == \
-            [c.explored for c in proc.history]
-        assert emu.total_explored == proc.total_explored
+        calls = engine.backend.comm_stats()["calls"]
+        with pytest.raises(NotSupportedError):
+            engine.multiply(x, algorithm="auto")
+        with pytest.raises(NotSupportedError):
+            engine.multiply_many([x, x], algorithm="auto")
+        engine.submit(x, algorithm="auto")
+        with pytest.raises(NotSupportedError):
+            engine.gather()
+        assert engine.backend.comm_stats()["calls"] == calls
+        assert engine.total_calls == 0
+        ref = make_sharded_engine(matrix, 2, default_context(backend="emulated"),
+                                  scheme=scheme).multiply(x)
+        assert_results_match(ref, engine.multiply(x), "after auto")
     finally:
-        proc.close()
+        engine.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -566,9 +565,13 @@ def test_garbage_collected_engine_releases_shared_memory():
 
 def test_workspace_stats_reflect_remote_reuse():
     matrix = random_csc(40, 40, 0.2, seed=82)
+    # graphmat reuses its strip scratch across these 4 calls; a bucket strip
+    # workspace counts its allocations at construction, so bucket would show
+    # no allocations_saved yet
     engine = ShardedEngine(matrix, 2,
                            default_context(backend="process",
-                                           backend_workers=1))
+                                           backend_workers=1),
+                           algorithm="graphmat")
     try:
         x = SparseVector.full_like_indices(40, np.arange(10), 1.0)
         before = engine.workspace_stats()

@@ -27,7 +27,7 @@ from repro.core import CostFit, SpMSpVEngine, spmspv_bucket_block
 from repro.core.spmspv_bucket import spmspv_bucket
 from repro.formats import CSCMatrix, SparseVector, SparseVectorBlock
 from repro.graphs import erdos_renyi
-from repro.machine import block_features, dispatch_features
+from repro.machine import block_features
 from repro.parallel import default_context
 from repro.semiring import (
     MAX_SELECT2ND,
@@ -313,9 +313,9 @@ def test_cost_fit_multifeature_recovers_a_planted_model():
     for _ in range(50):
         f = int(rng.integers(1, 500))
         nzc = int(rng.integers(1, f + 1))
-        phi = dispatch_features(f, 1000, nzc)
+        phi = np.array([1.0, f, f / 1000, nzc])
         fit.observe(phi, float(w_true @ phi))
-    phi = dispatch_features(123, 1000, 77)
+    phi = np.array([1.0, 123, 123 / 1000, 77])
     assert fit.predict(phi) == pytest.approx(float(w_true @ phi), rel=1e-3)
 
 

@@ -5,9 +5,9 @@ Covers the contract of :class:`repro.core.engine.SpMSpVEngine`:
 * persistent workspaces — iterative runs perform zero per-iteration
   ``BucketStore``/SPA allocations and reuse the *same* workspace objects,
   with results bit-identical to fresh-allocation runs;
-* adaptive dispatch — ``algorithm="auto"`` follows the §V density seed and
-  switches kernels as a frontier sequence densifies, then refines from
-  observed costs (including deliberate exploration calls);
+* kernel choice — every engine runs the kernel it is given (``"bucket"``
+  by default, also as a frontier densifies), ``"auto"`` is an unknown
+  kernel name, and the per-call history carries measured wall time;
 * batched execution — ``multiply_many`` agrees with per-vector ``spmspv``
   for every registered algorithm, and multi-source BFS matches per-source
   single BFS runs;
@@ -22,17 +22,21 @@ from repro.algorithms import bfs, bfs_multi_source, pagerank, pagerank_dense_ref
 from repro.analysis import format_engine_history, format_workspace_stats, summarize_engine
 from repro.baselines.common import merge_by_row, merge_entries
 from repro.core import (
+    ColumnShardedEngine,
+    EngineGroup,
+    ShardedEngine,
     SpMSpVEngine,
     SpMSpVWorkspace,
     clear_engine_cache,
     engine_for,
     get_algorithm,
+    make_sharded_engine,
     spmspv,
 )
 from repro.core.buckets import BucketStore
-from repro.core.dispatch import AUTO_DENSITY_SWITCH, available_algorithms
+from repro.core.dispatch import available_algorithms
 from repro.core.spa import SparseAccumulator
-from repro.errors import DimensionMismatchError
+from repro.errors import DimensionMismatchError, NotSupportedError
 from repro.formats import SparseVector
 from repro.graphs import erdos_renyi
 from repro.parallel import default_context
@@ -205,56 +209,81 @@ def test_workspace_rejects_wrong_matrix_dimension():
 
 
 # --------------------------------------------------------------------------- #
-# adaptive dispatch
+# kernel choice: the given kernel, bucket by default
 # --------------------------------------------------------------------------- #
-def test_auto_switches_algorithms_as_frontier_densifies():
+#: frontier sizes on erdos_renyi(500, 6.0) that densify to 96% of n, far
+#: past the point where a density rule would leave the bucket kernel
+DENSIFYING_SIZES = [2, 5, 10, 20, 120, 250, 400, 480]
+
+
+def test_every_engine_defaults_to_bucket_as_the_frontier_densifies():
     matrix = erdos_renyi(500, 6.0, seed=6)
-    engine = SpMSpVEngine(matrix, default_context(num_threads=2), algorithm="auto")
-    sizes = [2, 5, 10, 20, 120, 250, 400, 480]
-    for x in densifying_frontiers(500, sizes, seed=6):
-        engine.multiply(x)
-    used = engine.algorithms_used()
-    assert len(used) > 1, f"auto never switched: {used}"
-    assert engine.switch_count >= 1
-    # sparse calls went vector-driven, the densest call matrix-driven
-    assert engine.history[0].algorithm == "bucket"
-    densities = [c.density for c in engine.history]
-    assert any(c.algorithm == "graphmat" for c in engine.history
-               if True) and max(densities) >= AUTO_DENSITY_SWITCH
-
-
-def test_auto_through_dispatch_shim_selects_multiple_algorithms():
-    clear_engine_cache()
-    matrix = erdos_renyi(500, 6.0, seed=8)
     ctx = default_context(num_threads=2)
-    executed = set()
-    for x in densifying_frontiers(500, [2, 8, 30, 150, 300, 450, 490], seed=8):
-        result = spmspv(matrix, x, ctx, algorithm="auto")
-        executed.add(result.record.algorithm)
-    assert len(executed) > 1, f"dispatch auto ran only {executed}"
-    # the shim served every call from one cached engine with one workspace
-    engine = engine_for(matrix, ctx)
-    assert len(engine.history) == 7
-    assert engine_for(matrix, ctx) is engine
+    frontiers = densifying_frontiers(500, DENSIFYING_SIZES, seed=6)
+    clear_engine_cache()
+    with EngineGroup([matrix], ctx) as group, \
+            EngineGroup([matrix], ctx, shards=2) as sharded_group:
+        engines = [SpMSpVEngine(matrix, ctx), ShardedEngine(matrix, 2, ctx),
+                   ColumnShardedEngine(matrix, 2, ctx),
+                   make_sharded_engine(matrix, 2, ctx, scheme="row"),
+                   make_sharded_engine(matrix, 2, ctx, scheme="column"),
+                   engine_for(matrix, ctx), group.engine(0),
+                   sharded_group.engine(0)]
+        for engine in engines:
+            assert engine.algorithm == "bucket"
+            for x in frontiers:
+                engine.multiply(x)
+            engine.multiply_many(frontiers, block_mode="looped")
+            assert engine.algorithms_used() == ["bucket"], type(engine).__name__
+            engine.close()
+    clear_engine_cache()
 
 
-def test_online_cost_model_refines_and_explores():
-    matrix = erdos_renyi(300, 5.0, seed=9)
-    engine = SpMSpVEngine(matrix, default_context(), algorithm="auto",
-                          explore_every=2)
-    # alternate sparse/dense so both candidate models accumulate samples
-    sizes = [3, 280, 6, 290, 9, 270, 12, 260, 15, 250]
-    frontiers = densifying_frontiers(300, sizes, seed=9)
-    for x in frontiers:
-        engine.multiply(x)
-    models = engine._models
-    assert all(m.count >= 2 for m in models.values())
-    # the multi-feature fit predicts from (bias, nnz(x), density, nzc) features
-    phi = engine.call_features(frontiers[0])
-    assert len(phi) == 4
-    assert all(m.predict(phi) is not None for m in models.values())
-    assert any(c.explored for c in engine.history), \
-        "trained engine should periodically explore the runner-up"
+def test_auto_is_an_unknown_kernel_name_on_every_entry_point():
+    matrix = erdos_renyi(100, 4.0, seed=7)
+    ctx = default_context()
+    x = densifying_frontiers(100, [30], seed=7)[0]
+    with pytest.raises(NotSupportedError):
+        spmspv(matrix, x, ctx, algorithm="auto")
+    for build in (lambda **kw: SpMSpVEngine(matrix, ctx, **kw),
+                  lambda **kw: make_sharded_engine(matrix, 2, ctx, scheme="row", **kw),
+                  lambda **kw: make_sharded_engine(matrix, 2, ctx, scheme="column",
+                                                   **kw)):
+        with pytest.raises(NotSupportedError):
+            build(algorithm="auto")
+        engine = build()
+        with pytest.raises(NotSupportedError):
+            engine.multiply(x, algorithm="auto")
+        with pytest.raises(NotSupportedError):
+            engine.multiply_many([x, x], algorithm="auto")
+        if hasattr(engine, "submit"):
+            engine.submit(x, algorithm="auto")
+            with pytest.raises(NotSupportedError):
+                engine.gather()
+            assert engine.pending == 0
+        assert engine.total_calls == 0 and engine.history == []
+        assert engine.multiply(x).vector.nnz > 0  # the engine stays usable
+        engine.close()
+
+
+def test_history_wall_ms_is_the_records_measured_wall_time():
+    matrix = erdos_renyi(200, 5.0, seed=15)
+    ctx = default_context(num_threads=2)
+    xs = densifying_frontiers(200, [3, 9, 27, 60], seed=15)
+    for engine in (SpMSpVEngine(matrix, ctx), ShardedEngine(matrix, 2, ctx),
+                   ColumnShardedEngine(matrix, 2, ctx)):
+        fuses = not isinstance(engine, ColumnShardedEngine)
+        results = [engine.multiply(x) for x in xs]
+        results += engine.multiply_many(xs, block_mode="looped")
+        if fuses:
+            results += engine.multiply_many(xs, block_mode="fused")
+        assert len(engine.history) == len(results)
+        assert any(c.fused for c in engine.history) == fuses
+        for call, result in zip(engine.history, results):
+            assert call.wall_ms == result.record.wall_time_s * 1e3
+            assert call.wall_ms > 0
+        assert engine.summary()["total_wall_ms"] == \
+            sum(c.wall_ms for c in engine.history)
 
 
 def test_fixed_algorithm_and_per_call_override():
@@ -350,15 +379,17 @@ def test_user_defined_plus_times_semiring_drops_zeros_like_builtin(algorithm):
 # --------------------------------------------------------------------------- #
 def test_engine_reporting_renders():
     matrix = erdos_renyi(200, 4.0, seed=14)
-    engine = SpMSpVEngine(matrix, algorithm="auto")
+    engine = SpMSpVEngine(matrix)
     for x in densifying_frontiers(200, [2, 10, 60, 150], seed=14):
         engine.multiply(x)
     history = format_engine_history(engine, max_rows=3)
     assert "algorithm" in history and "(1 more calls)" in history
+    assert "wall (ms)" in history
     stats = format_workspace_stats(engine.workspace)
     assert "allocations_saved" in stats
     summary = summarize_engine(engine)
     assert "SpMSpV calls" in summary and "workspace" in summary
+    assert "wall total" in summary
 
 
 # --------------------------------------------------------------------------- #

@@ -25,6 +25,7 @@ from repro.core.engine import SpMSpVEngine
 from repro.errors import (DeadlineError, ServerClosedError,
                           ServerOverloadedError)
 from repro.formats.sparse_vector import SparseVector
+from repro.graphs import rmat
 from repro.parallel.context import default_context
 from repro.semiring import get_semiring
 from repro.serve import (BFSQuery, MultiplyQuery, PageRankQuery, QueryServer,
@@ -142,6 +143,24 @@ def test_sharded_server_bit_identical(graphs, solo_engines, shards):
             ref = solo_engines[query.graph].multiply(query.x)
             assert np.array_equal(served.vector.indices, ref.vector.indices)
             assert np.array_equal(served.vector.values, ref.vector.values)
+
+
+@pytest.mark.parametrize("algorithm,kernels", [
+    ("bucket", {"bucket", "bucket_block"}), ("sort", {"sort"})])
+def test_served_bfs_runs_the_server_kernel(algorithm, kernels):
+    """Served BFS levels run ``QueryServer(algorithm=)`` on the group's
+    engines — never another kernel, even as a scale-free frontier densifies."""
+    matrix = rmat(9, 8, seed=3)
+    sources = [0, 5, 17, 101]
+    with make_server({"g": matrix}, max_batch=len(sources),
+                     algorithm=algorithm) as server:
+        futures = [server.submit(BFSQuery(graph="g", source=s))
+                   for s in sources]
+        for source, future in zip(sources, futures):
+            assert np.array_equal(future.result().levels,
+                                  bfs(matrix, source).levels)
+        history = server.group.engine("g").history
+        assert history and {c.algorithm for c in history} <= kernels
 
 
 # --------------------------------------------------------------------------- #

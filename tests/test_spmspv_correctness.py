@@ -184,11 +184,10 @@ def test_unknown_algorithm_raises():
 def test_available_algorithms_and_auto():
     assert set(ALGORITHMS) <= set(available_algorithms())
     assert get_algorithm("bucket") is spmspv_bucket
-    matrix = random_csc(20, 20, 0.3, seed=35)
-    sparse_x = random_sparse_vector(20, 1, seed=36)
-    dense_x = random_sparse_vector(20, 15, seed=37)
-    assert spmspv(matrix, sparse_x, algorithm="auto").record.algorithm == "spmspv_bucket"
-    assert spmspv(matrix, dense_x, algorithm="auto").record.algorithm == "graphmat"
+    # there is no adaptive "auto" policy: it is an unknown kernel name
+    assert "auto" not in available_algorithms()
+    with pytest.raises(NotSupportedError):
+        get_algorithm("auto")
 
 
 # --------------------------------------------------------------------------- #
