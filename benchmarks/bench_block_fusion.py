@@ -3,7 +3,7 @@
 Measures the wall-clock speedup of the fused vector-block kernel
 (:func:`repro.core.spmspv_block.spmspv_bucket_block`, one gather/scatter per
 batch) over the per-vector loop, across block widths k, on the RMAT suite
-graphs — the multi-source-BFS-shaped workload the fusion exists for.  Four
+graphs — the multi-source-BFS-shaped workload the fusion exists for.  Three
 workloads per (graph, k):
 
 * ``multiply_many`` — k random frontiers through one engine, forced
@@ -11,9 +11,6 @@ workloads per (graph, k):
 * ``multiply_many_masked`` — the same with per-vector complement masks over
   half the rows (the multi-source-BFS shape), exercising the early-masking
   fold: dead (row, vector-id) pairs dropped at scatter time;
-* ``merge_modes`` — forced-fused execution with **dense** frontiers (the
-  high-d·f regime where the PR 2 global composite-key sort was sort-bound),
-  segmented per-(vector, bucket) merge vs the legacy global sort;
 * ``bfs_multi_source`` — a full k-source BFS in each mode (the end-to-end
   algorithm).
 
@@ -24,9 +21,13 @@ speedups over time.  Exit status is the regression gate used by CI:
     python benchmarks/bench_block_fusion.py --quick --check
 
 fails (exit 1) if fused is *slower* than looped at k=16 on the smoke graph
-(unmasked or masked), or if the segmented merge is slower than the global
-sort at the high-d·f configuration.  A full run additionally reports the
-paper-style target: >= 2x fused-vs-looped at k >= 8.
+(unmasked or masked).  A full run additionally reports the paper-style
+target: >= 2x fused-vs-looped at k >= 8.
+
+The default ``--threads 8`` emulates an 8-thread context, where the looped
+path runs each vector's eight chunks one after another and fusion wins.  At
+``--threads 1`` (the library default) the loop is the faster path, which is
+why ``multiply_many`` loops unless asked to fuse.
 """
 
 from __future__ import annotations
@@ -56,12 +57,8 @@ QUICK_KS = [4, 16]
 
 #: gate: fused must not be slower than looped at this k (CI smoke check)
 CHECK_K = 16
-#: full-run target from the issue: >= 2x at k >= 8
+#: full-run target: >= 2x at k >= 8
 TARGET_SPEEDUP, TARGET_K = 2.0, 8
-#: dense-frontier divisor of the high-d·f merge-mode configurations
-#: (frontier nnz = ncols // HIGH_DF_DIVISOR — the regime where the global
-#: composite-key sort dominated the fused kernel)
-HIGH_DF_DIVISOR = 8
 
 
 def random_frontiers(n: int, k: int, nnz: int, seed: int):
@@ -123,19 +120,6 @@ def bench_multiply_many(matrix, ctx, k: int, nnz: int, rounds: int,
     return time_best_interleaved(runs, rounds)
 
 
-def bench_merge_modes(matrix, ctx, k: int, nnz: int, rounds: int):
-    """Segmented vs global merge inside the fused kernel, dense frontiers."""
-    frontiers = random_frontiers(matrix.ncols, k, nnz, seed=23 * k + 5)
-    runs = {}
-    for merge in ("global", "segmented"):
-        engine = SpMSpVEngine(matrix, ctx, algorithm="bucket")
-        run = lambda engine=engine, merge=merge: engine.multiply_many(
-            frontiers, block_mode="fused", block_merge=merge)
-        run()  # warm workspace
-        runs[merge] = run
-    return time_best_interleaved(runs, rounds)
-
-
 def bench_bfs(matrix, ctx, k: int, rounds: int):
     """Full k-source BFS, fused vs looped block path."""
     sources = list(range(k))
@@ -168,7 +152,6 @@ def run(quick: bool, threads: int, rounds: int) -> dict:
         report["graphs"].append({"name": name, "scale": scale,
                                  "vertices": matrix.ncols, "edges": matrix.nnz})
         frontier_nnz = max(64, matrix.ncols // 64)
-        dense_nnz = max(256, matrix.ncols // HIGH_DF_DIVISOR)
         for k in ks:
             mm = bench_multiply_many(matrix, ctx, k, frontier_nnz, rounds)
             report["results"].append({
@@ -190,16 +173,6 @@ def run(quick: bool, threads: int, rounds: int) -> dict:
                     "speedup": round(masked["looped"] / masked["fused"], 4)
                     if masked["fused"] > 0 else float("inf"),
                 })
-            if k >= 8:
-                merge = bench_merge_modes(matrix, ctx, k, dense_nnz, rounds)
-                report["results"].append({
-                    "graph": name, "workload": "merge_modes", "k": k,
-                    "frontier_nnz": dense_nnz,
-                    "segmented_ms": round(merge["segmented"], 4),
-                    "global_ms": round(merge["global"], 4),
-                    "speedup": round(merge["global"] / merge["segmented"], 4)
-                    if merge["segmented"] > 0 else float("inf"),
-                })
             if k >= 4:
                 bfs_times = bench_bfs(matrix, ctx, k, rounds)
                 report["results"].append({
@@ -215,16 +188,11 @@ def run(quick: bool, threads: int, rounds: int) -> dict:
     mm_at_check = [r["speedup"] for r in report["results"]
                    if r["workload"] in ("multiply_many", "multiply_many_masked")
                    and r["k"] == CHECK_K]
-    merge_speedups = [r["speedup"] for r in report["results"]
-                      if r["workload"] == "merge_modes"]
     report["summary"] = {
         "min_speedup_at_target_k": min(mm_at_target) if mm_at_target else None,
         "target_met": bool(mm_at_target and min(mm_at_target) >= TARGET_SPEEDUP),
         "min_speedup_at_check_k": min(mm_at_check) if mm_at_check else None,
-        "min_segmented_vs_global": min(merge_speedups) if merge_speedups else None,
-        "check_passed": bool(
-            mm_at_check and min(mm_at_check) >= 1.0
-            and merge_speedups and min(merge_speedups) >= 1.0),
+        "check_passed": bool(mm_at_check and min(mm_at_check) >= 1.0),
     }
     return report
 
@@ -235,20 +203,15 @@ def print_table(report: dict) -> None:
     print(header)
     print("-" * len(header))
     for r in report["results"]:
-        if r["workload"] == "merge_modes":
-            base, new = r["global_ms"], r["segmented_ms"]
-        else:
-            base, new = r["looped_ms"], r["fused_ms"]
         print(f"{r['graph']:<16} {r['workload']:<20} {r['k']:>4} "
-              f"{base:>12.3f} {new:>10.3f} {r['speedup']:>7.2f}x")
+              f"{r['looped_ms']:>12.3f} {r['fused_ms']:>10.3f} "
+              f"{r['speedup']:>7.2f}x")
     s = report["summary"]
     print(f"\nmin speedup at k>={TARGET_K} (multiply_many): "
           f"{s['min_speedup_at_target_k']} "
           f"(target {TARGET_SPEEDUP}x met: {s['target_met']})")
     print(f"min fused-vs-looped at k={CHECK_K} (incl. masked): "
           f"{s['min_speedup_at_check_k']}")
-    print(f"min segmented-vs-global merge (high d·f): "
-          f"{s['min_segmented_vs_global']}")
     print(f"regression check passed: {s['check_passed']}")
 
 
@@ -258,8 +221,7 @@ def main(argv=None) -> int:
                         help="smoke mode: one small graph, k in {4, 16}")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if fused is slower than looped at k=16 "
-                             "(unmasked or masked) or the segmented merge is "
-                             "slower than the global sort")
+                             "(unmasked or masked)")
     parser.add_argument("--threads", type=int, default=8,
                         help="emulated thread count of the execution context "
                              "(Edison-style multi-threaded runs, as the other "
@@ -281,8 +243,8 @@ def main(argv=None) -> int:
     print(f"\nwrote {args.out}")
     if args.check and not report["summary"]["check_passed"]:
         print("FAIL: block-fusion regression gate "
-              f"(fused-vs-looped at k={CHECK_K} incl. masked, and "
-              "segmented-vs-global merge) not met", file=sys.stderr)
+              f"(fused-vs-looped at k={CHECK_K} incl. masked) not met",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -28,13 +28,12 @@ strips and 4 workers:
   at the resilient engine keeping >= 0.95x the plain throughput, i.e. the
   bookkeeping costs at most ~5% when nothing fails.
 
-A fourth, untimed phase audits the **comm plane**: with
-``REPRO_BACKEND_COMM_AUDIT`` enabled the backend additionally accounts what
-the legacy pickle-over-pipe data plane would have shipped for the same
-calls, so the report carries an honest before/after per-call pipe-byte
-breakdown.  The comm gate (pipe bytes per multiply reduced >= 60x by the
-shared-memory slab plane) is machine-independent and always evaluated; an
-audit that saw no pool call fails it instead of dividing by zero.
+A fifth, untimed phase measures the **comm plane**: pipe and shared-memory
+bytes per pool call, from the backend's comm counters.  The comm gate (at
+most ``GATE_PIPE_BYTES_PER_CALL`` pipe bytes per pool call: arrays ride the
+shared-memory slabs, only fixed-shape control records cross the pipes) is
+machine-independent and always evaluated; a phase that reached no pool call
+fails it, since nothing was measured.
 
 Every gate measures the pool itself, so the run pins the backend's
 in-parent floor (``POOL_MIN_WORK``) to 0 and records that in the report.
@@ -84,8 +83,8 @@ QUICK_GRAPHS = [("ljournal-like", 13), ("webgoogle-like", 13)]
 SHARDS = 4
 WORKERS = 4
 BLOCK_K = 8
-#: multiplies per graph in the (untimed) comm-audit phase
-AUDIT_CALLS = 4
+#: multiplies per graph in the (untimed) comm phase
+COMM_CALLS = 4
 
 #: speedup gates need real cores: P=4 workers cannot beat one in-process
 #: loop on fewer than 4 of them, so below this those gates report skipped
@@ -95,12 +94,12 @@ GATE_MULTIPLY_SPEEDUP = 1.3
 #: sharded fused multiply_many on the process backend vs the monolithic
 #: fused engine (the ROADMAP caveat: "no longer slower than monolithic")
 GATE_MANY_SPEEDUP = 1.0
-#: pipe bytes per multiply: legacy pickle-over-pipe plane vs the
-#: shared-memory comm plane (machine-independent, never skipped).  With
-#: execution records shipped as metric matrices through the output slab
-#: (instead of pickled over the pipe) the measured reduction is 175-189x,
-#: so the gate holds a ~3x margin
-GATE_COMM_REDUCTION = 60.0
+#: pipe bytes per pool call (machine-independent, never skipped): control
+#: records only, since arrays and execution records ride the shared-memory
+#: slabs.  The quick graphs measure ~4.2 KB; the budget is as strict as the
+#: earlier 60x-reduction floor against the smallest recorded pickle-over-pipe
+#: figure (739,030 B / 60 = 12,317 B)
+GATE_PIPE_BYTES_PER_CALL = 12_288
 #: row-split vs column-split sharded engines, both on the process backend,
 #: at a sparse frontier (n/64): the work-efficient scheme must at least
 #: match row-split where the paper says it wins (core-gated like the other
@@ -244,50 +243,38 @@ def bench_resilience(matrix, ctx, rounds: int) -> dict:
     return best
 
 
-def audit_comm(matrix, ctx) -> dict:
-    """Untimed comm-plane audit: new vs. legacy pipe bytes for one graph.
+def measure_comm(matrix, ctx) -> dict:
+    """Untimed comm-plane phase: pipe and slab bytes per pool call.
 
     Runs a few dense-frontier multiplies and one fused ``multiply_many``
-    batch on a fresh process-backed engine with the backend's legacy-plane
-    audit enabled, then reads the backend's comm counters.  The audit
-    pickles the exact PR-5-shaped messages (input vector + per-strip result
-    triples) without sending them, so the "before" numbers are measured,
-    not estimated.
+    batch on a fresh process-backed engine, then reads the backend's comm
+    counters.
     """
     x = dense_frontier(matrix.ncols, 2, seed=31)
     frontiers = [dense_frontier(matrix.ncols, 8, seed=41 + i)
                  for i in range(BLOCK_K)]
-    os.environ["REPRO_BACKEND_COMM_AUDIT"] = "1"
+    engine = ShardedEngine(
+        matrix, SHARDS, ctx.with_backend("process", workers=WORKERS),
+        algorithm="bucket")
     try:
-        engine = ShardedEngine(
-            matrix, SHARDS, ctx.with_backend("process", workers=WORKERS),
-            algorithm="bucket")
-        try:
-            for _ in range(AUDIT_CALLS):
-                engine.multiply(x)
-            engine.multiply_many(frontiers, block_mode="fused")
-            comm = engine.backend.comm_stats()
-        finally:
-            engine.close()
+        for _ in range(COMM_CALLS):
+            engine.multiply(x)
+        engine.multiply_many(frontiers, block_mode="fused")
+        comm = engine.backend.comm_stats()
     finally:
-        del os.environ["REPRO_BACKEND_COMM_AUDIT"]
+        engine.close()
     calls = max(comm["calls"], 1)
-    pipe = comm["pipe_bytes_out"] + comm["pipe_bytes_in"]
-    legacy = comm["legacy_pipe_bytes_out"] + comm["legacy_pipe_bytes_in"]
     return {
         "calls": comm["calls"],
-        "pipe_bytes_per_call": round(pipe / calls, 1),
+        "pipe_bytes_per_call": round(
+            (comm["pipe_bytes_out"] + comm["pipe_bytes_in"]) / calls, 1),
         "pipe_bytes_out_per_call": round(comm["pipe_bytes_out"] / calls, 1),
         "pipe_bytes_in_per_call": round(comm["pipe_bytes_in"] / calls, 1),
-        "legacy_pipe_bytes_per_call": round(legacy / calls, 1),
         "slab_bytes_in_per_call": round(comm["slab_bytes_in"] / calls, 1),
         "slab_bytes_out_per_call": round(comm["slab_bytes_out"] / calls, 1),
         "output_overflows": comm["output_overflows"],
         "input_grows": comm["input_grows"],
         "output_grows": comm["output_grows"],
-        # no pipe traffic means no pool call was audited: nothing to compare
-        "reduction": round(legacy / pipe, 2) if comm["calls"] and pipe
-        else None,
     }
 
 
@@ -319,7 +306,7 @@ def _run(quick: bool, threads: int, rounds: int, require_cores: int) -> dict:
                  "multiply_many_min_speedup": GATE_MANY_SPEEDUP,
                  "column_scheme_min_speedup": GATE_COLUMN_SCHEME,
                  "resilience_min_speedup": GATE_RESILIENCE_MIN,
-                 "comm_min_reduction": GATE_COMM_REDUCTION,
+                 "comm_max_pipe_bytes_per_call": GATE_PIPE_BYTES_PER_CALL,
                  "min_cores": GATE_MIN_CORES},
         "graphs": [],
         "results": [],
@@ -375,7 +362,7 @@ def _run(quick: bool, threads: int, rounds: int, require_cores: int) -> dict:
             "speedup": round(res["plain"] / res["resilient"], 4)
             if res["resilient"] > 0 else float("inf"),
         })
-        report["comm"].append(dict(graph=name, **audit_comm(matrix, ctx)))
+        report["comm"].append(dict(graph=name, **measure_comm(matrix, ctx)))
 
     gates = {}
     core_gated_ok = cores >= GATE_MIN_CORES or (
@@ -403,19 +390,18 @@ def _run(quick: bool, threads: int, rounds: int, require_cores: int) -> dict:
                 f"machine has {cores} core(s); P={WORKERS} workers need "
                 f">= {GATE_MIN_CORES} for wall-clock parallelism")
             gates[workload]["passed"] = None
-    reductions = [c["reduction"] for c in report["comm"]]
-    unaudited = [c["graph"] for c in report["comm"] if c["reduction"] is None]
-    audited = [r for r in reductions if r is not None]
+    measured = [c["pipe_bytes_per_call"] for c in report["comm"] if c["calls"]]
+    no_pool = [c["graph"] for c in report["comm"] if not c["calls"]]
     gates["comm"] = {
-        "min_reduction": min(audited) if audited else None,
-        "floor": GATE_COMM_REDUCTION,
-        "passed": bool(reductions and not unaudited
-                       and min(audited) >= GATE_COMM_REDUCTION),
+        "max_pipe_bytes_per_call": max(measured) if measured else None,
+        "budget": GATE_PIPE_BYTES_PER_CALL,
+        "passed": bool(measured and not no_pool
+                       and max(measured) <= GATE_PIPE_BYTES_PER_CALL),
     }
-    if unaudited:
+    if no_pool:
         gates["comm"]["failed_reason"] = (
-            f"the comm audit saw no pool call on {unaudited}: nothing "
-            f"crossed a pipe, so there is no reduction to measure")
+            f"no pool call ran on {no_pool}: nothing crossed a pipe, so "
+            f"there is no per-call figure to check")
     evaluated = [g["passed"] for g in gates.values() if g["passed"] is not None]
     report["summary"] = {
         "gates": gates,
@@ -441,24 +427,22 @@ def print_table(report: dict) -> None:
               f"{r['speedup']:>7.2f}x")
     print()
     for c in report["comm"]:
-        if c["reduction"] is None:
-            print(f"{c['graph']:<16} comm: no pool call audited")
+        if not c["calls"]:
+            print(f"{c['graph']:<16} comm: no pool call")
             continue
-        print(f"{c['graph']:<16} comm: {c['legacy_pipe_bytes_per_call']:>11,.0f} "
-              f"pipe B/call legacy -> {c['pipe_bytes_per_call']:>9,.0f} now "
-              f"({c['reduction']:.1f}x less; "
+        print(f"{c['graph']:<16} comm: {c['pipe_bytes_per_call']:>9,.0f} "
+              f"pipe B/call, "
               f"{c['slab_bytes_in_per_call'] + c['slab_bytes_out_per_call']:,.0f} "
-              f"B/call via /dev/shm, {c['output_overflows']} overflow retries)")
+              f"B/call via /dev/shm, {c['output_overflows']} overflow retries")
     for workload, gate in report["summary"]["gates"].items():
         if gate.get("skipped"):
             measured = gate.get("min_speedup")
             print(f"{workload} gate SKIPPED: {gate['skipped']} "
                   f"(measured min {measured}x)")
-        elif "min_reduction" in gate:
-            reduction = gate["min_reduction"]
-            print(f"min comm reduction: "
-                  f"{'none' if reduction is None else f'{reduction}x'} "
-                  f"(floor {gate['floor']}x, passed: {gate['passed']}"
+        elif "budget" in gate:
+            print(f"max comm pipe bytes per call: "
+                  f"{gate['max_pipe_bytes_per_call']} "
+                  f"(budget {gate['budget']} B, passed: {gate['passed']}"
                   + (f", {gate['failed_reason']}" if gate.get("failed_reason")
                      else "") + ")")
         else:
@@ -477,7 +461,7 @@ def main(argv=None) -> int:
                         help="exit 1 unless every evaluated gate passed "
                              "(speedup gates skip below "
                              f"{GATE_MIN_CORES} cores unless --require-cores; "
-                             "the comm-reduction gate always evaluates)")
+                             "the comm budget always evaluates)")
     parser.add_argument("--require-cores", type=int, default=0, metavar="N",
                         help="hard-fail (instead of skipping the speedup "
                              "gates) when the machine has fewer than N "
@@ -508,8 +492,8 @@ def main(argv=None) -> int:
               f"multiply_many >= {GATE_MANY_SPEEDUP}x monolithic at "
               f"P={SHARDS}, column scheme >= {GATE_COLUMN_SCHEME}x row at "
               f"a sparse frontier, resilience-on >= {GATE_RESILIENCE_MIN}x "
-              f"plain with zero faults, comm reduction >= "
-              f"{GATE_COMM_REDUCTION}x)", file=sys.stderr)
+              f"plain with zero faults, comm pipe bytes <= "
+              f"{GATE_PIPE_BYTES_PER_CALL} B per pool call)", file=sys.stderr)
         return 1
     return 0
 

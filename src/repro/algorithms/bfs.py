@@ -25,7 +25,7 @@ import numpy as np
 
 from .._typing import INDEX_DTYPE
 from ..core.column_sharded import ColumnShardedEngine, make_sharded_engine
-from ..core.engine import SpMSpVEngine
+from ..core.engine import SpMSpVEngine, check_block_mode
 from ..core.result import DetachableResult, SpMSpVResult
 from ..core.sharded import ShardedEngine
 
@@ -216,7 +216,7 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
                      ctx: Optional[ExecutionContext] = None, *,
                      algorithm: str = "bucket",
                      max_levels: Optional[int] = None,
-                     block_mode: str = "auto",
+                     block_mode: str = "looped",
                      shards: Optional[int] = None,
                      backend: Optional[str] = None,
                      shard_scheme: Optional[str] = None,
@@ -226,30 +226,31 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
 
     Every level performs one :meth:`~repro.core.engine.SpMSpVEngine.multiply_many`
     over the block of still-active frontiers, so all searches share a single
-    persistent workspace, the ``algorithm`` kernel, and — when the engine's
-    block cost model favours it — the fused block kernel (one
-    gather/scatter per level for all frontiers).  Each search keeps one
+    persistent workspace and the ``algorithm`` kernel.  Each search keeps one
     dense visited map (a row of a ``(k, n)`` bool array, updated in place)
-    as its mask, and the masks are folded into the fused scatter (early masking):
-    edges leading back into a search's visited set are dropped before the
-    block merge ever sees them, which is what keeps mid-traversal levels —
-    where most of the frontier's neighbourhood is already visited — at
-    O(surviving pairs) merge work.  ``block_mode`` forces the fused
-    (``"fused"``) or per-vector (``"looped"``) path; both are bit-identical,
-    so this is a performance knob only (used by the block-fusion benchmark).
+    as its mask, probed once per gathered entry: edges leading back into a
+    search's visited set are dropped before any merge sees them, which is
+    what keeps mid-traversal levels — where most of the frontier's
+    neighbourhood is already visited — at O(surviving pairs) merge work.
+    ``block_mode`` picks the per-vector loop (``"looped"``, the default and
+    the faster path at ``num_threads=1``) or the fused block kernel
+    (``"fused"``: one gather/scatter per level for all frontiers, the masks
+    folded into its scatter); both are bit-identical, so this is a
+    performance knob only.  Any other value raises ``ValueError``.
     ``shards`` routes every level through a
     :class:`~repro.core.sharded.ShardedEngine` over that many row strips —
     fused blocks shard too (the column-union pack is shared, the scatter is
     strip-local) and results stay bit-identical.  ``backend`` overrides the
     context's sharded execution backend (``"emulated"`` | ``"process"``) and
     ``shard_scheme`` the partitioning scheme (``"row"`` | ``"column"`` |
-    ``"auto"``; the column scheme always runs the looped block path).
+    ``"auto"``; the column scheme has only the looped block path).
     ``engine`` supplies a *persistent* engine already holding this adjacency
     matrix (the serving layer's reuse path: one warm workspace across many
     traversals); when given, ``ctx``/``shards``/``backend``/``shard_scheme``
     are ignored in favour of the engine's own configuration, and
     ``algorithm`` still selects the kernel of every level.
     """
+    check_block_mode(block_mode)
     matrix = graph.matrix if isinstance(graph, Graph) else graph
     if matrix.nrows != matrix.ncols:
         raise ValueError("BFS requires a square adjacency matrix")

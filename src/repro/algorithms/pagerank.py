@@ -21,7 +21,7 @@ import numpy as np
 
 from .._typing import INDEX_DTYPE
 from ..core.column_sharded import ColumnShardedEngine, make_sharded_engine
-from ..core.engine import SpMSpVEngine
+from ..core.engine import SpMSpVEngine, check_block_mode
 from ..core.result import DetachableResult
 from ..core.sharded import ShardedEngine
 
@@ -199,7 +199,7 @@ def pagerank_block(graph: Graph | CSCMatrix,
                    damping: float = 0.85,
                    tol: float = 1e-8,
                    max_iterations: int = 200,
-                   block_mode: str = "auto",
+                   block_mode: str = "looped",
                    restrict: Optional[np.ndarray] = None,
                    shards: Optional[int] = None,
                    backend: Optional[str] = None,
@@ -210,13 +210,14 @@ def pagerank_block(graph: Graph | CSCMatrix,
 
     Every iteration multiplies the transition matrix by the **block** of the
     still-active delta vectors through one
-    :meth:`~repro.core.engine.SpMSpVEngine.multiply_many` — one workspace, one
-    kernel and (when the block cost model favours it) one fused
-    gather/scatter for all k personalizations.  Each personalization follows
+    :meth:`~repro.core.engine.SpMSpVEngine.multiply_many` — one workspace and
+    one kernel for all k personalizations.  Each personalization follows
     exactly the iteration of :func:`pagerank`, so ``scores[i]`` equals a
     standalone ``pagerank(..., personalization=personalizations[i])`` run
-    bit for bit.  ``block_mode`` forces the fused/looped block path (a
-    performance knob; both paths are bit-identical).  ``restrict`` confines
+    bit for bit.  ``block_mode`` picks the per-vector loop (``"looped"``,
+    the default and the faster path at ``num_threads=1``) or one fused
+    gather/scatter per iteration (``"fused"``); both are bit-identical, and
+    any other value raises ``ValueError``.  ``restrict`` confines
     rank spreading to a vertex subset exactly as in :func:`pagerank`; the
     per-vector masks it induces are folded into the fused kernel's scatter,
     so the batched restricted walk never merges dead (row, vector-id) pairs.
@@ -225,14 +226,15 @@ def pagerank_block(graph: Graph | CSCMatrix,
     the fused block packs once and executes per strip, bit-identically.
     ``backend`` overrides the context's sharded execution backend
     (``"emulated"`` | ``"process"``) and ``shard_scheme`` the partitioning
-    scheme (``"row"`` | ``"column"`` | ``"auto"``; the column scheme always
-    runs the looped block path).  ``engine`` supplies a *persistent*
+    scheme (``"row"`` | ``"column"`` | ``"auto"``; the column scheme has
+    only the looped block path).  ``engine`` supplies a *persistent*
     engine already holding the column-stochastic transition operator
     (``column_stochastic(adjacency)``) — the serving layer's reuse path: no
     per-call normalization or engine construction, and ``ctx``/``shards``/
     ``backend``/``shard_scheme`` are ignored in favour of the engine's own
     (``algorithm`` still selects the kernel of every iteration).
     """
+    check_block_mode(block_mode)
     matrix = graph.matrix if isinstance(graph, Graph) else graph
     if matrix.nrows != matrix.ncols:
         raise ValueError("PageRank requires a square adjacency matrix")

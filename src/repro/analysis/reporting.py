@@ -78,9 +78,8 @@ def format_engine_history(engine: "SpMSpVEngine", *,
     """Render an engine's per-call history as a table.
 
     One row per SpMSpV call: which kernel ran, at what frontier
-    size/density, its measured wall time, and whether it was fused, part of
-    a batch, or the first call of a batch that explored the predicted
-    runner-up block mode.
+    size/density, its measured wall time, and whether it was fused or part
+    of a batch.
     """
     calls = engine.history
     clipped = 0
@@ -88,9 +87,7 @@ def format_engine_history(engine: "SpMSpVEngine", *,
         clipped = len(calls) - max_rows
         calls = calls[:max_rows]
     rows = [[c.index, c.algorithm, c.f, float(c.density), float(c.wall_ms),
-             "explore" if c.explored
-             else ("fused" if c.fused
-                   else ("batch" if c.batch is not None else ""))]
+             "fused" if c.fused else ("batch" if c.batch is not None else "")]
             for c in calls]
     text = format_table(
         ["call", "algorithm", "nnz(x)", "density", "wall (ms)", "note"], rows,
@@ -121,8 +118,7 @@ def summarize_engine(engine: "SpMSpVEngine") -> str:
         per_algo[call.algorithm] = per_algo.get(call.algorithm, 0) + 1
     mix = ", ".join(f"{name}: {count}" for name, count in per_algo.items()) or "(none)"
     return (f"{summary['calls']} SpMSpV calls ({mix}); "
-            f"{summary['switches']} algorithm switch(es), "
-            f"{summary['explored_calls']} exploration call(s); "
+            f"{summary['switches']} algorithm switch(es); "
             f"wall total {summary['total_wall_ms']:.4f} ms; "
             f"workspace served {ws['acquisitions']} acquisitions with "
             f"{ws['allocations']} allocations "

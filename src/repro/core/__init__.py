@@ -4,7 +4,6 @@ from .buckets import BucketOffsets, BucketStore, bucket_of_rows, bucket_row_rang
     compute_offsets
 from .dispatch import available_algorithms, get_algorithm, register_algorithm, spmspv
 from .engine import (
-    CostFit,
     EngineCall,
     SpMSpVEngine,
     clear_engine_cache,
@@ -44,7 +43,6 @@ __all__ = [
     "BucketStore",
     "ColumnPartial",
     "ColumnShardedEngine",
-    "CostFit",
     "DenseScratch",
     "EngineCall",
     "EngineGroup",

@@ -57,7 +57,7 @@ from ..machine.cost_model import scheme_crossover
 from ..parallel.backends import ExecutionBackend, make_backend
 from ..parallel.context import ExecutionContext, default_context
 from ..semiring import PLUS_TIMES, Semiring
-from .engine import EngineCall
+from .engine import EngineCall, check_block_mode
 from .result import SpMSpVResult
 from .spmspv_column import merge_partial_records, reduce_partials, slice_frontier
 from .vector_ops import Mask, check_operands, mask_bitmap, snapshot_mask
@@ -303,13 +303,12 @@ class ColumnShardedEngine:
                        masks: Optional[Sequence[Optional[Mask]]] = None,
                        mask_complement: bool = False,
                        algorithm: Optional[str] = None,
-                       block_mode: str = "auto",
-                       block_merge: str = "segmented") -> List[SpMSpVResult]:
+                       block_mode: str = "looped") -> List[SpMSpVResult]:
         """Blocked execution of an already-packed block (serving entry point)."""
         return self.multiply_many(
             block.to_vectors(), semiring=semiring, sorted_output=sorted_output,
             masks=masks, mask_complement=mask_complement, algorithm=algorithm,
-            block_mode=block_mode, block_merge=block_merge)
+            block_mode=block_mode)
 
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
@@ -317,22 +316,17 @@ class ColumnShardedEngine:
                       masks: Optional[Sequence[Optional[Mask]]] = None,
                       mask_complement: bool = False,
                       algorithm: Optional[str] = None,
-                      block_mode: str = "auto",
-                      block_merge: str = "segmented",
+                      block_mode: str = "looped",
                       **kwargs) -> List[SpMSpVResult]:
         """Looped blocked execution of one matrix against many inputs.
 
         The column scheme has no fused block path — each call's reduction is
         a synchronization point, so fusing would serialize the block anyway.
-        ``block_mode="auto"`` therefore loops; an explicit ``"fused"``
-        request raises :class:`NotSupportedError` instead of silently
-        running something else.
+        An explicit ``block_mode="fused"`` request raises
+        :class:`NotSupportedError` instead of silently running something
+        else.
         """
-        if block_mode not in ("auto", "fused", "looped"):
-            raise ValueError(f"block_mode must be auto|fused|looped, got {block_mode!r}")
-        if block_merge not in ("segmented", "global"):
-            raise ValueError(
-                f"block_merge must be segmented|global, got {block_merge!r}")
+        check_block_mode(block_mode)
         if block_mode == "fused":
             raise NotSupportedError(
                 "column-split execution has no fused block path (each call "
@@ -464,7 +458,6 @@ class ColumnShardedEngine:
             "fused_batches": 0,
             "algorithms_used": self.algorithms_used(),
             "switches": self.switch_count,
-            "explored_calls": 0,
             "total_wall_ms": self.total_wall_ms,
             "shards": self.num_shards,
             "scheme": "column",

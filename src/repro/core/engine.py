@@ -12,11 +12,10 @@ live, instead of being re-plumbed by every graph algorithm:
   per call) and records the call's measured wall time.
 * **Batched multi-vector execution** — :meth:`SpMSpVEngine.multiply_many`
   runs a block of input vectors (multi-source BFS frontiers, blocked
-  PageRank deltas) through one shared workspace, and — when the block cost
-  fits (trained on measured wall time) favour it — through the genuinely
-  fused block kernel (:func:`repro.core.spmspv_block.spmspv_bucket_block`):
-  one gather and one scatter for the whole vector block instead of a
-  per-vector loop.
+  PageRank deltas) through one shared workspace: one kernel call per
+  vector by default, or — with ``block_mode="fused"`` — the fused block
+  kernel (:func:`repro.core.spmspv_block.spmspv_bucket_block`), one gather
+  and one scatter for the whole vector block.
 
 :func:`engine_for` caches engines per ``(matrix, context)`` so the
 backward-compatible :func:`repro.core.dispatch.spmspv` entry point also
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import inspect
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +37,6 @@ from ..formats.csc import CSCMatrix
 from ..formats.delta import DeltaLog, apply_delta, build_patch, splice_overlay
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..machine.cost_model import block_features
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord
 from ..semiring import PLUS_TIMES, Semiring
@@ -86,96 +83,11 @@ def _accepts_workspace(fn) -> bool:
         return False
 
 
-class CostFit:
-    """Online multi-feature least-squares fit of ``cost ≈ w · φ``.
-
-    A running accumulation of the normal equations over observed
-    ``(features, cost)`` pairs, solved with a small ridge term so naturally
-    collinear features (the block width, total nnz and union width all grow
-    together on one workload) stay well-posed.  Two samples are enough to
-    predict — the seed heuristic hands over early and the engine keeps
-    exploring so the fit tracks the workload.  The engines fit the measured
-    wall time of fused and looped batches over the block features of
-    :func:`repro.machine.cost_model.block_features`.
-    """
-
-    __slots__ = ("dim", "count", "xtx", "xty", "_weights")
-
-    def __init__(self, dim: int = 4):
-        self.dim = int(dim)
-        self.count = 0
-        self.xtx = np.zeros((self.dim, self.dim))
-        self.xty = np.zeros(self.dim)
-        self._weights: Optional[np.ndarray] = None
-
-    def observe(self, features: np.ndarray, cost_ms: float) -> None:
-        phi = np.asarray(features, dtype=np.float64)
-        self.count += 1
-        self.xtx += np.outer(phi, phi)
-        self.xty += phi * cost_ms
-        self._weights = None  # refit lazily on the next prediction
-
-    def weights(self) -> Optional[np.ndarray]:
-        """The current ridge-regularized fit (None until enough samples)."""
-        if self.count < 2:
-            return None
-        if self._weights is None:
-            # scale-aware ridge: tiny against the data, big enough to pin the
-            # null space of collinear features
-            lam = 1e-8 * (np.trace(self.xtx) / self.dim + 1.0)
-            self._weights = np.linalg.solve(
-                self.xtx + lam * np.eye(self.dim), self.xty)
-        return self._weights
-
-    def predict(self, features: np.ndarray) -> Optional[float]:
-        """Predicted cost for a feature vector (None until enough samples)."""
-        w = self.weights()
-        if w is None:
-            return None
-        return max(float(w @ np.asarray(features, dtype=np.float64)), 0.0)
-
-
-def _ranked_selection(fits: Dict[str, CostFit], phi: np.ndarray,
-                      explore_every: int, modeled_count: int
-                      ) -> Optional[Tuple[str, bool]]:
-    """Fit-driven choice among candidates; None while any fit is cold.
-
-    ``modeled_count`` is the 1-based index of this modeled decision — every
-    ``explore_every``-th one deliberately runs the predicted runner-up to
-    keep the losing model fresh.  Shared by the fused-vs-looped selections
-    of both engines that fuse.
-    """
-    predictions = {name: fit.predict(phi) for name, fit in fits.items()}
-    if not all(p is not None for p in predictions.values()):
-        return None
-    ranked = sorted(fits, key=lambda name: predictions[name])
-    if explore_every > 0 and len(ranked) > 1 and modeled_count % explore_every == 0:
-        return ranked[1], True
-    return ranked[0], False
-
-
-def _mask_keep_fraction(masks: Optional[Sequence[Optional[Mask]]],
-                        mask_complement: bool, k: int, nrows: int) -> float:
-    """Expected fraction of scattered pairs the early masks let through.
-
-    The mask-selectivity feature of the block cost fits: the structural
-    densities of the masks (``nnz/m``, complemented if asked; a row map's
-    member count), averaged over the batch with maskless vectors counting
-    as 1.0.  Shared by both engines.
-    """
-    if masks is None or k == 0:
-        return 1.0
-    m = max(nrows, 1)
-    total = 0.0
-    for mask in masks:
-        if mask is None:
-            total += 1.0
-        else:
-            members = (np.count_nonzero(mask) if isinstance(mask, np.ndarray)
-                       else mask.nnz)
-            density = members / m
-            total += (1.0 - density) if mask_complement else density
-    return total / k
+def check_block_mode(block_mode: str) -> None:
+    """Raise ``ValueError`` unless ``block_mode`` names a batched path: the
+    per-vector loop (``"looped"``, the default) or the fused block kernel."""
+    if block_mode not in ("looped", "fused"):
+        raise ValueError(f"block_mode must be looped|fused, got {block_mode!r}")
 
 
 @dataclass
@@ -188,9 +100,6 @@ class EngineCall:
     density: float
     #: measured wall time of the call (its record's ``wall_time_s`` in ms)
     wall_ms: float
-    #: True on the first call of a batch whose fused-vs-looped choice
-    #: deliberately ran the predicted runner-up
-    explored: bool = False
     #: batch id for calls issued through multiply_many, else None
     batch: Optional[int] = None
     #: True when the call was served by the fused block kernel
@@ -211,11 +120,6 @@ class SpMSpVEngine:
         Default kernel: a registered algorithm name (``"bucket"`` unless
         given).  Overridable per call.  An unknown name raises
         :class:`~repro.errors.NotSupportedError`.
-    explore_every:
-        Once the fused-vs-looped block fits are trained, every
-        ``explore_every``-th blocked decision runs the predicted runner-up
-        instead of the winner, keeping its fit fresh.  0 disables
-        exploration.
     workspace:
         An externally owned workspace to share (e.g. between engines over the
         same matrix); by default the engine allocates its own.
@@ -223,7 +127,6 @@ class SpMSpVEngine:
 
     def __init__(self, matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
                  algorithm: str = "bucket",
-                 explore_every: int = 8,
                  workspace: Optional[SpMSpVWorkspace] = None):
         from .dispatch import get_algorithm  # late: avoids import cycle
 
@@ -231,22 +134,14 @@ class SpMSpVEngine:
         self.matrix = matrix
         self.ctx = ctx if ctx is not None else default_context()
         self.algorithm = algorithm
-        self.explore_every = int(explore_every)
         self.workspace = (workspace if workspace is not None
                           else SpMSpVWorkspace(matrix.nrows, dtype=matrix.dtype))
         #: recent calls (trimmed beyond max_history; lifetime aggregates
-        #: live in total_calls / total_wall_ms / total_explored)
+        #: live in total_calls / total_wall_ms)
         self.history: List[EngineCall] = []
         self.max_history = 4096
         self.total_calls = 0
         self.total_wall_ms = 0.0
-        self.total_explored = 0
-        #: wall-clock fits of blocked execution ('fused' vs 'looped'), over the
-        #: block features (k, total nnz, union width, sharing ratio, mask
-        #: selectivity, merge-segment count)
-        self._block_fits: Dict[str, CostFit] = {
-            mode: CostFit(dim=7) for mode in ("fused", "looped")}
-        self._modeled_blocks = 0
         self._batches = 0
         self._fused_batches = 0
         #: pending edge updates overlaid on self.matrix (see formats.delta)
@@ -267,11 +162,10 @@ class SpMSpVEngine:
 
         ``values=None`` deletes the listed edges; otherwise each ``(row,
         col)`` is inserted (or reweighted if present).  Updates take effect
-        on the very next multiply via the delta overlay — the base matrix,
-        its workspace and the learned block fits all stay warm.  Once the
-        delta-touched rows carry more than ``compact_fraction`` of the base
-        nonzeros the engine compacts: the effective matrix is rebuilt once
-        and the delta resets.
+        on the very next multiply via the delta overlay — the base matrix
+        and its workspace stay warm.  Once the delta-touched rows carry more
+        than ``compact_fraction`` of the base nonzeros the engine compacts:
+        the effective matrix is rebuilt once and the delta resets.
         """
         with self._lock:
             if values is None:
@@ -393,7 +287,8 @@ class SpMSpVEngine:
     # ------------------------------------------------------------------ #
     # blocked execution
     # ------------------------------------------------------------------ #
-    def _block_eligible(self, xs: List[SparseVector], algorithm: str,
+    @staticmethod
+    def _block_eligible(xs: List[SparseVector], algorithm: str,
                         kwargs: Dict) -> bool:
         """Whether this batch can run through the fused block kernel.
 
@@ -405,71 +300,13 @@ class SpMSpVEngine:
         return (algorithm == "bucket" and len(xs) >= 2 and not kwargs
                 and len({x.dtype for x in xs}) == 1)
 
-    @staticmethod
-    def _block_stats(xs: List[SparseVector]) -> Tuple[int, int]:
-        """``(total_nnz, union_nnz)`` of a batch, without building the block.
-
-        The fused-vs-looped decision only needs these two scalars; the full
-        :class:`SparseVectorBlock` (value slab, membership mask, positions)
-        is O(union x k) and is built only for batches that actually fuse.
-        """
-        total_nnz = sum(x.nnz for x in xs)
-        nonempty = [x.indices for x in xs if x.nnz]
-        union_nnz = int(len(np.unique(np.concatenate(nonempty)))) if nonempty else 0
-        return total_nnz, union_nnz
-
-    def _mask_keep_fraction(self, masks: Optional[Sequence[Optional[Mask]]],
-                            mask_complement: bool, k: int) -> float:
-        """The mask-selectivity feature of the block fits (shared helper)."""
-        return _mask_keep_fraction(masks, mask_complement, k, self.matrix.nrows)
-
-    def _block_phi(self, k: int, total_nnz: int, union_nnz: int,
-                   mask_keep: float) -> np.ndarray:
-        """The block feature vector, with this engine's merge-segment count."""
-        return block_features(k, total_nnz, union_nnz, mask_keep=mask_keep,
-                              segments=k * self.ctx.num_buckets)
-
-    def select_block_mode(self, block: SparseVectorBlock,
-                          masks: Optional[Sequence[Optional[Mask]]] = None,
-                          mask_complement: bool = False) -> Tuple[str, bool]:
-        """Fused or looped execution for one block; returns ``(mode, explored)``."""
-        return self._select_block_mode(
-            self._block_phi(block.k, block.total_nnz, block.union_nnz,
-                            self._mask_keep_fraction(masks, mask_complement,
-                                                     block.k)),
-            block.k, block.sharing_ratio())
-
-    def _select_block_mode(self, phi: np.ndarray, k: int, sharing: float
-                           ) -> Tuple[str, bool]:
-        """The decision behind :meth:`select_block_mode`, from precomputed features.
-
-        Seeded by a sharing/width heuristic — fuse wide blocks (k ≥ 4), and
-        narrower ones only when their column unions overlap enough for the
-        shared gather to pay — then refined online from *measured wall time*
-        of fused and looped batches over the block features
-        ``(k, total nnz, union width, sharing)``.  Wall time, not simulated
-        time, because the two paths do the same algorithmic work: fusion wins
-        by eliminating per-vector dispatch and gather overhead, which only
-        the clock sees.
-        """
-        choice = _ranked_selection(self._block_fits, phi, self.explore_every,
-                                   self._modeled_blocks + 1)
-        if choice is not None:
-            self._modeled_blocks += 1
-            self.total_explored += int(choice[1])
-            return choice
-        if k >= 4 or sharing >= 1.5:
-            return "fused", False
-        return "looped", False
-
     def multiply_block(self, block: SparseVectorBlock, *,
                        semiring: Semiring = PLUS_TIMES,
                        sorted_output: Optional[bool] = None,
                        masks: Optional[Sequence[Optional[Mask]]] = None,
                        mask_complement: bool = False,
                        algorithm: Optional[str] = None,
-                       block_mode: str = "auto",
-                       block_merge: str = "segmented") -> List[SpMSpVResult]:
+                       block_mode: str = "looped") -> List[SpMSpVResult]:
         """Blocked execution of an **already-packed** :class:`SparseVectorBlock`.
 
         The batch entry point of the serving layer: a coalescer that packed
@@ -483,7 +320,7 @@ class SpMSpVEngine:
         return self.multiply_many(
             block.to_vectors(), semiring=semiring, sorted_output=sorted_output,
             masks=masks, mask_complement=mask_complement, algorithm=algorithm,
-            block_mode=block_mode, block_merge=block_merge, _block=block)
+            block_mode=block_mode, _block=block)
 
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
@@ -491,115 +328,65 @@ class SpMSpVEngine:
                       masks: Optional[Sequence[Optional[Mask]]] = None,
                       mask_complement: bool = False,
                       algorithm: Optional[str] = None,
-                      block_mode: str = "auto",
-                      block_merge: str = "segmented",
+                      block_mode: str = "looped",
                       _block: Optional[SparseVectorBlock] = None,
                       **kwargs) -> List[SpMSpVResult]:
         """Blocked execution of one matrix against many input vectors.
 
-        The whole batch shares the engine's workspace and one kernel.  When
-        that kernel is bucket, the engine additionally chooses between
-        the **fused block kernel** (one gather, one masked scatter and one
-        segmented merge for the whole block,
-        :func:`~repro.core.spmspv_block.spmspv_bucket_block`) and the
-        per-vector loop, per :meth:`select_block_mode`; ``block_mode`` forces
-        the choice (``"fused"`` / ``"looped"``) instead of ``"auto"``, and
-        ``block_merge`` selects the fused kernel's merge strategy
-        (``"segmented"`` per-(vector, bucket) merge, or the legacy
-        ``"global"`` composite-key sort — a perf knob for the regression
-        harness).  Per-vector ``masks`` are folded into the fused scatter, so
-        masked batches (multi-source BFS frontiers, restricted PageRank) do
-        O(surviving pairs) merge work.  All paths return bit-identical
-        results.  This is the multi-source BFS / blocked PageRank entry
-        point.
+        The whole batch shares the engine's workspace and one kernel.  The
+        default ``block_mode="looped"`` runs one kernel call per vector —
+        the faster path at ``num_threads=1``.  ``"fused"`` runs an
+        eligible batch (see :meth:`_block_eligible`) through the **fused
+        block kernel** instead: one gather, one masked scatter and one
+        segmented merge for the whole block
+        (:func:`~repro.core.spmspv_block.spmspv_bucket_block`).  Per-vector
+        ``masks`` are folded into the fused scatter, so masked batches
+        (multi-source BFS frontiers, restricted PageRank) do O(surviving
+        pairs) merge work.  Both paths return bit-identical results.  This
+        is the multi-source BFS / blocked PageRank entry point.
         """
-        if block_mode not in ("auto", "fused", "looped"):
-            raise ValueError(f"block_mode must be auto|fused|looped, got {block_mode!r}")
-        if block_merge not in ("segmented", "global"):
-            raise ValueError(
-                f"block_merge must be segmented|global, got {block_merge!r}")
+        check_block_mode(block_mode)
         xs = list(xs)
         if masks is not None and len(masks) != len(xs):
             raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
         batch = self._batches
         self._batches += 1
         name = algorithm if algorithm is not None else self.algorithm
-        eligible = self._block_eligible(xs, name, kwargs)
-        mode = "looped"
-        explored = False
-        phi: Optional[np.ndarray] = None
-        if eligible:
-            total_nnz, union_nnz = self._block_stats(xs)
-            phi = self._block_phi(len(xs), total_nnz, union_nnz,
-                                  self._mask_keep_fraction(masks, mask_complement,
-                                                           len(xs)))
-            if block_mode == "auto":
-                mode, explored = self._select_block_mode(
-                    phi, len(xs), total_nnz / max(union_nnz, 1))
-            else:
-                # forced mode: fused only applies to eligible batches — an
-                # ineligible one (e.g. a single surviving BFS frontier) quietly
-                # runs the per-vector loop, which is bit-identical anyway
-                mode = block_mode
-
-        if mode == "fused":
+        if block_mode == "fused" and self._block_eligible(xs, name, kwargs):
             return self._multiply_block(
-                xs, phi, batch=batch,
-                semiring=semiring, sorted_output=sorted_output, masks=masks,
-                mask_complement=mask_complement, explored=explored,
-                block_merge=block_merge, block=_block)
+                xs, batch=batch, semiring=semiring, sorted_output=sorted_output,
+                masks=masks, mask_complement=mask_complement, block=_block)
+        # an ineligible batch (e.g. a single surviving BFS frontier) quietly
+        # runs the per-vector loop, which is bit-identical anyway
+        return [self.multiply(x, semiring=semiring, sorted_output=sorted_output,
+                              mask=masks[i] if masks is not None else None,
+                              mask_complement=mask_complement, algorithm=name,
+                              _batch=batch, **kwargs)
+                for i, x in enumerate(xs)]
 
-        # observed window spans the same per-call bookkeeping the fused
-        # window spans, so the two wall-time fits stay comparable
-        t0 = time.perf_counter()
-        results = []
-        for i, x in enumerate(xs):
-            results.append(self.multiply(
-                x, semiring=semiring, sorted_output=sorted_output,
-                mask=masks[i] if masks is not None else None,
-                mask_complement=mask_complement, algorithm=name,
-                _batch=batch, **kwargs))
-        if eligible:
-            self._block_fits["looped"].observe(
-                phi, (time.perf_counter() - t0) * 1e3)
-        return results
-
-    def _multiply_block(self, xs: List[SparseVector],
-                        phi: Optional[np.ndarray], *, batch: int,
+    def _multiply_block(self, xs: List[SparseVector], *, batch: int,
                         semiring: Semiring, sorted_output: Optional[bool],
                         masks: Optional[Sequence[Optional[Mask]]],
-                        mask_complement: bool, explored: bool,
-                        block_merge: str = "segmented",
+                        mask_complement: bool,
                         block: Optional[SparseVectorBlock] = None
                         ) -> List[SpMSpVResult]:
-        """Run one batch through the fused block kernel, observing its cost."""
+        """Run one batch through the fused block kernel."""
         from .spmspv_block import spmspv_bucket_block  # late: avoids import cycle
 
         with self._lock:
-            # the observed window covers everything fusion-specific the looped
-            # path does not pay — block packing, the fused kernel, and the
-            # per-result bookkeeping below — so the fused and looped
-            # wall-time fits stay comparable
-            t0 = time.perf_counter()
             if block is None:
                 block = SparseVectorBlock.from_vectors(xs)
-            if phi is None:
-                phi = self._block_phi(block.k, block.total_nnz, block.union_nnz,
-                                      self._mask_keep_fraction(
-                                          masks, mask_complement, block.k))
             results = spmspv_bucket_block(
                 self.matrix, block, self.ctx, semiring=semiring,
                 sorted_output=sorted_output, masks=masks,
-                mask_complement=mask_complement, merge=block_merge,
-                workspace=self.workspace)
+                mask_complement=mask_complement, workspace=self.workspace)
             pair = self._patch_pair_locked()
             if pair is not None:
                 patch, touched = pair
                 presults = spmspv_bucket_block(
                     patch, block, self.ctx, semiring=semiring,
                     sorted_output=sorted_output, masks=masks,
-                    mask_complement=mask_complement, merge=block_merge,
-                    workspace=self.workspace)
+                    mask_complement=mask_complement, workspace=self.workspace)
                 results = [
                     SpMSpVResult(
                         vector=splice_overlay(r.vector, p.vector, touched),
@@ -614,11 +401,9 @@ class SpMSpVEngine:
                 self.history.append(EngineCall(
                     index=self.total_calls, algorithm="bucket_block", f=f,
                     density=f / max(block.n, 1), wall_ms=wall_ms,
-                    explored=explored and i == 0, batch=batch, fused=True))
+                    batch=batch, fused=True))
                 self.total_calls += 1
                 self.total_wall_ms += wall_ms
-            self._block_fits["fused"].observe(
-                phi, (time.perf_counter() - t0) * 1e3)
             if len(self.history) > 2 * self.max_history:
                 del self.history[:len(self.history) - self.max_history]
             return results
@@ -674,7 +459,6 @@ class SpMSpVEngine:
             "fused_batches": self._fused_batches,
             "algorithms_used": self.algorithms_used(),
             "switches": self.switch_count,
-            "explored_calls": self.total_explored,
             "total_wall_ms": self.total_wall_ms,
             "workspace": self.workspace.stats(),
             "delta_entries": self.delta.entries,
@@ -716,7 +500,7 @@ def engine_for(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
     Entries pin the matrix (so ids cannot be recycled while cached) and are
     evicted LRU beyond a small limit; repeated calls on the same matrix —
     the shape of every iterative algorithm and benchmark — therefore reuse
-    one workspace and one set of block fits.  ``pin=True`` additionally
+    one workspace.  ``pin=True`` additionally
     exempts the entry from LRU eviction until a matching
     :func:`unpin_engine` (see :func:`pin_engine`).
     """
@@ -740,7 +524,7 @@ def pin_engine(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None
 
     A pinned engine survives any number of intervening ``spmspv`` calls on
     other matrices (the LRU limit only applies to unpinned entries), so its
-    workspace and block fits are never rebuilt mid-algorithm.  Pins
+    workspace is never rebuilt mid-algorithm.  Pins
     nest; every ``pin_engine`` needs a matching :func:`unpin_engine`.
     """
     return engine_for(matrix, ctx, pin=True)

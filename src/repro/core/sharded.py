@@ -23,7 +23,8 @@ runs every multiplication against one monolithic matrix.
   the same order.  Sorted outputs are byte-identical as stored; unsorted
   outputs are byte-identical as (row, value) pairs (storage order is
   bucket-layout-specific, exactly as across the kernel family);
-* :meth:`ShardedEngine.multiply_many` shards fused blocks too: the
+* :meth:`ShardedEngine.multiply_many` loops over its vectors by default and
+  shards fused blocks on request (``block_mode="fused"``): the
   column-union block is packed **once** and shared by every strip's fused
   kernel call, while the (row, vector-id) scatter and the segmented merge
   stay strip-local.
@@ -64,7 +65,6 @@ from ..formats.delta import DeltaLog, apply_delta, build_patch, splice_overlay
 from ..formats.partition import RowSplit, row_split
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..machine.cost_model import block_features
 from ..parallel.backends import ExecutionBackend, make_backend
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
@@ -72,12 +72,10 @@ from ..parallel.scheduler import Assignment, schedule
 from ..semiring import PLUS_TIMES, Semiring
 from .engine import (
     COMPACT_FRACTION,
-    CostFit,
     EngineCall,
     SpMSpVEngine,
     _accepts_workspace,
-    _mask_keep_fraction,
-    _ranked_selection,
+    check_block_mode,
     merge_overlay_record,
     pin_engine,
     unpin_engine,
@@ -103,14 +101,13 @@ class ShardedEngine:
         row-split configuration (one thread per strip, sync-free).
         ``ctx.backend`` selects the strip executor (``"emulated"`` |
         ``"process"``); ``ctx.backend_workers`` caps the process pool.
-    algorithm, explore_every:
+    algorithm:
         As in :class:`~repro.core.engine.SpMSpVEngine`.
     """
 
     def __init__(self, matrix: CSCMatrix, shards: int,
                  ctx: Optional[ExecutionContext] = None, *,
-                 algorithm: str = "bucket",
-                 explore_every: int = 8):
+                 algorithm: str = "bucket"):
         from .dispatch import get_algorithm  # late: avoids import cycle
 
         if int(shards) < 1:
@@ -119,7 +116,6 @@ class ShardedEngine:
         self.matrix = matrix
         self.ctx = ctx if ctx is not None else default_context()
         self.algorithm = algorithm
-        self.explore_every = int(explore_every)
         self.split: RowSplit = row_split(matrix, int(shards))
         #: per-strip execution context: the paper's row-split runs one strip
         #: per thread with no intra-strip parallelism (§II-F)
@@ -142,10 +138,6 @@ class ShardedEngine:
         self.max_history = 4096
         self.total_calls = 0
         self.total_wall_ms = 0.0
-        self.total_explored = 0
-        self._block_fits: Dict[str, CostFit] = {
-            mode: CostFit(dim=7) for mode in ("fused", "looped")}
-        self._modeled_blocks = 0
         self._batches = 0
         self._fused_batches = 0
         #: per-strip pending edge updates, routed by the row partition; each
@@ -521,27 +513,13 @@ class ShardedEngine:
     # ------------------------------------------------------------------ #
     # blocked execution
     # ------------------------------------------------------------------ #
-    def _select_block_mode(self, phi: np.ndarray, k: int, sharing: float
-                           ) -> Tuple[str, bool]:
-        """Fused-vs-looped for one block (same policy as the monolithic engine)."""
-        choice = _ranked_selection(self._block_fits, phi, self.explore_every,
-                                   self._modeled_blocks + 1)
-        if choice is not None:
-            self._modeled_blocks += 1
-            self.total_explored += int(choice[1])
-            return choice
-        if k >= 4 or sharing >= 1.5:
-            return "fused", False
-        return "looped", False
-
     def multiply_block(self, block: SparseVectorBlock, *,
                        semiring: Semiring = PLUS_TIMES,
                        sorted_output: Optional[bool] = None,
                        masks: Optional[Sequence[Optional[Mask]]] = None,
                        mask_complement: bool = False,
                        algorithm: Optional[str] = None,
-                       block_mode: str = "auto",
-                       block_merge: str = "segmented") -> List[SpMSpVResult]:
+                       block_mode: str = "looped") -> List[SpMSpVResult]:
         """Sharded execution of an already-packed block (serving entry point).
 
         Mirrors :meth:`SpMSpVEngine.multiply_block`: the caller's pack is
@@ -552,7 +530,7 @@ class ShardedEngine:
         return self.multiply_many(
             block.to_vectors(), semiring=semiring, sorted_output=sorted_output,
             masks=masks, mask_complement=mask_complement, algorithm=algorithm,
-            block_mode=block_mode, block_merge=block_merge, _block=block)
+            block_mode=block_mode, _block=block)
 
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
@@ -560,25 +538,22 @@ class ShardedEngine:
                       masks: Optional[Sequence[Optional[Mask]]] = None,
                       mask_complement: bool = False,
                       algorithm: Optional[str] = None,
-                      block_mode: str = "auto",
-                      block_merge: str = "segmented",
+                      block_mode: str = "looped",
                       _block: Optional[SparseVectorBlock] = None,
                       **kwargs) -> List[SpMSpVResult]:
         """Sharded blocked execution of one matrix against many input vectors.
 
-        The fused path packs the :class:`SparseVectorBlock` **once** — its
-        column union, value slab and replay positions are row-independent —
-        and hands the same block to every strip's fused kernel call, so only
-        the (row, vector-id) scatter and the segmented merge are paid per
-        strip.  Per-vector masks are sliced per strip and folded into each
-        strip's scatter.  Outputs are bit-identical to the unsharded
-        ``multiply_many`` in every mode.
+        Loops over the vectors by default.  ``block_mode="fused"`` runs an
+        eligible batch (as in :meth:`SpMSpVEngine.multiply_many`) through
+        the fused path, which packs the :class:`SparseVectorBlock` **once**
+        — its column union, value slab and replay positions are
+        row-independent — and hands the same block to every strip's fused
+        kernel call, so only the (row, vector-id) scatter and the segmented
+        merge are paid per strip.  Per-vector masks are sliced per strip and
+        folded into each strip's scatter.  Outputs are bit-identical to the
+        unsharded ``multiply_many`` in both modes.
         """
-        if block_mode not in ("auto", "fused", "looped"):
-            raise ValueError(f"block_mode must be auto|fused|looped, got {block_mode!r}")
-        if block_merge not in ("segmented", "global"):
-            raise ValueError(
-                f"block_merge must be segmented|global, got {block_merge!r}")
+        check_block_mode(block_mode)
         xs = list(xs)
         if masks is not None and len(masks) != len(xs):
             raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
@@ -586,50 +561,22 @@ class ShardedEngine:
             batch = self._batches
             self._batches += 1
             name = algorithm if algorithm is not None else self.algorithm
-            eligible = (name == "bucket" and len(xs) >= 2 and not kwargs
-                        and len({x.dtype for x in xs}) == 1)
-            mode = "looped"
-            explored = False
-            phi: Optional[np.ndarray] = None
-            if eligible:
-                total_nnz, union_nnz = SpMSpVEngine._block_stats(xs)
-                phi = block_features(
-                    len(xs), total_nnz, union_nnz,
-                    mask_keep=_mask_keep_fraction(masks, mask_complement,
-                                                  len(xs), self.matrix.nrows),
-                    segments=len(xs) * self.shard_ctx.num_buckets * self.num_shards)
-                if block_mode == "auto":
-                    mode, explored = self._select_block_mode(
-                        phi, len(xs), total_nnz / max(union_nnz, 1))
-                else:
-                    mode = block_mode
-
-            if mode == "fused":
+            if block_mode == "fused" and \
+                    SpMSpVEngine._block_eligible(xs, name, kwargs):
                 return self._multiply_many_fused(
-                    xs, phi, batch=batch, semiring=semiring,
+                    xs, batch=batch, semiring=semiring,
                     sorted_output=sorted_output, masks=masks,
-                    mask_complement=mask_complement, explored=explored,
-                    block_merge=block_merge, block=_block)
+                    mask_complement=mask_complement, block=_block)
+            return [self.multiply(
+                x, semiring=semiring, sorted_output=sorted_output,
+                mask=masks[i] if masks is not None else None,
+                mask_complement=mask_complement, algorithm=name,
+                _batch=batch, **kwargs) for i, x in enumerate(xs)]
 
-            t0 = time.perf_counter()
-            results = []
-            for i, x in enumerate(xs):
-                results.append(self.multiply(
-                    x, semiring=semiring, sorted_output=sorted_output,
-                    mask=masks[i] if masks is not None else None,
-                    mask_complement=mask_complement, algorithm=name,
-                    _batch=batch, **kwargs))
-            if eligible:
-                self._block_fits["looped"].observe(
-                    phi, (time.perf_counter() - t0) * 1e3)
-            return results
-
-    def _multiply_many_fused(self, xs: List[SparseVector],
-                             phi: Optional[np.ndarray], *, batch: int,
+    def _multiply_many_fused(self, xs: List[SparseVector], *, batch: int,
                              semiring: Semiring, sorted_output: Optional[bool],
                              masks: Optional[Sequence[Optional[Mask]]],
-                             mask_complement: bool, explored: bool,
-                             block_merge: str,
+                             mask_complement: bool,
                              block: Optional[SparseVectorBlock] = None
                              ) -> List[SpMSpVResult]:
         """Fused block execution across strips: one shared block, P fused calls."""
@@ -637,12 +584,6 @@ class ShardedEngine:
         k = len(xs)
         if block is None:
             block = SparseVectorBlock.from_vectors(xs)
-        if phi is None:
-            phi = block_features(
-                k, block.total_nnz, block.union_nnz,
-                mask_keep=_mask_keep_fraction(masks, mask_complement, k,
-                                              self.matrix.nrows),
-                segments=k * self.shard_ctx.num_buckets * self.num_shards)
         if masks is not None:
             sliced = [self._slice_mask(mask) for mask in masks]  # [vector][strip]
             strip_masks = [[sliced[i][s] for i in range(k)]
@@ -652,8 +593,7 @@ class ShardedEngine:
 
         per_strip = self.backend.run_block(
             block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement,
-            block_merge=block_merge)
+            strip_masks=strip_masks, mask_complement=mask_complement)
         if any(not d.is_empty for d in self.deltas):
             from .spmspv_block import spmspv_bucket_block  # late: import cycle
 
@@ -666,7 +606,7 @@ class ShardedEngine:
                 presults = spmspv_bucket_block(
                     patch, block, self.shard_ctx, semiring=semiring,
                     sorted_output=sorted_output, masks=strip_masks[s],
-                    mask_complement=mask_complement, merge=block_merge,
+                    mask_complement=mask_complement,
                     workspace=self._patch_workspace_locked(s))
                 per_strip[s] = [
                     SpMSpVResult(
@@ -697,23 +637,19 @@ class ShardedEngine:
                 info={"m": self.matrix.nrows, "n": self.matrix.ncols,
                       "nnz_A": self.matrix.nnz, "f": int(nnzs[i]),
                       "df": df_i, "nnz_y": y.nnz, "fused": True,
-                      "block_k": k, "merge": block_merge,
-                      "shards": self.num_shards})
+                      "block_k": k, "shards": self.num_shards})
             record.wall_time_s = wall_share_s
             self.history.append(EngineCall(
                 index=self.total_calls, algorithm="bucket_block",
                 f=int(nnzs[i]), density=int(nnzs[i]) / max(block.n, 1),
-                wall_ms=wall_share_s * 1e3, explored=explored and i == 0,
-                batch=batch, fused=True))
+                wall_ms=wall_share_s * 1e3, batch=batch, fused=True))
             self.total_calls += 1
             self.total_wall_ms += wall_share_s * 1e3
             results.append(SpMSpVResult(
                 vector=y, record=record,
                 info={"f": int(nnzs[i]), "df": df_i, "nnz_y": y.nnz,
-                      "fused": True, "merge": block_merge,
-                      "shards": self.num_shards}))
+                      "fused": True, "shards": self.num_shards}))
         self._fused_batches += 1
-        self._block_fits["fused"].observe(phi, (time.perf_counter() - t0) * 1e3)
         if len(self.history) > 2 * self.max_history:
             del self.history[:len(self.history) - self.max_history]
         return results
@@ -866,7 +802,6 @@ class ShardedEngine:
             "fused_batches": self._fused_batches,
             "algorithms_used": self.algorithms_used(),
             "switches": self.switch_count,
-            "explored_calls": self.total_explored,
             "total_wall_ms": self.total_wall_ms,
             "shards": self.num_shards,
             "nnz_balance": self.nnz_balance,

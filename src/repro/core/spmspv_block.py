@@ -25,8 +25,7 @@ whole :class:`~repro.formats.vector_block.SparseVectorBlock` is executed with
   row sort *is* the bucket partition: the per-bucket segments fall out as
   contiguous runs located with binary searches, each priced independently
   and scheduled onto threads with the §III-A dynamic policy.  Compared with
-  the historical single global sort of the composite key
-  ``vector-id · m + row`` (still available as ``merge="global"``), the
+  one global sort of the composite key ``vector-id · m + row``, the
   segmented merge sorts k short key streams of range ``m`` instead of one
   long stream of range ``k·m`` — no composite key construction, no
   div/mod decode, smaller sort keys, cache-resident segments.  Every
@@ -66,10 +65,6 @@ from .result import SpMSpVResult
 from .spmspv_bucket import _radix_sort_ops
 from .vector_ops import Mask, check_mask, check_operands, finalize_output, mask_bitmap, mask_keep
 from .workspace import BlockBuffers, SpMSpVWorkspace
-
-#: merge strategies of the fused kernel: the segmented per-(vector, bucket)
-#: merge (default) and the historical single global composite-key sort
-MERGE_MODES = ("segmented", "global")
 
 
 def _scaled_threads(totals: WorkMetrics, num_threads: int, share: float
@@ -130,7 +125,6 @@ def spmspv_bucket_block(matrix: CSCMatrix,
                         masks: Optional[Sequence[Optional[Mask]]] = None,
                         mask_complement: bool = False,
                         early_mask: bool = True,
-                        merge: str = "segmented",
                         workspace: Optional[SpMSpVWorkspace] = None
                         ) -> List[SpMSpVResult]:
     """Multiply one CSC matrix by a block of k sparse vectors in one fused pass.
@@ -142,16 +136,12 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     or a dense row map, a 1-D ``bool`` array of length ``nrows`` — anything
     else raises :class:`~repro.errors.DimensionError`).  ``early_mask`` folds the
     masks into the scatter (bit-identical to finalize-time masking, see
-    module docstring); ``merge`` selects the segmented per-(vector, bucket)
-    merge or the historical ``"global"`` composite-key sort — also
-    bit-identical, kept for the perf-regression harness.
-    ``sorted_output=None`` resolves per vector, exactly as the per-vector
-    kernel does.  Returns one :class:`SpMSpVResult` per vector, indices and
-    values exactly equal to k independent per-vector calls.
+    module docstring).  ``sorted_output=None`` resolves per vector, exactly
+    as the per-vector kernel does.  Returns one :class:`SpMSpVResult` per
+    vector, indices and values exactly equal to k independent per-vector
+    calls.
     """
     ctx = ctx if ctx is not None else default_context()
-    if merge not in MERGE_MODES:
-        raise ValueError(f"merge must be one of {MERGE_MODES}, got {merge!r}")
     if not isinstance(block, SparseVectorBlock):
         block = SparseVectorBlock.from_vectors(block)
     check_operands(matrix, block)
@@ -219,17 +209,14 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     # ------------------------------------------------------------------ #
     # pairs dropped by an early mask never enter the buffers, so the buffers
     # are sized by the unmasked upper bound and filled to the surviving count
-    use_small_keys = merge == "segmented" and m <= (1 << 30)
+    use_small_keys = m <= (1 << 30)
     if ws is not None:
         buffers = ws.acquire_block(max(total_pairs, 1), dtype=out_dtype,
-                                   keys=merge == "global",
                                    sort_keys=use_small_keys)
     else:
         buffers = BlockBuffers(max(total_pairs, 1), dtype=out_dtype,
-                               keys=merge == "global",
                                sort_keys=use_small_keys)
     exp_rows = buffers.rows
-    exp_keys = buffers.keys  # None unless the global merge asked for the slab
     exp_vals = buffers.values
 
     # flat segment table of the union gather: column p of the union occupies
@@ -273,8 +260,6 @@ def spmspv_bucket_block(matrix: CSCMatrix,
             if keep is not None:
                 xv = xv[keep]
             exp_vals[lo:hi] = semiring.multiply(vals_g[gpos], xv)
-        if merge == "global":
-            np.add(exp_rows[lo:hi], np.int64(i) * m, out=exp_keys[lo:hi])
         seg_offsets[i + 1] = hi
         cursor = hi
     total_kept = cursor
@@ -306,7 +291,7 @@ def spmspv_bucket_block(matrix: CSCMatrix,
         bucketing_phase.thread_metrics.append(metrics)
 
     # ------------------------------------------------------------------ #
-    # one merge: segmented per-(vector, bucket) by default, global sort legacy
+    # one segmented merge per (vector, bucket)
     # ------------------------------------------------------------------ #
     merge_phase = PhaseRecord(name="spa_merge", parallel=True)
     # the merge working set is one bucket's row span per (bucket, vector) slice
@@ -314,7 +299,7 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     uind_per_vec: List[np.ndarray] = [np.empty(0, dtype=INDEX_DTYPE)] * k
     uval_per_vec: List[np.ndarray] = [np.empty(0, dtype=out_dtype)] * k
 
-    if total_kept and merge == "segmented":
+    if total_kept:
         seg_sizes_all: List[int] = []
         seg_uniques_all: List[int] = []
         seg_sorted_all: List[bool] = []
@@ -348,55 +333,10 @@ def spmspv_bucket_block(matrix: CSCMatrix,
                 metrics.cache_line_misses += estimate_scatter_misses(
                     2 * size_s, bucket_span_rows, ctx.platform.l2_kb)
             merge_phase.thread_metrics.append(metrics)
-    elif total_kept:  # global composite-key sort (the pre-segmentation path)
-        keys = exp_keys[:total_kept]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_vals = exp_vals[:total_kept][order]
-        run_starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_keys)) + 1))
-        merged = semiring.reduceat(sorted_vals, run_starts)
-        ukey = sorted_keys[run_starts]
-        uvec = (ukey // m).astype(INDEX_DTYPE)
-        urow = (ukey % m).astype(INDEX_DTYPE)
-        first_pos = order[run_starts]  # stable sort: first occurrence of each run
-        if not all(out_sorted):
-            # per-vector output order: buckets ascending; inside a bucket rows
-            # ascending (sorted output) or by first touch (unsorted output)
-            bucket_u = bucket_of_rows(urow, nb, m)
-            big = np.int64(max(m, total_kept) + 1)
-            sorted_flags_arr = np.array(out_sorted, dtype=bool)
-            rank = np.where(sorted_flags_arr[uvec], urow.astype(np.int64),
-                            first_pos.astype(np.int64))
-            comp = (uvec.astype(np.int64) * nb + bucket_u.astype(np.int64)) * big + rank
-            perm = np.argsort(comp, kind="stable")
-            uvec, urow, merged = uvec[perm], urow[perm], merged[perm]
-        g_counts = np.bincount(uvec, minlength=k)
-        g_offsets = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(g_counts, out=g_offsets[1:])
-        for i in range(k):
-            lo, hi = int(g_offsets[i]), int(g_offsets[i + 1])
-            # copies: urow/merged are block-wide slabs the outputs must not pin
-            # (the segmented merge's per-vector arrays are already standalone)
-            uind_per_vec[i] = urow[lo:hi].copy()
-            uval_per_vec[i] = merged[lo:hi].copy()
-
-    out_counts = np.array([len(uv) for uv in uind_per_vec], dtype=np.int64)
-    nnz_out = int(out_counts.sum())
-
-    if merge == "global" or not merge_phase.thread_metrics:
-        # global mode (and empty blocks): the sort is one block-wide pass, so
-        # its totals are split evenly — there are no independent segments
-        merge_totals = WorkMetrics(
-            spa_inits=total_kept,
-            spa_updates=total_kept,
-            additions=max(total_kept - nnz_out, 0),
-            buffer_writes=nnz_out,
-            sort_elements=sum(_radix_sort_ops(int(out_counts[i]))
-                              for i in range(k) if out_sorted[i]),
-        )
-        merge_totals.cache_line_misses = estimate_scatter_misses(
-            2 * total_kept, bucket_span_rows, ctx.platform.l2_kb)
-        merge_phase.thread_metrics = _scaled_threads(merge_totals, t, 1.0)
+    else:
+        # an empty block merges nothing
+        merge_phase.thread_metrics = _scaled_threads(WorkMetrics(), t, 1.0)
+    nnz_out = sum(len(uind) for uind in uind_per_vec)
 
     output_phase = PhaseRecord(name="output", parallel=True)
     output_phase.serial_metrics = WorkMetrics(additions=nb)
@@ -427,7 +367,7 @@ def spmspv_bucket_block(matrix: CSCMatrix,
             info={"m": m, "n": n, "nnz_A": matrix.nnz, "f": int(nnz_per_vec[i]),
                   "df": int(kept_per_vec[i]), "nnz_y": y.nnz, "fused": True,
                   "block_k": k, "block_union": u, "block_pairs": total_kept,
-                  "merge": merge, "early_mask": early_i,
+                  "early_mask": early_i,
                   "workspace_reused": ws is not None})
         s = float(share[i])
         for name, totals, barriers in phase_totals:
@@ -438,5 +378,5 @@ def spmspv_bucket_block(matrix: CSCMatrix,
         results.append(SpMSpVResult(
             vector=y, record=record,
             info={"f": int(nnz_per_vec[i]), "df": int(kept_per_vec[i]),
-                  "nnz_y": y.nnz, "fused": True, "merge": merge}))
+                  "nnz_y": y.nnz, "fused": True}))
     return results

@@ -472,32 +472,28 @@ class BlockBuffers:
 
     The fused kernel (:mod:`repro.core.spmspv_block`) expands the shared
     column-union gather into one flat array of (row, vector-id, value) pairs —
-    its single masked scatter — and merges them per (vector, bucket) segment
-    (or, in the legacy ``merge="global"`` mode, with one composite-key sort
-    over ``keys``).  These parallel arrays back that expansion; like the
+    its single masked scatter — and merges them per (vector, bucket) segment.
+    These parallel arrays back that expansion; like the
     :class:`~repro.core.buckets.BucketStore` they are allocated once and
     regrown geometrically, so iterative batched workloads (multi-source BFS,
     blocked PageRank) perform zero per-iteration slab allocations.
-    The merge-strategy-specific slabs are allocated lazily, each only when
-    its strategy first runs: ``keys`` (int64 composite keys) belongs to the
-    legacy global sort, ``sort_keys`` (the int16 digit-staging slab of
+    ``sort_keys`` (the int16 digit-staging slab of
     :func:`~repro.core.buckets.stable_row_argsort` — NumPy radix-sorts only
-    keys this narrow, wider stable sorts fall back to comparison sorting)
-    to the segmented merge, so neither strategy pins the other's memory.
+    keys this narrow, wider stable sorts fall back to comparison sorting) is
+    allocated lazily, the first time a merge asks for it.
     """
 
-    __slots__ = ("capacity", "rows", "keys", "values", "sort_keys")
+    __slots__ = ("capacity", "rows", "values", "sort_keys")
 
     def __init__(self, capacity: int, dtype=np.float64, *,
-                 keys: bool = False, sort_keys: bool = False):
+                 sort_keys: bool = False):
         self.capacity = max(int(capacity), 1)
         self.rows = np.empty(self.capacity, dtype=INDEX_DTYPE)
-        self.keys = np.empty(self.capacity, dtype=np.int64) if keys else None
         self.values = np.empty(self.capacity, dtype=dtype)
         self.sort_keys = np.empty(self.capacity, dtype=np.int16) if sort_keys else None
 
     def ensure_capacity(self, needed: int, dtype=None, *,
-                        keys: bool = False, sort_keys: bool = False) -> bool:
+                        sort_keys: bool = False) -> bool:
         """Grow/retype the backing arrays; returns True if a reallocation happened."""
         if needed > self.capacity or (dtype is not None
                                       and np.dtype(dtype) != self.values.dtype):
@@ -505,19 +501,13 @@ class BlockBuffers:
             self.rows = np.empty(self.capacity, dtype=INDEX_DTYPE)
             self.values = np.empty(self.capacity,
                                    dtype=dtype if dtype is not None else self.values.dtype)
-            if keys or self.keys is not None:
-                self.keys = np.empty(self.capacity, dtype=np.int64)
             if sort_keys or self.sort_keys is not None:
                 self.sort_keys = np.empty(self.capacity, dtype=np.int16)
             return True
-        grown = False
-        if keys and self.keys is None:
-            self.keys = np.empty(self.capacity, dtype=np.int64)
-            grown = True
         if sort_keys and self.sort_keys is None:
             self.sort_keys = np.empty(self.capacity, dtype=np.int16)
-            grown = True
-        return grown
+            return True
+        return False
 
 
 class SpMSpVWorkspace:
@@ -576,15 +566,14 @@ class SpMSpVWorkspace:
         return self.scratch
 
     def acquire_block(self, needed: int, dtype=None, *,
-                      keys: bool = False, sort_keys: bool = False) -> BlockBuffers:
+                      sort_keys: bool = False) -> BlockBuffers:
         """The fused-kernel pair buffers, grown/retyped for this block multiply."""
         self.acquisitions += 1
         if self.block is None:
             self.block = BlockBuffers(needed, dtype=dtype if dtype is not None
-                                      else np.float64, keys=keys,
-                                      sort_keys=sort_keys)
+                                      else np.float64, sort_keys=sort_keys)
             self.allocations += 1
-        elif self.block.ensure_capacity(needed, dtype=dtype, keys=keys,
+        elif self.block.ensure_capacity(needed, dtype=dtype,
                                         sort_keys=sort_keys):
             self.allocations += 1
         return self.block

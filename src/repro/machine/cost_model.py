@@ -24,36 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict
 
-import numpy as np
-
 from ..parallel.metrics import METRIC_FIELDS, ExecutionRecord, PhaseRecord, WorkMetrics
 from .platforms import EDISON, Platform
-
-# --------------------------------------------------------------------------- #
-# feature vectors consumed by the engines' fused-vs-looped block fits
-# --------------------------------------------------------------------------- #
-#: features of one blocked multiply: bias, block width k, total stored
-#: entries, column-union width, the sharing ratio total/union (how much of
-#: the gather the fused kernel deduplicates), the mask selectivity (expected
-#: fraction of scattered pairs an early mask lets through — 1.0 unmasked: the
-#: feature that lets the fits price the merge by *surviving* pairs), and the
-#: independent merge-segment count k·nb of the segmented block merge.
-BLOCK_FEATURE_NAMES = ("bias", "k", "total_nnz", "union_nnz", "sharing",
-                       "mask_keep", "segments")
-
-
-def block_features(k: int, total_nnz: int, union_nnz: int,
-                   mask_keep: float = 1.0, segments: int = 0) -> np.ndarray:
-    """Feature vector of one blocked multiply (fused-vs-looped decision).
-
-    ``mask_keep`` is the expected fraction of scattered (row, vector-id)
-    pairs surviving the early masks (1.0 when unmasked) and ``segments`` the
-    number of independent (vector, bucket) merge segments (``k·nb``; 0 when
-    the caller does not know the bucket count).
-    """
-    return np.array([1.0, float(k), float(total_nnz), float(union_nnz),
-                     total_nnz / max(union_nnz, 1), float(mask_keep),
-                     float(segments)])
 
 
 def scheme_crossover(shards: int, avg_degree: float) -> str:

@@ -35,12 +35,11 @@ module's concern, behind one small seam:
   per-strip code.
 
 Determinism contract: a kernel is a pure function of (strip, vector, call
-options), so for any *fixed* kernel/mode the two backends are **bit
-identical** — outputs and work metrics (wall times differ, so the
-wall-time-trained fused-vs-looped block fits may take different internal
-routes under ``block_mode="auto"``; every route is itself bit-identical).  ``tests/test_backend_equivalence.py`` locks
-this down across the full sharded grid, including the slab data plane
-(output overflow/regrow, broadcast-once blocks, overlapped async ordering).
+options), so for any fixed kernel and block mode the two backends are
+**bit identical** — outputs and work metrics (only wall times differ).
+``tests/test_backend_equivalence.py`` locks this down across the full
+sharded grid, including the slab data plane (output overflow/regrow,
+broadcast-once blocks, overlapped async ordering).
 
 Failure contract: an exception raised inside a strip's kernel propagates to
 the caller as itself (same type, same args), annotated with the failing
@@ -94,9 +93,6 @@ _FRESH_STATS_TEMPLATE: Optional[Dict[str, float]] = None
 #: tests shrink these to force the overflow/regrow paths deterministically
 _INPUT_SLAB_ENV = "REPRO_BACKEND_INPUT_SLAB"
 _OUTPUT_SLAB_ENV = "REPRO_BACKEND_OUTPUT_SLAB"
-#: env knob enabling the legacy-plane byte audit (measures what the PR-5
-#: pickle-over-pipe plane *would* have shipped, for the bench's breakdown)
-_COMM_AUDIT_ENV = "REPRO_BACKEND_COMM_AUDIT"
 #: env knob carrying a seeded fault plan (see :mod:`repro.parallel.faults`);
 #: when set, :func:`make_backend` wraps the process backend in the chaos
 #: backend so every backend-selecting call site runs under injected faults
@@ -176,7 +172,7 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def run_block(self, block, *, semiring: Semiring,
                   sorted_output: Optional[bool], strip_masks: Sequence,
-                  mask_complement: bool, block_merge: str) -> List[List]:
+                  mask_complement: bool) -> List[List]:
         """One fused block call per strip; per-strip lists of k results."""
 
     def run_partial(self, algorithm: str, slices: Sequence[tuple], *,
@@ -345,7 +341,7 @@ class EmulatedBackend(ExecutionBackend):
                 sorted_output=args["sorted_output"],
                 masks=args["strip_masks"][s],
                 mask_complement=args["mask_complement"],
-                merge=args["block_merge"], workspace=self.workspaces[s])
+                workspace=self.workspaces[s])
         from ..core.spmspv_column import column_partial
 
         idx, vals, gpos = args["slices"][s]
@@ -377,11 +373,11 @@ class EmulatedBackend(ExecutionBackend):
             "mask_complement": mask_complement, "kwargs": kwargs})]
 
     def run_block(self, block, *, semiring, sorted_output, strip_masks,
-                  mask_complement, block_merge):
+                  mask_complement):
         return self._run("block", {
             "block": block, "semiring": semiring,
             "sorted_output": sorted_output, "strip_masks": strip_masks,
-            "mask_complement": mask_complement, "block_merge": block_merge})
+            "mask_complement": mask_complement})
 
     def run_partial(self, algorithm, slices, *, semiring, mask,
                     mask_complement, out_dtype):
@@ -667,7 +663,7 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
             in_region = reader.region(in_ref)
             bitmap = read_map(in_region, mask_spec)
         else:  # block
-            (_, _, _, expected_versions, sr, so, comp, merge, in_ref,
+            (_, _, _, expected_versions, sr, so, comp, in_ref,
              block_spec, mask_specs, out_refs) = msg
             in_region = reader.region(in_ref)
             block_descs, block_meta = block_spec
@@ -709,8 +705,7 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
                     results = spmspv_bucket_block(
                         strips[strip], block, ctx, semiring=get_semiring(sr),
                         sorted_output=so, masks=masks,
-                        mask_complement=comp, merge=merge,
-                        workspace=workspaces[strip])
+                        mask_complement=comp, workspace=workspaces[strip])
                 else:
                     raise BackendError(f"unknown backend op {op!r}")
                 payload, needed = write_results(out_refs[strip], results)
@@ -812,7 +807,7 @@ class _Inflight:
 
     __slots__ = ("call_id", "op", "inline", "pending", "flushing", "payloads",
                  "errors", "input_region", "out_regions", "abandoned",
-                 "finalized", "legacy_out",
+                 "finalized",
                  # resilience state
                  "proto", "mask_specs", "call_args", "outstanding", "lost",
                  "last_death", "attempts", "redispatches", "local_results",
@@ -832,7 +827,6 @@ class _Inflight:
         self.out_regions: Dict[int, tuple] = {}
         self.abandoned = False
         self.finalized = False
-        self.legacy_out = 0
         #: transport-ready call prologue, kept so lost strips can be resent
         self.proto: Optional[tuple] = None
         #: strip -> packed mask spec (all strips, for re-dispatch)
@@ -885,9 +879,7 @@ class ProcessBackend(ExecutionBackend):
     method (default ``fork`` where available — workers inherit the loaded
     package; ``spawn`` re-imports it), ``REPRO_BACKEND_INPUT_SLAB`` /
     ``REPRO_BACKEND_OUTPUT_SLAB`` set the initial arena sizes (bytes; they
-    grow geometrically on demand), and ``REPRO_BACKEND_COMM_AUDIT=1``
-    additionally measures what the legacy pickle-over-pipe plane would have
-    shipped (the bench's before/after breakdown).  ``ExecutionContext.pin_workers``
+    grow geometrically on demand).  ``ExecutionContext.pin_workers``
     pins each worker to one CPU core (``os.sched_setaffinity``; silently a
     no-op where unsupported).
     """
@@ -991,14 +983,12 @@ class ProcessBackend(ExecutionBackend):
             "block": [out_bytes] * self.num_strips,
             "partial": [out_bytes] * self.num_strips,
         }
-        self._audit = bool(os.environ.get(_COMM_AUDIT_ENV))
         self._comm: Dict[str, float] = {
             "calls": 0, "inline_calls": 0, "pipe_bytes_out": 0,
             "pipe_bytes_in": 0,
             "pipe_msgs_out": 0, "pipe_msgs_in": 0,
             "slab_bytes_in": 0, "slab_bytes_out": 0,
             "output_overflows": 0, "max_inflight": 0,
-            "legacy_pipe_bytes_out": 0, "legacy_pipe_bytes_in": 0,
         }
 
         self._health: Dict[str, object] = {
@@ -1622,15 +1612,6 @@ class ProcessBackend(ExecutionBackend):
         for w in range(self.num_workers):
             if self.assignment[w]:
                 self._dispatch(token, w, self.assignment[w])
-        if self._audit:
-            for w in range(self.num_workers):
-                if not self.assignment[w]:
-                    continue
-                token.legacy_out += len(pickle.dumps(
-                    ("multiply", token.call_id, self.assignment[w], algorithm,
-                     x, sr, sorted_output,
-                     {s: mask_slices[s] for s in self.assignment[w]},
-                     mask_complement, kwargs)))
         return token
 
     def _raise_strip_error(self, token: _Inflight) -> None:
@@ -1653,11 +1634,8 @@ class ProcessBackend(ExecutionBackend):
         try:
             self._pump_token(token)
             self._raise_strip_error(token)
-            results = [self._strip_results(token, s)[0]
-                       for s in range(self.num_strips)]
-            if self._audit and not token.inline:
-                self._audit_reply(token, [[r] for r in results])
-            return results
+            return [self._strip_results(token, s)[0]
+                    for s in range(self.num_strips)]
         finally:
             self._finalize(token)
 
@@ -1710,14 +1688,6 @@ class ProcessBackend(ExecutionBackend):
         for w in range(self.num_workers):
             if self.assignment[w]:
                 self._dispatch(token, w, self.assignment[w])
-        if self._audit:
-            for w in range(self.num_workers):
-                if not self.assignment[w]:
-                    continue
-                token.legacy_out += len(pickle.dumps(
-                    ("partial", token.call_id, self.assignment[w], algorithm,
-                     [slices[s] for s in self.assignment[w]], sr, mask,
-                     mask_complement)))
         return token
 
     def gather_partial(self, token: _Inflight) -> List:
@@ -1730,7 +1700,7 @@ class ProcessBackend(ExecutionBackend):
             mask_complement=mask_complement, out_dtype=out_dtype))
 
     def submit_block(self, block, *, semiring, sorted_output, strip_masks,
-                     mask_complement, block_merge):
+                     mask_complement):
         sr = self._semiring_name(semiring)
         # each union column is gathered once per vector that holds it
         work = int(self._col_nnz[block.indices]
@@ -1739,7 +1709,7 @@ class ProcessBackend(ExecutionBackend):
             "block", work,
             {"block": block, "semiring": semiring,
              "sorted_output": sorted_output, "strip_masks": strip_masks,
-             "mask_complement": mask_complement, "block_merge": block_merge})
+             "mask_complement": mask_complement})
         if token.inline:
             return token
         block_meta, block_arrays = block.pack_arrays()
@@ -1751,8 +1721,7 @@ class ProcessBackend(ExecutionBackend):
         region, in_ref, descs = self._pack_input(arrays)
         token.input_region = region
         block_spec = (descs[:4], block_meta)
-        token.proto = (sr, sorted_output, mask_complement, block_merge,
-                       in_ref, block_spec)
+        token.proto = (sr, sorted_output, mask_complement, in_ref, block_spec)
         for s in range(self.num_strips):
             ats = mask_at[s]
             token.mask_specs[s] = (None if ats is None
@@ -1760,42 +1729,16 @@ class ProcessBackend(ExecutionBackend):
         for w in range(self.num_workers):
             if self.assignment[w]:
                 self._dispatch(token, w, self.assignment[w])
-        if self._audit:
-            for w in range(self.num_workers):
-                if not self.assignment[w]:
-                    continue
-                token.legacy_out += len(pickle.dumps(
-                    ("block", token.call_id, self.assignment[w], block, sr,
-                     sorted_output,
-                     {s: strip_masks[s] for s in self.assignment[w]},
-                     mask_complement, block_merge)))
         return token
 
     def gather_block(self, token: _Inflight) -> List[List]:
         try:
             self._pump_token(token)
             self._raise_strip_error(token)
-            results = [self._strip_results(token, s)
-                       for s in range(self.num_strips)]
-            if self._audit and not token.inline:
-                self._audit_reply(token, results)
-            return results
+            return [self._strip_results(token, s)
+                    for s in range(self.num_strips)]
         finally:
             self._finalize(token)
-
-    def _audit_reply(self, token: _Inflight, per_strip: List[List]) -> None:
-        """Account what the legacy pickle-over-pipe plane would have shipped."""
-        self._comm["legacy_pipe_bytes_out"] += token.legacy_out
-        for w in range(self.num_workers):
-            if not self.assignment[w]:
-                continue
-            outs = [(s, "ok", per_strip[s][0] if token.op == "multiply"
-                     else per_strip[s])
-                    for s in self.assignment[w]]
-            stats = {s: self._stats.get(s, _fresh_stats(self._spa_rows[s]))
-                     for s in self.assignment[w]}
-            self._comm["legacy_pipe_bytes_in"] += len(pickle.dumps(
-                ("done", token.call_id, outs, stats)))
 
     # ------------------------------------------------------------------ #
     # ExecutionBackend interface
@@ -1808,11 +1751,10 @@ class ProcessBackend(ExecutionBackend):
             kwargs=kwargs))
 
     def run_block(self, block, *, semiring, sorted_output, strip_masks,
-                  mask_complement, block_merge):
+                  mask_complement):
         return self.gather_block(self.submit_block(
             block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement,
-            block_merge=block_merge))
+            strip_masks=strip_masks, mask_complement=mask_complement))
 
     def workspace_stats(self):
         out = []

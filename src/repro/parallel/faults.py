@@ -282,12 +282,11 @@ class ChaosBackend(ExecutionBackend):
             mask_complement=mask_complement, out_dtype=out_dtype))
 
     def submit_block(self, block, *, semiring, sorted_output, strip_masks,
-                     mask_complement, block_merge):
+                     mask_complement):
         i, ev, _ = self._before_submit("block", None)
         token = self._inner.submit_block(
             block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement,
-            block_merge=block_merge)
+            strip_masks=strip_masks, mask_complement=mask_complement)
         self._after_submit(i, ev, token)
         return token
 
@@ -303,11 +302,10 @@ class ChaosBackend(ExecutionBackend):
             kwargs=kwargs))
 
     def run_block(self, block, *, semiring, sorted_output, strip_masks,
-                  mask_complement, block_merge):
+                  mask_complement):
         return self.gather_block(self.submit_block(
             block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement,
-            block_merge=block_merge))
+            strip_masks=strip_masks, mask_complement=mask_complement))
 
     def abandon(self, token) -> None:
         self._pending_delay.pop(id(token), None)

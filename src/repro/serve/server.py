@@ -10,7 +10,7 @@ Request lifecycle::
       v
     batch execution                     [pump thread / inline under VirtualClock]
       |  queued-expired members rejected with DeadlineError (never touch
-      |  the engine); the rest run as ONE fused block
+      |  the engine); the rest run as ONE batch (a fused block by default)
       v
     demux: per-request futures resolve with their slice of the block
 
@@ -37,10 +37,10 @@ import numpy as np
 
 from ..algorithms.bfs import bfs_multi_source
 from ..algorithms.pagerank import column_stochastic, pagerank_block
-from ..core.engine import SpMSpVEngine
+from ..core.dispatch import get_algorithm
+from ..core.engine import SpMSpVEngine, check_block_mode
 from ..core.sharded import EngineGroup, ShardedEngine
-from ..errors import (DeadlineError, ReproError, ServerClosedError,
-                      ServerOverloadedError)
+from ..errors import DeadlineError, ServerClosedError, ServerOverloadedError
 from ..formats.csc import CSCMatrix
 from ..formats.vector_block import SparseVectorBlock
 from ..graphs.graph import Graph
@@ -77,10 +77,13 @@ class QueryServer:
     block_mode:
         Forwarded to the engines' blocked entry points; the default
         ``"fused"`` runs every eligible batch through the fused block
-        kernel (ineligible ones quietly loop, bit-identically).
+        kernel (ineligible ones quietly loop, bit-identically), and
+        ``"looped"`` runs one kernel call per request without packing a
+        block.  Any other value raises ``ValueError`` here.
     algorithm:
         Kernel forced on multiply, PageRank and BFS batches; the default
-        ``"bucket"`` is the fused kernel's host algorithm.
+        ``"bucket"`` is the fused kernel's host algorithm.  An unknown name
+        raises :class:`~repro.errors.NotSupportedError` here.
     shards:
         When given, members are :class:`~repro.core.sharded.ShardedEngine`
         instances over that many row strips (backend from ``ctx``).
@@ -118,6 +121,9 @@ class QueryServer:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if not graphs:
             raise ValueError("QueryServer needs at least one graph")
+        # bad settings fail here, before any engine or the pump thread exists
+        check_block_mode(block_mode)
+        get_algorithm(algorithm)
         self.clock = clock if clock is not None else WallClock()
         base_ctx = ctx if ctx is not None else default_context()
         self.ctx = (base_ctx.with_deadline(default_timeout_s, tighten=True)
@@ -351,9 +357,10 @@ class QueryServer:
             self._batch_sizes[len(live)] = self._batch_sizes.get(len(live), 0) + 1
         try:
             results = self._run_batch(batch.key, [r.query for r in live])
-        except ReproError as exc:
-            # engine-level failure (worker death past retries, backend
-            # deadline, ...) fails this batch's members — never the server
+        except Exception as exc:
+            # a failed batch (worker death past retries, backend deadline,
+            # a kernel error, ...) fails its own members — never the server
+            # or its pump
             with self._lock:
                 self._stats["failed"] += len(live)
             for request in live:
@@ -404,7 +411,8 @@ class QueryServer:
         if all(m is None for m in masks):
             masks = None
         semiring = get_semiring(semiring_name)
-        if len(xs) >= 2 and len({x.dtype for x in xs}) == 1:
+        if self.block_mode == "fused" and len(xs) >= 2 \
+                and len({x.dtype for x in xs}) == 1:
             block = SparseVectorBlock.from_vectors(xs)
             return self.group.multiply_block(
                 graph, block, semiring=semiring, masks=masks,

@@ -220,22 +220,19 @@ def check_kernel_grid(shards):
 
 
 @pytest.mark.parametrize("shards", [1, 3, 7])
-@pytest.mark.parametrize("block_merge", ["segmented", "global"])
-def test_process_backend_fused_and_looped_blocks_bit_identical(shards, block_merge):
+def test_process_backend_fused_and_looped_blocks_bit_identical(shards):
     """multiply_many across backends: fused and looped, masked and unmasked."""
-    assert check_blocks(shards, block_merge)["inline_calls"] == 0
+    assert check_blocks(shards)["inline_calls"] == 0
 
 
 @pytest.mark.parametrize("shards", [1, 3, 7])
-@pytest.mark.parametrize("block_merge", ["segmented", "global"])
-def test_in_parent_fused_and_looped_blocks_bit_identical(shards, block_merge,
-                                                         production_floor):
+def test_in_parent_fused_and_looped_blocks_bit_identical(shards, production_floor):
     """The same blocks at the production floor, all run in the parent."""
-    stats = check_blocks(shards, block_merge)
+    stats = check_blocks(shards)
     assert stats["calls"] == 0 and stats["inline_calls"] > 0
 
 
-def check_blocks(shards, block_merge):
+def check_blocks(shards):
     """Fused and looped blocks through one engine pair; process comm stats."""
     matrix, x_sorted, x_unsorted, mask = problem(shards, seed=300 + shards)
     xs = [x_sorted, x_unsorted, SparseVector.empty(x_sorted.n)]
@@ -245,12 +242,10 @@ def check_blocks(shards, block_merge):
             bitmap = row_map(mask)
             for masks in (None, [mask] * len(xs), [mask, None, mask],
                           [bitmap, None, bitmap]):
-                label = f"{block_mode}/{block_merge}/P={shards}" \
+                label = f"{block_mode}/P={shards}" \
                         f"/masks={masks is not None and type(masks[0]).__name__}"
-                refs = emu.multiply_many(xs, masks=masks, block_mode=block_mode,
-                                         block_merge=block_merge)
-                outs = proc.multiply_many(xs, masks=masks, block_mode=block_mode,
-                                          block_merge=block_merge)
+                refs = emu.multiply_many(xs, masks=masks, block_mode=block_mode)
+                outs = proc.multiply_many(xs, masks=masks, block_mode=block_mode)
                 assert len(refs) == len(outs) == len(xs)
                 for i, (ref, out) in enumerate(zip(refs, outs)):
                     assert_same_pairs(ref.vector, out.vector, f"{label}/vec{i}")

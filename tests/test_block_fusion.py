@@ -9,9 +9,9 @@ Covers the contract of the block-execution stack:
   ``multiply_many(block_mode="fused")``) is **bit-identical** to per-vector
   ``multiply`` across every semiring, masked/unmasked, every
   ``sorted_output`` mode and sorted/unsorted inputs;
-* the engine's block dispatch actually takes the fused path for dense-enough
-  blocks, reuses the persistent block buffers, learns from observed wall
-  times, and the forced modes behave;
+* batches loop unless the caller passes ``block_mode="fused"``, which takes
+  the fused path and reuses the persistent block buffers; every other mode
+  (``"auto"`` included) raises;
 * blocked PageRank and multi-source BFS match their per-source runs through
   the fused path;
 * ``detach()`` releases engine workspaces and compacts records.
@@ -23,11 +23,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import bfs, bfs_multi_source, pagerank, pagerank_block
-from repro.core import CostFit, SpMSpVEngine, spmspv_bucket_block
+from repro.core import (ColumnShardedEngine, EngineGroup, ShardedEngine,
+                        SpMSpVEngine, spmspv_bucket_block)
 from repro.core.spmspv_bucket import spmspv_bucket
 from repro.formats import CSCMatrix, SparseVector, SparseVectorBlock
 from repro.graphs import erdos_renyi
-from repro.machine import block_features
 from repro.parallel import default_context
 from repro.semiring import (
     MAX_SELECT2ND,
@@ -247,15 +247,15 @@ def test_fused_block_bit_identity_property(vecs):
 def test_engine_takes_fused_path_for_dense_enough_blocks():
     matrix = random_csc(80, 80, 0.1, seed=21)
     engine = SpMSpVEngine(matrix, default_context(num_threads=2), algorithm="bucket")
-    # a wide (k=8), dense-ish block: the seed heuristic must fuse it
+    # a wide (k=8), dense-ish block through the fused kernel
     xs = [random_sparse_vector(80, 30, seed=s) for s in range(8)]
-    results = engine.multiply_many(xs)
+    results = engine.multiply_many(xs, block_mode="fused")
     assert all(r.info.get("fused") for r in results)
     assert all(c.fused and c.algorithm == "bucket_block" for c in engine.history)
     assert engine.summary()["fused_batches"] == 1
     # the persistent block buffers were created once and reused next batch
     capacity = engine.workspace.block.capacity
-    engine.multiply_many(xs)
+    engine.multiply_many(xs, block_mode="fused")
     assert engine.workspace.block.capacity == capacity
     assert engine.workspace.stats()["block_capacity"] == capacity
 
@@ -263,7 +263,7 @@ def test_engine_takes_fused_path_for_dense_enough_blocks():
 def test_engine_loops_narrow_disjoint_blocks():
     matrix = random_csc(80, 80, 0.1, seed=22)
     engine = SpMSpVEngine(matrix, default_context(num_threads=2), algorithm="bucket")
-    # k=2 with disjoint supports: sharing_ratio == 1, below the fuse seed
+    # k=2 with disjoint supports: nothing to share, and the default loops
     a = SparseVector.full_like_indices(80, np.arange(0, 10), 1.0)
     b = SparseVector.full_like_indices(80, np.arange(40, 50), 1.0)
     engine.multiply_many([a, b])
@@ -284,39 +284,64 @@ def test_block_mode_validation_and_mixed_dtype_fallback():
     assert not any(r.info.get("fused") for r in results)
 
 
-def test_block_cost_fit_learns_and_drives_the_decision():
-    matrix = random_csc(60, 60, 0.12, seed=24)
-    engine = SpMSpVEngine(matrix, default_context(num_threads=2),
-                          algorithm="bucket", explore_every=0)
-    xs = [random_sparse_vector(60, 12, seed=s) for s in range(6)]
-    engine.multiply_many(xs, block_mode="fused")
-    engine.multiply_many(xs, block_mode="fused")
-    engine.multiply_many(xs, block_mode="looped")
-    engine.multiply_many(xs, block_mode="looped")
+def _all_engines(matrix, ctx):
+    return [SpMSpVEngine(matrix, ctx, algorithm="bucket"),
+            ShardedEngine(matrix, 2, ctx, algorithm="bucket"),
+            ColumnShardedEngine(matrix, 2, ctx, algorithm="bucket")]
+
+
+def test_block_mode_auto_is_rejected_everywhere():
+    matrix = random_csc(40, 40, 0.15, seed=25)
+    xs = [random_sparse_vector(40, 8, seed=s) for s in range(3)]
     block = SparseVectorBlock.from_vectors(xs)
-    phi = block_features(block.k, block.total_nnz, block.union_nnz)
-    fits = engine._block_fits
-    assert fits["fused"].count == 2 and fits["looped"].count == 2
-    assert fits["fused"].predict(phi) is not None
-    assert fits["looped"].predict(phi) is not None
-    # both fits trained: the auto decision is now model-driven
-    mode, explored = engine.select_block_mode(block)
-    assert mode in ("fused", "looped") and not explored
-    predictions = {m: fits[m].predict(phi) for m in fits}
-    assert mode == min(predictions, key=predictions.get)
+    for engine in _all_engines(matrix, default_context()):
+        with engine:
+            with pytest.raises(ValueError):
+                engine.multiply_many(xs, block_mode="auto")
+            with pytest.raises(ValueError):
+                engine.multiply_block(block, block_mode="auto")
+    with EngineGroup([matrix]) as group:
+        with pytest.raises(ValueError):
+            group.multiply_many(0, xs, block_mode="auto")
+    with pytest.raises(ValueError):
+        bfs_multi_source(matrix, [0, 1], block_mode="auto")
+    with pytest.raises(ValueError):
+        pagerank_block(matrix, [np.array([0]), np.array([1])], block_mode="auto")
 
 
-def test_cost_fit_multifeature_recovers_a_planted_model():
-    fit = CostFit(dim=4)
-    rng = np.random.default_rng(5)
-    w_true = np.array([0.5, 0.01, 2.0, 0.005])
-    for _ in range(50):
-        f = int(rng.integers(1, 500))
-        nzc = int(rng.integers(1, f + 1))
-        phi = np.array([1.0, f, f / 1000, nzc])
-        fit.observe(phi, float(w_true @ phi))
-    phi = np.array([1.0, 123, 123 / 1000, 77])
-    assert fit.predict(phi) == pytest.approx(float(w_true @ phi), rel=1e-3)
+def test_batches_loop_unless_asked_to_fuse():
+    # the wide, dense-ish k=8 block of the fused-path test above
+    matrix = random_csc(80, 80, 0.1, seed=21)
+    ctx = default_context(num_threads=2)
+    xs = [random_sparse_vector(80, 30, seed=s) for s in range(8)]
+    for engine in _all_engines(matrix, ctx):
+        with engine:
+            engine.multiply_many(xs)
+            engine.multiply_block(SparseVectorBlock.from_vectors(xs))
+            assert len(engine.history) == 16
+            assert not any(c.fused for c in engine.history)
+            summary = engine.summary()
+            assert summary["batches"] == 2 and summary["fused_batches"] == 0
+            assert "explored_calls" not in summary
+    multi = bfs_multi_source(matrix, list(range(8)), ctx)
+    blocked = pagerank_block(matrix, [np.array([s]) for s in range(8)], ctx)
+    for result in (multi, blocked):
+        assert not any(c.fused for c in result.engine.history)
+        assert result.engine.summary()["fused_batches"] == 0
+    for engine in (SpMSpVEngine(matrix, ctx, algorithm="bucket"),
+                   ShardedEngine(matrix, 2, ctx, algorithm="bucket")):
+        with engine:
+            results = engine.multiply_many(xs, block_mode="fused")
+            assert all(r.info.get("fused") for r in results)
+            assert engine.summary()["fused_batches"] == 1
+
+
+def test_explore_every_option_is_gone():
+    matrix = random_csc(20, 20, 0.2, seed=26)
+    with pytest.raises(TypeError):
+        SpMSpVEngine(matrix, explore_every=8)
+    with pytest.raises(TypeError):
+        ShardedEngine(matrix, 2, explore_every=8)
 
 
 # --------------------------------------------------------------------------- #
@@ -385,7 +410,7 @@ def test_spmspv_result_detach_keeps_vector_and_info():
 def test_blocked_pagerank_detach():
     matrix = erdos_renyi(80, 4.0, seed=35)
     result = pagerank_block(matrix, [np.array([0]), np.array([1])],
-                            default_context())
+                            default_context(), block_mode="fused")
     assert result.engine is not None
     result.detach()
     assert result.engine is None
@@ -393,31 +418,17 @@ def test_blocked_pagerank_detach():
 
 
 # --------------------------------------------------------------------------- #
-# segmented merge and early masking
+# block merge validation and early masking
 # --------------------------------------------------------------------------- #
-def test_block_merge_modes_bit_identical_through_engine():
-    matrix = random_csc(70, 70, 0.12, seed=51)
-    ctx = default_context(num_threads=3)
-    xs = [random_sparse_vector(70, nnz, seed=50 + nnz) for nnz in (5, 14, 26, 40)]
-    outputs = {}
-    for merge in ("segmented", "global"):
-        engine = SpMSpVEngine(matrix, ctx, algorithm="bucket")
-        outputs[merge] = engine.multiply_many(xs, block_mode="fused",
-                                              block_merge=merge)
-        assert all(r.info["merge"] == merge for r in outputs[merge])
-    for seg, glo in zip(outputs["segmented"], outputs["global"]):
-        assert np.array_equal(seg.vector.indices, glo.vector.indices)
-        assert np.array_equal(seg.vector.values, glo.vector.values)
-
-
 def test_block_merge_validation():
     matrix = random_csc(30, 30, 0.2, seed=52)
     engine = SpMSpVEngine(matrix, algorithm="bucket")
     xs = [random_sparse_vector(30, 5, seed=s) for s in (1, 2)]
     with pytest.raises(ValueError):
-        engine.multiply_many(xs, block_merge="quantum")
+        engine.multiply_many(xs, block_mode="auto")
     with pytest.raises(ValueError):
-        spmspv_bucket_block(matrix, xs, merge="quantum")
+        engine.multiply_block(SparseVectorBlock.from_vectors(xs),
+                              block_mode="auto")
 
 
 def test_fused_early_mask_skips_dead_pairs():
@@ -442,34 +453,15 @@ def test_workspace_sort_keys_allocated_lazily_and_reused():
     matrix = random_csc(50, 50, 0.15, seed=54)
     engine = SpMSpVEngine(matrix, default_context(num_threads=2), algorithm="bucket")
     xs = [random_sparse_vector(50, 15, seed=70 + s) for s in range(6)]
-    # global merge never touches the int32 staging slab
-    engine.multiply_many(xs, block_mode="fused", block_merge="global")
-    assert engine.workspace.block.sort_keys is None
-    # the segmented merge allocates it once and reuses it across batches
-    engine.multiply_many(xs, block_mode="fused", block_merge="segmented")
+    # a looped batch never allocates the block buffers
+    engine.multiply_many(xs)
+    assert engine.workspace.block is None
+    # the fused merge allocates its int16 staging slab once and reuses it
+    engine.multiply_many(xs, block_mode="fused")
     keys = engine.workspace.block.sort_keys
     assert keys is not None and keys.dtype == np.int16
-    engine.multiply_many(xs, block_mode="fused", block_merge="segmented")
+    engine.multiply_many(xs, block_mode="fused")
     assert engine.workspace.block.sort_keys is keys
-
-
-def test_mask_selectivity_feature_reaches_block_fits():
-    matrix = random_csc(40, 40, 0.2, seed=55)
-    engine = SpMSpVEngine(matrix, default_context(num_threads=2), algorithm="bucket")
-    xs = [random_sparse_vector(40, 12, seed=80 + s) for s in range(4)]
-    masks = [SparseVector.full_like_indices(40, np.arange(10), 1.0) for _ in xs]
-    engine.multiply_many(xs, masks=masks, block_mode="fused")
-    engine.multiply_many(xs, masks=masks, mask_complement=True, block_mode="looped")
-    fused_fit, looped_fit = engine._block_fits["fused"], engine._block_fits["looped"]
-    assert fused_fit.count == 1 and looped_fit.count == 1
-    # feature 5 is mask_keep: nnz/m masked, 1 - nnz/m complemented
-    assert fused_fit.xty[5] != 0.0
-    keep, ckeep = 10 / 40, 1 - 10 / 40
-    assert fused_fit.xtx[0, 5] == pytest.approx(keep)
-    assert looped_fit.xtx[0, 5] == pytest.approx(ckeep)
-    # feature 6 is the merge-segment count k * nb
-    nb = default_context(num_threads=2).num_buckets
-    assert fused_fit.xtx[0, 6] == pytest.approx(4 * nb)
 
 
 # --------------------------------------------------------------------------- #

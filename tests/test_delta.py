@@ -266,10 +266,14 @@ def test_overlay_multiply_many_matches_rebuilt():
     engine.apply_updates(sr, sc, sv)
     engine.apply_updates(dr, dc)
     ref = SpMSpVEngine(engine.effective_matrix(), ctx, algorithm="bucket")
-    got = engine.multiply_many(xs, semiring=PLUS_TIMES, sorted_output=True)
-    want = ref.multiply_many(xs, semiring=PLUS_TIMES, sorted_output=True)
-    for k, (g, w) in enumerate(zip(got, want)):
-        assert_bit_identical(g.vector, w.vector, f"member {k}")
+    for mode in ("fused", "looped"):
+        got = engine.multiply_many(xs, semiring=PLUS_TIMES, sorted_output=True,
+                                   block_mode=mode)
+        want = ref.multiply_many(xs, semiring=PLUS_TIMES, sorted_output=True,
+                                 block_mode=mode)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_bit_identical(g.vector, w.vector, f"{mode} member {k}")
+    assert engine.summary()["fused_batches"] == 1
 
 
 def test_effective_matrix_matches_apply_delta():

@@ -104,12 +104,14 @@ def test_overlay_multiply_many_and_async(backend):
             idx = np.sort(rng.choice(42, size=9, replace=False))
             xs.append(SparseVector(42, idx, rng.random(9) + 0.1))
         with make_engine(rebuilt, 3, backend) as ref:
-            got = engine.multiply_many(xs, semiring=MIN_SELECT2ND,
-                                       sorted_output=True)
-            want = ref.multiply_many(xs, semiring=MIN_SELECT2ND,
-                                     sorted_output=True)
-            for k, (g, w) in enumerate(zip(got, want)):
-                assert_same_pairs(g.vector, w.vector, f"fused member {k}")
+            for mode in ("fused", "looped"):
+                got = engine.multiply_many(xs, semiring=MIN_SELECT2ND,
+                                           sorted_output=True, block_mode=mode)
+                want = ref.multiply_many(xs, semiring=MIN_SELECT2ND,
+                                         sorted_output=True, block_mode=mode)
+                for k, (g, w) in enumerate(zip(got, want)):
+                    assert_same_pairs(g.vector, w.vector, f"{mode} member {k}")
+            assert engine.summary()["fused_batches"] == 1
             # async front-end splices patches at gather time too
             for x in xs:
                 engine.submit(x, semiring=PLUS_TIMES, sorted_output=True)

@@ -309,13 +309,16 @@ def test_multiply_many_agrees_with_per_vector_spmspv(algorithm):
     ctx = default_context(num_threads=3)
     xs = [random_sparse_vector(50, nnz, seed=20 + nnz) for nnz in (3, 8, 17, 30)]
     engine = SpMSpVEngine(matrix, ctx, algorithm=algorithm)
-    batch = engine.multiply_many(xs)
-    assert len(batch) == len(xs)
-    for x, result in zip(xs, batch):
-        direct = get_algorithm(algorithm)(matrix, x, ctx)
-        assert np.array_equal(result.vector.indices, direct.vector.indices)
-        assert np.array_equal(result.vector.values, direct.vector.values)
-    assert all(c.batch == 0 for c in engine.history)
+    for mode in ("fused", "looped"):
+        batch = engine.multiply_many(xs, block_mode=mode)
+        assert len(batch) == len(xs)
+        for x, result in zip(xs, batch):
+            direct = get_algorithm(algorithm)(matrix, x, ctx)
+            assert np.array_equal(result.vector.indices, direct.vector.indices)
+            assert np.array_equal(result.vector.values, direct.vector.values)
+    assert [c.batch for c in engine.history] == [0] * len(xs) + [1] * len(xs)
+    # only the bucket kernel has a fused block variant
+    assert engine.summary()["fused_batches"] == int(algorithm == "bucket")
 
 
 def test_multiply_many_applies_per_vector_masks():
@@ -335,7 +338,8 @@ def test_multi_source_bfs_matches_single_source_runs():
     matrix = erdos_renyi(350, 5.0, seed=13)
     ctx = default_context(num_threads=2)
     sources = [0, 7, 123]
-    multi = bfs_multi_source(matrix, sources, ctx, algorithm="bucket")
+    multi = bfs_multi_source(matrix, sources, ctx, algorithm="bucket",
+                             block_mode="fused")
     for k, source in enumerate(sources):
         single = bfs(matrix, source, ctx, algorithm="bucket")
         assert np.array_equal(multi.levels[k], single.levels)
@@ -344,6 +348,7 @@ def test_multi_source_bfs_matches_single_source_runs():
         assert np.array_equal(extracted.levels, single.levels)
         assert extracted.num_iterations == single.num_iterations
     assert multi.engine is not None
+    assert multi.engine.summary()["fused_batches"] > 0
     # the whole batched traversal ran on one workspace: every batch acquired
     # its buffers from it (a fused batch serves all k calls in one acquisition)
     assert multi.engine.workspace.stats()["acquisitions"] >= multi.engine._batches

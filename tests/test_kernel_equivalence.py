@@ -14,10 +14,9 @@ emits bucket-major first-touch order, the row-split baselines global first
 touch, the heap merge always row-sorted), so unsorted outputs are compared
 in canonical row order and sorted outputs additionally byte-for-byte as
 stored.  The fused block kernel reproduces the bucket kernel pair-for-pair
-*including storage order* in all four of its execution variants
-(segmented / global merge x early / finalize-time masking).  This suite is
-the single property-based home of those identities, superseding the ad-hoc
-per-kernel spot checks scattered across the older test files; a
+*including storage order*, with early and with finalize-time masking.  This
+suite is the single property-based home of those identities, superseding the
+ad-hoc per-kernel spot checks scattered across the older test files; a
 dictionary-accumulator oracle anchors the whole family to the mathematical
 definition.
 
@@ -148,7 +147,7 @@ def test_all_kernels_bit_identical(semiring, mask_mode, problem):
 @given(problems())
 @settings(**SETTINGS)
 def test_fused_block_variants_bit_identical(semiring, mask_mode, problem):
-    """All four fused variants (merge x masking) reproduce the per-vector kernel."""
+    """Both fused variants (early and late masking) reproduce the per-vector kernel."""
     matrix, x, mask, threads = problem
     x = as_semiring_input(x, semiring)
     ctx = default_context(num_threads=threads)
@@ -160,15 +159,12 @@ def test_fused_block_variants_bit_identical(semiring, mask_mode, problem):
     refs = [spmspv_bucket(matrix, v, ctx, semiring=semiring, **kw) for v in xs]
     # in "map" mode the block mixes both forms of the same mask
     masks = None if kw["mask"] is None else [kw["mask"], mask, kw["mask"]]
-    for merge in ("segmented", "global"):
-        for early in (True, False):
-            fused = spmspv_bucket_block(
-                matrix, xs, ctx, semiring=semiring, masks=masks,
-                mask_complement=kw["mask_complement"], early_mask=early,
-                merge=merge)
-            for ref, out in zip(refs, fused):
-                assert_bit_identical(ref.vector, out.vector,
-                                     f"fused merge={merge} early={early}")
+    for early in (True, False):
+        fused = spmspv_bucket_block(
+            matrix, xs, ctx, semiring=semiring, masks=masks,
+            mask_complement=kw["mask_complement"], early_mask=early)
+        for ref, out in zip(refs, fused):
+            assert_bit_identical(ref.vector, out.vector, f"fused early={early}")
 
 
 @given(problems())
@@ -216,15 +212,14 @@ def test_all_kernels_reject_mask_of_wrong_dimension(kernel, bad_len):
 
 
 @pytest.mark.parametrize("early_mask", [True, False])
-@pytest.mark.parametrize("merge", ["segmented", "global"])
-def test_fused_block_rejects_mask_of_wrong_dimension(early_mask, merge):
+def test_fused_block_rejects_mask_of_wrong_dimension(early_mask):
     matrix = random_csc(50, 40, 0.15, seed=4)
     xs = [SparseVector.full_like_indices(40, np.arange(i, i + 8), 1.0)
           for i in range(3)]
     bad_masks = [SparseVector.full_like_indices(40, np.arange(5), 1.0)] * 3
     with pytest.raises(DimensionError):
         spmspv_bucket_block(matrix, xs, default_context(), masks=bad_masks,
-                            early_mask=early_mask, merge=merge)
+                            early_mask=early_mask)
 
 
 @pytest.mark.parametrize("block_mode", ["fused", "looped"])

@@ -15,6 +15,8 @@ The load-bearing properties (ISSUE 8):
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,10 @@ from conftest import random_csc, random_sparse_vector
 from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
 from repro.core.engine import SpMSpVEngine
-from repro.errors import (DeadlineError, ServerClosedError,
+from repro.errors import (DeadlineError, NotSupportedError, ServerClosedError,
                           ServerOverloadedError)
 from repro.formats.sparse_vector import SparseVector
+from repro.formats.vector_block import SparseVectorBlock
 from repro.graphs import rmat
 from repro.parallel.context import default_context
 from repro.semiring import get_semiring
@@ -350,6 +353,71 @@ def test_unknown_graph_and_bad_query_rejected(graphs):
                                         x=random_sparse_vector(N, 4, seed=0)))
         with pytest.raises(TypeError):
             server.submit("not a query")
+
+
+# --------------------------------------------------------------------------- #
+# bad settings and failing batches never take the pump down
+# --------------------------------------------------------------------------- #
+
+def _pump_threads():
+    return {t for t in threading.enumerate() if t.name == "repro-serve-pump"}
+
+
+def test_bad_settings_rejected_before_the_pump_starts(graphs):
+    pumps = _pump_threads()
+    with pytest.raises(ValueError):
+        QueryServer(graphs, default_context(), block_mode="auto")
+    with pytest.raises(NotSupportedError):
+        QueryServer(graphs, default_context(), algorithm="auto")
+    assert _pump_threads() <= pumps
+
+
+def test_failed_batch_fails_alone_and_the_pump_keeps_serving(
+        graphs, solo_engines, monkeypatch):
+    x = random_sparse_vector(N, 6, seed=7)
+    with QueryServer(graphs, default_context(), max_wait_s=0.001,
+                     max_batch=8) as server:
+        run_batch = server._run_batch
+        calls = []
+
+        def fail_first(key, queries):
+            calls.append(key)
+            if len(calls) == 1:
+                raise RuntimeError("injected batch failure")
+            return run_batch(key, queries)
+
+        monkeypatch.setattr(server, "_run_batch", fail_first)
+        first = server.submit(MultiplyQuery(graph="a", x=x))
+        with pytest.raises(RuntimeError, match="injected"):
+            first.result(timeout=10.0)
+        served = server.submit(MultiplyQuery(graph="a", x=x)).result(timeout=10.0)
+        assert server.serve_stats()["failed"] == 1
+    ref = solo_engines["a"].multiply(x)
+    assert np.array_equal(served.vector.indices, ref.vector.indices)
+    assert np.array_equal(served.vector.values, ref.vector.values)
+
+
+def test_looped_server_packs_no_block(graphs, solo_engines, monkeypatch):
+    packs = []
+    pack = SparseVectorBlock.from_vectors.__func__
+
+    def counting_pack(cls, xs):
+        packs.append(len(xs))
+        return pack(cls, xs)
+
+    monkeypatch.setattr(SparseVectorBlock, "from_vectors",
+                        classmethod(counting_pack))
+    xs = [random_sparse_vector(N, 10, seed=300 + i) for i in range(6)]
+    for mode, expected_packs in (("looped", []), ("fused", [6])):
+        packs.clear()
+        with make_server(graphs, max_batch=6, block_mode=mode) as server:
+            futures = [server.submit(MultiplyQuery(graph="a", x=x)) for x in xs]
+            for x, future in zip(xs, futures):
+                ref = solo_engines["a"].multiply(x)
+                served = future.result()
+                assert np.array_equal(served.vector.indices, ref.vector.indices)
+                assert np.array_equal(served.vector.values, ref.vector.values)
+        assert packs == expected_packs, mode
 
 
 # --------------------------------------------------------------------------- #

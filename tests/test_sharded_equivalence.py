@@ -156,10 +156,9 @@ def test_sharded_beyond_row_count_bit_identical(problem):
 
 
 @pytest.mark.parametrize("mask_mode", MASK_MODES)
-@pytest.mark.parametrize("block_merge", ["segmented", "global"])
 @given(problems())
 @settings(**SETTINGS)
-def test_sharded_fused_multiply_many_bit_identical(mask_mode, block_merge, problem):
+def test_sharded_fused_multiply_many_bit_identical(mask_mode, problem):
     """The sharded fused block path reproduces the unsharded engine per vector."""
     matrix, x, mask, threads, shards = problem
     ctx = default_context(num_threads=threads)
@@ -170,14 +169,12 @@ def test_sharded_fused_multiply_many_bit_identical(mask_mode, block_merge, probl
     masks = None if kw["mask"] is None else [kw["mask"]] * len(xs)
     refs = SpMSpVEngine(matrix, ctx, algorithm="bucket").multiply_many(
         xs, masks=None if masks is None else [mask] * len(xs),
-        mask_complement=kw["mask_complement"],
-        block_mode="fused", block_merge=block_merge)
+        mask_complement=kw["mask_complement"], block_mode="fused")
     outs = ShardedEngine(matrix, shards, ctx, algorithm="bucket").multiply_many(
         xs, masks=masks, mask_complement=kw["mask_complement"],
-        block_mode="fused", block_merge=block_merge)
+        block_mode="fused")
     for i, (ref, out) in enumerate(zip(refs, outs)):
-        assert_same_pairs(ref.vector, out.vector,
-                          f"fused vec {i} P={shards} merge={block_merge}")
+        assert_same_pairs(ref.vector, out.vector, f"fused vec {i} P={shards}")
 
 
 @pytest.mark.parametrize("block_mode", ["fused", "looped"])
