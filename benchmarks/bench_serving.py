@@ -6,8 +6,9 @@ configurations over the RMAT suite graphs:
 
 * **uncoalesced** — ``max_batch=1``: every request is its own engine call,
   the one-query-one-kernel baseline;
-* **coalesced** — ``max_batch=16`` within a ~2 ms window: concurrent
-  same-key requests execute as one fused
+* **coalesced** — ``max_batch=16`` within a ~2 ms window and
+  ``block_mode="fused"`` (the server's default loops): concurrent same-key
+  requests execute as one fused
   :class:`~repro.formats.vector_block.SparseVectorBlock` batch (one union
   gather, one scatter, one segmented merge for the whole batch — the
   paper's block-kernel economics turned into serving throughput).
@@ -129,7 +130,8 @@ def bench_graph(name, scale, clients, per_client, threads) -> dict:
 
     configs = {
         "uncoalesced": dict(max_batch=1, max_wait_s=0.0),
-        "coalesced": dict(max_batch=MAX_BATCH, max_wait_s=MAX_WAIT_S),
+        "coalesced": dict(max_batch=MAX_BATCH, max_wait_s=MAX_WAIT_S,
+                          block_mode="fused"),
     }
     identity = None
     for label, knobs in configs.items():

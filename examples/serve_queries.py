@@ -32,8 +32,9 @@ def simulate(graphs, ctx, *, max_batch, max_wait_s, label):
                              ("multiply", "pagerank", "bfs"), nnz=(8, 64))
                 for j in range(REQUESTS_PER_CLIENT)]
                for c in range(CLIENTS)]
+    # fused batches (the server's default loops); a batch of one never fuses
     with QueryServer(graphs, ctx, max_batch=max_batch, max_wait_s=max_wait_s,
-                     max_queue=4096, overload="block",
+                     block_mode="fused", max_queue=4096, overload="block",
                      default_timeout_s=60.0) as server:
         t0 = time.perf_counter()
         outcome = run_closed_loop(server, streams, result_timeout_s=120.0)

@@ -33,7 +33,6 @@ from .formats import (
     BitVector,
     COOMatrix,
     CSCMatrix,
-    CSRMatrix,
     DCSCMatrix,
     SparseVector,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "BitVector",
     "COOMatrix",
     "CSCMatrix",
-    "CSRMatrix",
     "CostModel",
     "DCSCMatrix",
     "EDISON",

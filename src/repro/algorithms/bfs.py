@@ -108,9 +108,9 @@ def bfs(graph: Graph | CSCMatrix, source: int,
         Overrides the context's sharded execution backend (``"emulated"`` |
         ``"process"``); only meaningful together with ``shards``.
     shard_scheme:
-        Partitioning scheme for the sharded engine: ``"row"`` | ``"column"``
-        | ``"auto"`` (the paper's §II-F crossover).  ``None`` defers to
-        ``ctx.shard_scheme``; only meaningful together with ``shards``.
+        Partitioning scheme for the sharded engine: ``"row"`` |
+        ``"column"``.  ``None`` defers to ``ctx.shard_scheme``; only
+        meaningful together with ``shards``.
     """
     matrix = graph.matrix if isinstance(graph, Graph) else graph
     if matrix.nrows != matrix.ncols:
@@ -242,8 +242,8 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
     fused blocks shard too (the column-union pack is shared, the scatter is
     strip-local) and results stay bit-identical.  ``backend`` overrides the
     context's sharded execution backend (``"emulated"`` | ``"process"``) and
-    ``shard_scheme`` the partitioning scheme (``"row"`` | ``"column"`` |
-    ``"auto"``; the column scheme has only the looped block path).
+    ``shard_scheme`` the partitioning scheme (``"row"`` | ``"column"``; the
+    column scheme has only the looped block path).
     ``engine`` supplies a *persistent* engine already holding this adjacency
     matrix (the serving layer's reuse path: one warm workspace across many
     traversals); when given, ``ctx``/``shards``/``backend``/``shard_scheme``

@@ -110,8 +110,8 @@ def pagerank(graph: Graph | CSCMatrix,
     iteration through a :class:`~repro.core.sharded.ShardedEngine` over that
     many row strips (bit-identical scores); ``backend`` overrides the
     context's sharded execution backend (``"emulated"`` | ``"process"``) and
-    ``shard_scheme`` the partitioning scheme (``"row"`` | ``"column"`` |
-    ``"auto"``, defaulting to ``ctx.shard_scheme``).
+    ``shard_scheme`` the partitioning scheme (``"row"`` | ``"column"``,
+    defaulting to ``ctx.shard_scheme``).
     """
     matrix = graph.matrix if isinstance(graph, Graph) else graph
     if matrix.nrows != matrix.ncols:
@@ -226,8 +226,8 @@ def pagerank_block(graph: Graph | CSCMatrix,
     the fused block packs once and executes per strip, bit-identically.
     ``backend`` overrides the context's sharded execution backend
     (``"emulated"`` | ``"process"``) and ``shard_scheme`` the partitioning
-    scheme (``"row"`` | ``"column"`` | ``"auto"``; the column scheme has
-    only the looped block path).  ``engine`` supplies a *persistent*
+    scheme (``"row"`` | ``"column"``; the column scheme has only the looped
+    block path).  ``engine`` supplies a *persistent*
     engine already holding the column-stochastic transition operator
     (``column_stochastic(adjacency)``) — the serving layer's reuse path: no
     per-call normalization or engine construction, and ``ctx``/``shards``/

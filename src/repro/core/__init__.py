@@ -8,11 +8,8 @@ from .engine import (
     SpMSpVEngine,
     clear_engine_cache,
     engine_for,
-    pin_engine,
-    unpin_engine,
 )
 from .column_sharded import ColumnShardedEngine, make_sharded_engine
-from .left_multiply import spmspv_left, transpose_for_left_multiply
 from .result import SpMSpVResult
 from .sharded import EngineGroup, ShardedEngine
 from .spa import SparseAccumulator
@@ -63,8 +60,6 @@ __all__ = [
     "merge_partial_records",
     "reduce_partials",
     "slice_frontier",
-    "pin_engine",
-    "unpin_engine",
     "ewise_add",
     "ewise_mult",
     "finalize_output",
@@ -76,7 +71,5 @@ __all__ = [
     "spmspv_bucket",
     "spmspv_bucket_block",
     "spmspv_bucket_reference",
-    "spmspv_left",
-    "transpose_for_left_multiply",
     "where_values",
 ]

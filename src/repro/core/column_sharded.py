@@ -40,12 +40,12 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .._typing import as_index_array
-from ..errors import BackendError, DimensionMismatchError, NotSupportedError
+from ..errors import DimensionMismatchError, NotSupportedError
 from ..formats.coo import COOMatrix
 from ..formats.csc import CSCMatrix
 from ..formats.dcsc import DCSCMatrix
@@ -53,14 +53,13 @@ from ..formats.delta import DeltaLog, apply_delta
 from ..formats.partition import ColumnSplit, column_split
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..machine.cost_model import scheme_crossover
 from ..parallel.backends import ExecutionBackend, make_backend
 from ..parallel.context import ExecutionContext, default_context
 from ..semiring import PLUS_TIMES, Semiring
 from .engine import EngineCall, check_block_mode
 from .result import SpMSpVResult
 from .spmspv_column import merge_partial_records, reduce_partials, slice_frontier
-from .vector_ops import Mask, check_operands, mask_bitmap, snapshot_mask
+from .vector_ops import Mask, check_operands, mask_bitmap
 
 __all__ = ["ColumnShardedEngine", "make_sharded_engine"]
 
@@ -121,11 +120,6 @@ class ColumnShardedEngine:
         self.total_wall_ms = 0.0
         self._batches = 0
         self.compactions = 0
-        #: queued async calls: (ticket, vector, kwargs), drained by gather()
-        self._pending: List[Tuple[int, SparseVector, Dict]] = []
-        self._ticket = 0
-        #: tickets in the order gather() actually executed them (async tests)
-        self.execution_log: List[int] = []
         self._lock = threading.RLock()
 
     @property
@@ -144,14 +138,9 @@ class ColumnShardedEngine:
         **compacts immediately**: each touched strip is rebuilt from its CSC
         original plus the delta, re-encoded as DCSC and pushed to the
         backend.  Costlier per update than the row-split overlay, but never
-        a wrong or stale answer.  Raises :class:`BackendError` while async
-        calls are queued.
+        a wrong or stale answer.
         """
         with self._lock:
-            if self._pending:
-                raise BackendError(
-                    f"apply_updates with {len(self._pending)} async call(s) "
-                    "queued; gather() them first")
             rows = as_index_array(rows)
             cols = as_index_array(cols)
             m, n = self.matrix.shape
@@ -348,68 +337,6 @@ class ColumnShardedEngine:
             return results
 
     # ------------------------------------------------------------------ #
-    # async front-end
-    # ------------------------------------------------------------------ #
-    def submit(self, x: SparseVector, **kwargs) -> int:
-        """Queue one multiplication; returns its ticket (validated at gather).
-
-        A mask map is copied here, as in :meth:`ShardedEngine.submit`.
-        """
-        with self._lock:
-            ticket = self._ticket
-            self._ticket += 1
-            self._pending.append((ticket, x, snapshot_mask(kwargs)))
-            return ticket
-
-    @property
-    def pending(self) -> int:
-        """Number of queued (not yet gathered) calls."""
-        return len(self._pending)
-
-    def gather(self) -> List[SpMSpVResult]:
-        """Execute every queued call and return results in submit order.
-
-        Same contract as :meth:`ShardedEngine.gather`: deterministic seeded
-        execution order, pipelined up to ``ctx.backend_inflight`` calls in
-        flight, bookkeeping at drain time, queue cleared even on failure.
-        """
-        with self._lock:
-            pending, self._pending = self._pending, []
-            if not pending:
-                return []
-            rng = np.random.default_rng(self.ctx.seed + len(pending))
-            order = rng.permutation(len(pending))
-            window = max(1, self.ctx.backend_inflight)
-            inflight: List[Tuple[int, Dict, object]] = []
-            results: Dict[int, SpMSpVResult] = {}
-
-            def drain_one() -> None:
-                ticket, plan, token = inflight.pop(0)
-                results[ticket] = self._finish_call(
-                    plan, self.backend.gather_partial(token))
-
-            try:
-                for pos in order.tolist():
-                    ticket, x, kwargs = pending[pos]
-                    self.execution_log.append(ticket)
-                    plan = self._plan_call(x, **kwargs)
-                    token = self.backend.submit_partial(
-                        plan["name"], plan["slices"],
-                        semiring=plan["semiring"], mask=plan["mask"],
-                        mask_complement=plan["mask_complement"],
-                        out_dtype=plan["out_dtype"])
-                    inflight.append((ticket, plan, token))
-                    if len(inflight) >= window:
-                        drain_one()
-                while inflight:
-                    drain_one()
-            except BaseException:
-                for _ticket, _plan, token in inflight:
-                    self.backend.abandon(token)
-                raise
-            return [results[ticket] for ticket, _x, _kw in pending]
-
-    # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
     def algorithms_used(self) -> List[str]:
@@ -480,23 +407,17 @@ def make_sharded_engine(matrix: CSCMatrix, shards: int,
                         algorithm: str = "bucket",
                         scheme: Optional[str] = None,
                         **kwargs) -> Union["ColumnShardedEngine", object]:
-    """Build a sharded engine, resolving the partitioning scheme.
+    """Build a sharded engine over the ``"row"`` or ``"column"`` partition.
 
-    ``scheme=None`` defers to ``ctx.shard_scheme``; ``"auto"`` (from either
-    source) resolves per matrix via the paper's §II-F crossover — column
-    when the shard count exceeds the average degree
-    (:func:`repro.machine.cost_model.scheme_crossover`), row otherwise.
+    ``scheme=None`` defers to ``ctx.shard_scheme``.
     """
     from .sharded import ShardedEngine  # late: avoids import cycle
 
     ctx = ctx if ctx is not None else default_context()
     resolved = scheme if scheme is not None else ctx.shard_scheme
-    if resolved == "auto":
-        resolved = scheme_crossover(int(shards), matrix.average_degree())
     if resolved == "column":
         return ColumnShardedEngine(matrix, shards, ctx,
                                    algorithm=algorithm, **kwargs)
     if resolved == "row":
         return ShardedEngine(matrix, shards, ctx, algorithm=algorithm, **kwargs)
-    raise ValueError(
-        f"shard scheme must be 'row', 'column' or 'auto', got {resolved!r}")
+    raise ValueError(f"shard scheme must be 'row' or 'column', got {resolved!r}")

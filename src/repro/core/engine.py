@@ -475,34 +475,16 @@ class SpMSpVEngine:
 # --------------------------------------------------------------------------- #
 _ENGINE_CACHE: "OrderedDict[tuple, SpMSpVEngine]" = OrderedDict()
 _ENGINE_CACHE_LIMIT = 8
-#: cache keys exempt from LRU eviction, with a pin count per key so nested
-#: pinners (two EngineGroups over one matrix) compose
-_ENGINE_PINS: Dict[tuple, int] = {}
 
 
-def _evict_over_limit() -> None:
-    """Evict the oldest *unpinned* entries beyond the cache limit.
-
-    Pinned entries neither get evicted nor count toward the limit — a
-    workload legitimately holding many live matrices (an
-    :class:`~repro.core.sharded.EngineGroup`) must not have its members'
-    workspaces silently rebuilt mid-algorithm by unrelated ``spmspv`` calls.
-    """
-    unpinned = [k for k in _ENGINE_CACHE if k not in _ENGINE_PINS]
-    for key in unpinned[:max(len(unpinned) - _ENGINE_CACHE_LIMIT, 0)]:
-        del _ENGINE_CACHE[key]
-
-
-def engine_for(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
-               pin: bool = False) -> SpMSpVEngine:
+def engine_for(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None
+               ) -> SpMSpVEngine:
     """The cached engine serving ``spmspv`` calls for ``(matrix, ctx)``.
 
     Entries pin the matrix (so ids cannot be recycled while cached) and are
     evicted LRU beyond a small limit; repeated calls on the same matrix —
     the shape of every iterative algorithm and benchmark — therefore reuse
-    one workspace.  ``pin=True`` additionally
-    exempts the entry from LRU eviction until a matching
-    :func:`unpin_engine` (see :func:`pin_engine`).
+    one workspace.
     """
     ctx = ctx if ctx is not None else default_context()
     key = (id(matrix), ctx)
@@ -512,43 +494,11 @@ def engine_for(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
     else:
         engine = SpMSpVEngine(matrix, ctx)
         _ENGINE_CACHE[key] = engine
-    if pin:
-        _ENGINE_PINS[key] = _ENGINE_PINS.get(key, 0) + 1
-    _evict_over_limit()
+        while len(_ENGINE_CACHE) > _ENGINE_CACHE_LIMIT:
+            _ENGINE_CACHE.popitem(last=False)
     return engine
 
 
-def pin_engine(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None
-               ) -> SpMSpVEngine:
-    """Get-or-create the cached engine for ``(matrix, ctx)`` and pin it.
-
-    A pinned engine survives any number of intervening ``spmspv`` calls on
-    other matrices (the LRU limit only applies to unpinned entries), so its
-    workspace is never rebuilt mid-algorithm.  Pins
-    nest; every ``pin_engine`` needs a matching :func:`unpin_engine`.
-    """
-    return engine_for(matrix, ctx, pin=True)
-
-
-def unpin_engine(matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None) -> None:
-    """Release one pin on the cached engine for ``(matrix, ctx)``.
-
-    The entry stays cached but becomes evictable again once its pin count
-    reaches zero.  Unpinning a key that is not pinned is a no-op.
-    """
-    ctx = ctx if ctx is not None else default_context()
-    key = (id(matrix), ctx)
-    count = _ENGINE_PINS.get(key)
-    if count is None:
-        return
-    if count <= 1:
-        del _ENGINE_PINS[key]
-    else:
-        _ENGINE_PINS[key] = count - 1
-    _evict_over_limit()
-
-
 def clear_engine_cache() -> None:
-    """Drop all cached engines and pins (exposed for tests)."""
+    """Drop all cached engines (exposed for tests)."""
     _ENGINE_CACHE.clear()
-    _ENGINE_PINS.clear()

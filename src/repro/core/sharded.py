@@ -29,14 +29,10 @@ runs every multiplication against one monolithic matrix.
   kernel call, while the (row, vector-id) scatter and the segmented merge
   stay strip-local.
 
-An **async front-end** (:meth:`ShardedEngine.submit` /
-:meth:`ShardedEngine.gather`) queues calls and executes them in a
-deterministic seeded order (emulating out-of-order completion) while always
-returning results in submission order; :class:`EngineGroup` extends the same
-interface across *several* matrices, pinning its members in the
-:func:`~repro.core.engine.engine_for` cache so long-lived multi-graph
-workloads (BFS/PageRank over many graphs) never have their workspaces
-silently evicted and rebuilt mid-algorithm.
+:class:`EngineGroup` holds one engine per named matrix — monolithic, or
+sharded when ``shards`` is given — that it builds and owns, so long-lived
+multi-graph workloads (BFS/PageRank over many graphs, the query server)
+keep every member's workspace warm for the group's lifetime.
 
 *Where* the per-strip calls execute is delegated to the context's pluggable
 **execution backend** (:mod:`repro.parallel.backends`): the default
@@ -58,7 +54,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._typing import INDEX_DTYPE, as_index_array
-from ..errors import BackendError, DimensionMismatchError
+from ..errors import DimensionMismatchError
 from ..formats.coo import COOMatrix
 from ..formats.csc import CSCMatrix
 from ..formats.delta import DeltaLog, apply_delta, build_patch, splice_overlay
@@ -77,11 +73,9 @@ from .engine import (
     _accepts_workspace,
     check_block_mode,
     merge_overlay_record,
-    pin_engine,
-    unpin_engine,
 )
 from .result import SpMSpVResult
-from .vector_ops import Mask, check_operands, mask_bitmap, snapshot_mask
+from .vector_ops import Mask, check_operands, mask_bitmap
 from .workspace import SpMSpVWorkspace
 
 
@@ -153,11 +147,6 @@ class ShardedEngine:
         self._patch_ws: Dict[int, SpMSpVWorkspace] = {}
         self._strip_row_nnz: List[Optional[np.ndarray]] = \
             [None] * self.split.num_parts
-        #: queued async calls: (ticket, vector, kwargs), drained by gather()
-        self._pending: List[Tuple[int, SparseVector, Dict]] = []
-        self._ticket = 0
-        #: tickets in the order gather() actually executed them (async tests)
-        self.execution_log: List[int] = []
         # bookkeeping is reentrant (multiply_many loops over multiply)
         self._lock = threading.RLock()
 
@@ -263,15 +252,9 @@ class ShardedEngine:
         while the parent splices in tiny strip-local patch corrections.  A
         strip whose delta-touched rows cross ``compact_fraction`` of its
         nonzeros is rebuilt **alone** — the other strips' workspaces and
-        shared-memory slabs stay untouched.  Raises :class:`BackendError`
-        while async calls are queued (``submit`` without ``gather``): a
-        queued call must run against the matrix it was submitted to.
+        shared-memory slabs stay untouched.
         """
         with self._lock:
-            if self._pending:
-                raise BackendError(
-                    f"apply_updates with {len(self._pending)} async call(s) "
-                    "queued; gather() them first")
             rows = as_index_array(rows)
             cols = as_index_array(cols)
             m, n = self.matrix.shape
@@ -331,8 +314,6 @@ class ShardedEngine:
     def compact(self, strip: Optional[int] = None) -> bool:
         """Fold pending deltas into their base strips now; True if any ran."""
         with self._lock:
-            if self._pending:
-                raise BackendError("compact with async calls queued; gather() first")
             if strip is not None:
                 return self._compact_strip_locked(strip)
             return any([self._compact_strip_locked(s)
@@ -448,12 +429,10 @@ class ShardedEngine:
                    _batch: Optional[int] = None, **kwargs) -> Dict:
         """Validate + resolve one call, without executing it.
 
-        This is the submit half of a multiplication: everything that must
-        happen *before* the strip calls go out (operand/mask checks, kernel
-        name validation, sorted-output resolution, mask compilation) — so
-        the pipelined :meth:`gather` can
-        broadcast a call to the backend and plan the next one while workers
-        are still running.  The bookkeeping half is :meth:`_finish_call`.
+        Everything that must happen *before* the strip calls go out
+        (operand/mask checks, kernel name validation, sorted-output
+        resolution, mask compilation).  The bookkeeping half is
+        :meth:`_finish_call`.
         """
         from .dispatch import get_algorithm  # late: avoids import cycle
 
@@ -469,12 +448,7 @@ class ShardedEngine:
                 "batch": _batch, "t0": time.perf_counter()}
 
     def _finish_call(self, plan: Dict, outs: List[SpMSpVResult]) -> SpMSpVResult:
-        """Fold strip results into one result + all per-call bookkeeping.
-
-        Runs in gather order (= the deterministic execution order), so the
-        history is identical across backends regardless of how the strip
-        calls overlapped.
-        """
+        """Fold strip results into one result + all per-call bookkeeping."""
         x = plan["x"]
         name = plan["name"]
         resolved_sorted = plan["resolved_sorted"]
@@ -655,88 +629,6 @@ class ShardedEngine:
         return results
 
     # ------------------------------------------------------------------ #
-    # async front-end
-    # ------------------------------------------------------------------ #
-    def submit(self, x: SparseVector, **kwargs) -> int:
-        """Queue one multiplication; returns its ticket.
-
-        Nothing executes until :meth:`gather` — including validation, so a
-        bad call (wrong vector length, wrong mask dimension) raises from the
-        failing strip at gather time, exactly like a remote shard would fail
-        its batch.  A mask map is copied here, so the caller may reuse or
-        update it before the gather (a BFS updates its visited map).
-        """
-        with self._lock:
-            ticket = self._ticket
-            self._ticket += 1
-            self._pending.append((ticket, x, snapshot_mask(kwargs)))
-            return ticket
-
-    @property
-    def pending(self) -> int:
-        """Number of queued (not yet gathered) calls."""
-        return len(self._pending)
-
-    def gather(self) -> List[SpMSpVResult]:
-        """Execute every queued call and return their results in submit order.
-
-        Execution order is a deterministic function of the context's seed
-        (a seeded permutation, emulating out-of-order async completion);
-        results are independent of it because queued calls are independent.
-        The executed tickets are appended to :attr:`execution_log`.  The
-        queue is cleared even when a strip call raises — the exception
-        propagates to the caller and later submissions start fresh.
-
-        Execution is **pipelined**: up to ``ctx.backend_inflight`` calls are
-        submitted to the backend before the oldest is drained, so on the
-        process backend consecutive multiplies overlap across the worker
-        pool instead of barriering per call.  All per-call bookkeeping
-        (history) happens at drain time in execution order, so the pipeline
-        depth never changes what any backend records — and the emulated
-        backend, whose submissions are deferred thunks, remains
-        bit-identical.
-        """
-        with self._lock:
-            pending, self._pending = self._pending, []
-            if not pending:
-                return []
-            rng = np.random.default_rng(self.ctx.seed + len(pending))
-            order = rng.permutation(len(pending))
-            window = max(1, self.ctx.backend_inflight)
-            #: (ticket, plan, token) in execution order, oldest first
-            inflight: List[Tuple[int, Dict, object]] = []
-            results: Dict[int, SpMSpVResult] = {}
-
-            def drain_one() -> None:
-                ticket, plan, token = inflight.pop(0)
-                results[ticket] = self._finish_call(
-                    plan, self.backend.gather_multiply(token))
-
-            try:
-                for pos in order.tolist():
-                    ticket, x, kwargs = pending[pos]
-                    self.execution_log.append(ticket)
-                    plan = self._plan_call(x, **kwargs)
-                    token = self.backend.submit_multiply(
-                        plan["name"], x, semiring=plan["semiring"],
-                        sorted_output=plan["resolved_sorted"],
-                        mask_slices=plan["mask_slices"],
-                        mask_complement=plan["mask_complement"],
-                        kwargs=plan["kwargs"])
-                    inflight.append((ticket, plan, token))
-                    if len(inflight) >= window:
-                        drain_one()
-                while inflight:
-                    drain_one()
-            except BaseException:
-                # a failed plan or strip call abandons whatever is in flight;
-                # the queue was already cleared, so later submissions restart
-                for _ticket, _plan, token in inflight:
-                    self.backend.abandon(token)
-                raise
-            return [results[ticket] for ticket, _x, _kw in pending]
-
-    # ------------------------------------------------------------------ #
     # introspection (consumed by repro.analysis.reporting and detach())
     # ------------------------------------------------------------------ #
     def algorithms_used(self) -> List[str]:
@@ -819,49 +711,32 @@ class ShardedEngine:
 
 
 class EngineGroup:
-    """Pinned engines over several matrices with interleaved async execution.
+    """One engine per named matrix, built and owned by the group.
 
-    The group holds one engine per matrix — the **cached**
-    :func:`~repro.core.engine.engine_for` engine, pinned so the 8-entry LRU
-    never evicts a member mid-algorithm no matter how many other matrices
-    the process touches, or a :class:`ShardedEngine` when ``shards`` is
-    given.  :meth:`submit`/:meth:`gather` interleave queued calls across the
-    members in a deterministic seeded order (round-robin-free emulation of
-    concurrent multi-graph progress), always returning results in submit
-    order — the shape of BFS/PageRank advancing over several graphs at once.
+    Each member is an :class:`~repro.core.engine.SpMSpVEngine`, or a
+    :class:`ShardedEngine` over ``shards`` row strips when given.  Members
+    live as long as the group, so their workspaces stay warm no matter how
+    many other matrices the process touches; the ``spmspv`` shim's
+    :func:`~repro.core.engine.engine_for` cache is not involved.  The
+    serving layer reaches a member by key through the forwarding methods.
 
-    Use as a context manager (or call :meth:`close`) to release the pins.
+    Use as a context manager (or call :meth:`close`) to release the
+    members' backend pools.
     """
 
     def __init__(self, matrices: Union[Sequence[CSCMatrix], Mapping[object, CSCMatrix]],
                  ctx: Optional[ExecutionContext] = None, *,
-                 shards: Optional[int] = None,
-                 seed: Optional[int] = None):
+                 shards: Optional[int] = None):
         self.ctx = ctx if ctx is not None else default_context()
-        self.seed = int(seed) if seed is not None else self.ctx.seed
-        if isinstance(matrices, Mapping):
-            items = list(matrices.items())
-        else:
-            items = list(enumerate(matrices))
+        items = (list(matrices.items()) if isinstance(matrices, Mapping)
+                 else list(enumerate(matrices)))
         if not items:
             raise ValueError("EngineGroup needs at least one matrix")
         self._engines: "OrderedDict[object, Union[SpMSpVEngine, ShardedEngine]]" = \
-            OrderedDict()
-        self._pinned: List[CSCMatrix] = []
-        for key, matrix in items:
-            if key in self._engines:
-                raise ValueError(f"duplicate EngineGroup key {key!r}")
-            if shards is not None:
-                self._engines[key] = ShardedEngine(matrix, shards, self.ctx)
-            else:
-                self._engines[key] = pin_engine(matrix, self.ctx)
-                self._pinned.append(matrix)
-        self._pending: List[Tuple[int, object, SparseVector, Dict]] = []
-        self._ticket = 0
-        #: (ticket, key) pairs in actual execution order (determinism tests)
-        self.execution_log: List[Tuple[int, object]] = []
-        self._closed = False
-        self._lock = threading.RLock()
+            OrderedDict(
+                (key, SpMSpVEngine(matrix, self.ctx) if shards is None
+                 else ShardedEngine(matrix, shards, self.ctx))
+                for key, matrix in items)
 
     # ------------------------------------------------------------------ #
     def keys(self) -> List[object]:
@@ -872,14 +747,13 @@ class EngineGroup:
         return self._engines[key]
 
     def multiply(self, key, x: SparseVector, **kwargs) -> SpMSpVResult:
-        """Immediate (non-queued) multiplication against one member."""
+        """Multiplication against one member; see :meth:`SpMSpVEngine.multiply`."""
         return self._engines[key].multiply(x, **kwargs)
 
     def multiply_many(self, key, xs: Sequence[SparseVector],
                       **kwargs) -> List[SpMSpVResult]:
-        """Immediate blocked multiplication against one member (the serving
-        layer's coalesced entry point); see
-        :meth:`SpMSpVEngine.multiply_many`."""
+        """Blocked multiplication against one member (the serving layer's
+        coalesced entry point); see :meth:`SpMSpVEngine.multiply_many`."""
         return self._engines[key].multiply_many(xs, **kwargs)
 
     def multiply_block(self, key, block: SparseVectorBlock,
@@ -893,60 +767,15 @@ class EngineGroup:
         see :meth:`SpMSpVEngine.apply_updates` / :meth:`ShardedEngine.apply_updates`."""
         return self._engines[key].apply_updates(rows, cols, values)
 
-    def submit(self, key, x: SparseVector, **kwargs) -> int:
-        """Queue one multiplication against member ``key``; returns its ticket."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("EngineGroup is closed")
-            if key not in self._engines:
-                raise KeyError(f"unknown EngineGroup key {key!r}")
-            ticket = self._ticket
-            self._ticket += 1
-            self._pending.append((ticket, key, x, kwargs))
-            return ticket
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    def gather(self) -> List[SpMSpVResult]:
-        """Execute every queued call, interleaved across members, in a
-        deterministic seeded order; results come back in submit order.
-
-        The queue is cleared even when a call raises; the exception
-        propagates.  Executed ``(ticket, key)`` pairs are appended to
-        :attr:`execution_log`.
-        """
-        with self._lock:
-            pending, self._pending = self._pending, []
-            if not pending:
-                return []
-            rng = np.random.default_rng(self.seed + len(pending))
-            order = rng.permutation(len(pending))
-            results: Dict[int, SpMSpVResult] = {}
-            for pos in order.tolist():
-                ticket, key, x, kwargs = pending[pos]
-                self.execution_log.append((ticket, key))
-                results[ticket] = self._engines[key].multiply(x, **kwargs)
-            return [results[ticket] for ticket, _k, _x, _kw in pending]
-
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[object, Dict[str, object]]:
         """Per-member engine summaries."""
         return {key: engine.summary() for key, engine in self._engines.items()}
 
     def close(self) -> None:
-        """Release the members' cache pins and backend pools (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for matrix in self._pinned:
-                unpin_engine(matrix, self.ctx)
-            self._pinned.clear()
-            for engine in self._engines.values():
-                if isinstance(engine, ShardedEngine):
-                    engine.close()
+        """Release the members' backend pools (idempotent)."""
+        for engine in self._engines.values():
+            engine.close()
 
     def __enter__(self) -> "EngineGroup":
         return self
@@ -958,5 +787,4 @@ class EngineGroup:
         return len(self._engines)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"EngineGroup(members={len(self._engines)}, "
-                f"pending={len(self._pending)}, closed={self._closed})")
+        return f"EngineGroup(members={len(self._engines)})"

@@ -8,7 +8,7 @@ keep those algorithms readable while staying vectorized.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -139,19 +139,6 @@ def mask_keep(bitmap: Optional[np.ndarray], rows: np.ndarray, *,
         return None
     keep = bitmap[rows]
     return np.logical_not(keep, out=keep) if complement else keep
-
-
-def snapshot_mask(kwargs: Dict) -> Dict:
-    """A queued call's options with its mask map copied.
-
-    Queued calls run at a later gather; copying the map at submit keeps
-    updates the caller makes in between (a BFS marking vertices visited)
-    out of the queued call's answer.
-    """
-    mask = kwargs.get("mask")
-    if isinstance(mask, np.ndarray):
-        return dict(kwargs, mask=mask.copy())
-    return kwargs
 
 
 def finalize_output(y: SparseVector, semiring: Semiring, *,

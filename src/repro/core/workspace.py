@@ -527,8 +527,9 @@ class SpMSpVWorkspace:
         #: block-expansion buffers, created lazily on the first fused block call
         #: so single-vector workloads never pay for them
         self.block: Optional[BlockBuffers] = None
-        #: buffer (re)allocations performed, including the three at construction
-        self.allocations = 3
+        #: buffer (re)allocations an acquisition triggered (growth, retyping,
+        #: the lazy block buffers); the buffers built above are not counted
+        self.allocations = 0
         #: kernel calls served from already-allocated buffers
         self.acquisitions = 0
 

@@ -1,12 +1,13 @@
 """Sparse matrix and vector storage formats (the paper's §II-C substrate).
 
 Matrix formats: :class:`COOMatrix` (builder), :class:`CSCMatrix` (used by
-SpMSpV-bucket), :class:`CSRMatrix`, :class:`DCSCMatrix` (used by the
-CombBLAS / GraphMat baselines).  Vector formats: :class:`SparseVector`
-(sorted/unsorted list format) and :class:`BitVector` (GraphMat's bitmap
-format).  Partitioning schemes (row-split / column-split / 2-D grid) live in
-:mod:`repro.formats.partition` and Matrix Market I/O in
-:mod:`repro.formats.matrix_market`.
+SpMSpV-bucket) and :class:`DCSCMatrix` (used by the CombBLAS / GraphMat
+baselines and the column-split engine's strips).  Every kernel is
+column-driven, so there is no row-major format.  Vector formats:
+:class:`SparseVector` (sorted/unsorted list format) and :class:`BitVector`
+(GraphMat's bitmap format).  Partitioning schemes (row-split /
+column-split / 2-D grid) live in :mod:`repro.formats.partition` and Matrix
+Market I/O in :mod:`repro.formats.matrix_market`.
 """
 
 from .bitvector import BitVector
@@ -18,13 +19,11 @@ from .conversions import (
     to_bitvector,
     to_coo,
     to_csc,
-    to_csr,
     to_dcsc,
     to_scipy_csc,
     to_sparse_vector,
 )
 from .csc import CSCMatrix
-from .csr import CSRMatrix
 from .dcsc import DCSCMatrix
 from .delta import DeltaLog, apply_delta, build_patch, splice_overlay
 from .matrix_market import read_matrix_market, read_matrix_market_csc, write_matrix_market
@@ -45,7 +44,6 @@ __all__ = [
     "BitVector",
     "COOMatrix",
     "CSCMatrix",
-    "CSRMatrix",
     "ColumnSplit",
     "DCSCMatrix",
     "DeltaLog",
@@ -69,7 +67,6 @@ __all__ = [
     "to_bitvector",
     "to_coo",
     "to_csc",
-    "to_csr",
     "to_dcsc",
     "to_scipy_csc",
     "to_sparse_vector",

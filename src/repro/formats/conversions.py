@@ -16,21 +16,20 @@ from ..errors import NotSupportedError
 from .bitvector import BitVector
 from .coo import COOMatrix
 from .csc import CSCMatrix
-from .csr import CSRMatrix
 from .dcsc import DCSCMatrix
 from .sparse_vector import SparseVector
 
-AnyMatrix = Union[COOMatrix, CSCMatrix, CSRMatrix, DCSCMatrix]
+AnyMatrix = Union[COOMatrix, CSCMatrix, DCSCMatrix]
 AnyVector = Union[SparseVector, BitVector, np.ndarray]
 
-_MATRIX_FORMATS = {"coo": COOMatrix, "csc": CSCMatrix, "csr": CSRMatrix, "dcsc": DCSCMatrix}
+_MATRIX_FORMATS = {"coo": COOMatrix, "csc": CSCMatrix, "dcsc": DCSCMatrix}
 
 
 def to_coo(matrix: AnyMatrix) -> COOMatrix:
     """Convert any supported matrix object to COO."""
     if isinstance(matrix, COOMatrix):
         return matrix
-    if isinstance(matrix, (CSCMatrix, CSRMatrix, DCSCMatrix)):
+    if isinstance(matrix, (CSCMatrix, DCSCMatrix)):
         return matrix.to_coo()
     raise NotSupportedError(f"cannot convert {type(matrix).__name__} to COO")
 
@@ -41,18 +40,9 @@ def to_csc(matrix: AnyMatrix) -> CSCMatrix:
         return matrix
     if isinstance(matrix, COOMatrix):
         return CSCMatrix.from_coo(matrix)
-    if isinstance(matrix, CSRMatrix):
-        return matrix.to_csc()
     if isinstance(matrix, DCSCMatrix):
         return matrix.to_csc()
     raise NotSupportedError(f"cannot convert {type(matrix).__name__} to CSC")
-
-
-def to_csr(matrix: AnyMatrix) -> CSRMatrix:
-    """Convert any supported matrix object to CSR."""
-    if isinstance(matrix, CSRMatrix):
-        return matrix
-    return CSRMatrix.from_coo(to_coo(matrix), sum_duplicates=isinstance(matrix, COOMatrix))
 
 
 def to_dcsc(matrix: AnyMatrix) -> DCSCMatrix:
@@ -63,14 +53,12 @@ def to_dcsc(matrix: AnyMatrix) -> DCSCMatrix:
 
 
 def convert(matrix: AnyMatrix, fmt: str) -> AnyMatrix:
-    """Convert ``matrix`` to the named format (``'coo' | 'csc' | 'csr' | 'dcsc'``)."""
+    """Convert ``matrix`` to the named format (``'coo' | 'csc' | 'dcsc'``)."""
     fmt = fmt.lower()
     if fmt == "coo":
         return to_coo(matrix)
     if fmt == "csc":
         return to_csc(matrix)
-    if fmt == "csr":
-        return to_csr(matrix)
     if fmt == "dcsc":
         return to_dcsc(matrix)
     raise NotSupportedError(f"unknown matrix format {fmt!r}; expected one of "

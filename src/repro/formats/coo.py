@@ -1,7 +1,7 @@
 """Coordinate (COO / triplet) sparse matrix format.
 
 COO is the natural *builder* format: graph generators and the Matrix Market
-reader produce triplets, which are then converted to CSC/CSR/DCSC for the
+reader produce triplets, which are then converted to CSC/DCSC for the
 multiplication kernels.  The format stores three parallel arrays
 ``(rows, cols, vals)`` plus the logical shape.
 

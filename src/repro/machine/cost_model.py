@@ -28,19 +28,6 @@ from ..parallel.metrics import METRIC_FIELDS, ExecutionRecord, PhaseRecord, Work
 from .platforms import EDISON, Platform
 
 
-def scheme_crossover(shards: int, avg_degree: float) -> str:
-    """The paper's §II-F row-vs-column bound as a static scheme choice.
-
-    Row-split makes every one of the ``t`` strips scan the whole frontier —
-    ``t·O(f)`` vector reads against ``O(d·f)`` useful flops — so it stops
-    being work-efficient once ``t`` exceeds the average degree ``d``;
-    column-split reads each frontier entry exactly once and pays one
-    synchronized reduction instead.  ``'auto'`` scheme resolution uses the
-    shard count as the thread proxy: column when ``t > d``, row otherwise.
-    """
-    return "column" if shards > avg_degree else "row"
-
-
 #: nanosecond cost per counted operation on a reference (Edison-class) core.
 DEFAULT_WEIGHTS_NS: Dict[str, float] = {
     "matrix_nnz_reads": 2.2,     # streamed read of (rowid, value) pairs

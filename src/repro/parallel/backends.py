@@ -25,21 +25,19 @@ module's concern, behind one small seam:
   strip ids, region descriptors, work metrics).  Output slabs grow
   geometrically: a result that outgrows its granted region is retained by
   the worker, reported as a ``grow`` record, and flushed into a re-granted
-  region — no respawn, no recompute.  The async
-  :meth:`submit_multiply`/:meth:`gather_multiply` pair broadcasts a call's
-  strips immediately and drains completion records as they land, so
-  consecutive multiplies pipeline across workers instead of barriering per
-  call (:meth:`~repro.core.sharded.ShardedEngine.gather` drives this).
-  A call gathering fewer than :data:`POOL_MIN_WORK` matrix entries skips
-  the pool round trip and runs in the parent on the emulated backend's
-  per-strip code.
+  region — no respawn, no recompute.  Each ``run_*`` operation runs in two
+  halves: ``submit_*`` packs the inputs and broadcasts the call's strips,
+  and ``gather_*`` drains completion records as they land (the chaos
+  harness injects its mid-call faults between the two).  A call gathering
+  fewer than :data:`POOL_MIN_WORK` matrix entries skips the pool round
+  trip and runs in the parent on the emulated backend's per-strip code.
 
 Determinism contract: a kernel is a pure function of (strip, vector, call
 options), so for any fixed kernel and block mode the two backends are
 **bit identical** — outputs and work metrics (only wall times differ).
 ``tests/test_backend_equivalence.py`` locks this down across the full
 sharded grid, including the slab data plane (output overflow/regrow,
-broadcast-once blocks, overlapped async ordering).
+broadcast-once blocks).
 
 Failure contract: an exception raised inside a strip's kernel propagates to
 the caller as itself (same type, same args), annotated with the failing
@@ -148,12 +146,6 @@ class ExecutionBackend(ABC):
     across all strips, and a fused block multiply fanned across all strips.
     Results always come back in strip order; strip outputs are row-disjoint,
     so the engine concatenates them without a merge.
-
-    The async pair :meth:`submit_multiply` / :meth:`gather_multiply` lets
-    the engine keep several independent multiplies in flight at once.  The
-    base implementation simply defers execution to gather time (no overlap,
-    bit-identical bookkeeping order); backends with real concurrency
-    override it to start work at submit.
     """
 
     name: str = "?"
@@ -195,47 +187,6 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def workspace_stats(self) -> List[Dict[str, float]]:
         """Latest known per-strip workspace reuse statistics."""
-
-    # ------------------------------------------------------------------ #
-    # async front-end (overlapped gather)
-    # ------------------------------------------------------------------ #
-    def submit_multiply(self, algorithm: str, x: SparseVector, *,
-                        semiring: Semiring, sorted_output: Optional[bool],
-                        mask_slices: Sequence[Optional[np.ndarray]],
-                        mask_complement: bool, kwargs: Dict):
-        """Queue one multiply; returns an opaque token for :meth:`gather_multiply`.
-
-        Default: a deferred thunk executed at gather (in-process backends
-        cannot overlap anyway, and deferring keeps the two backends'
-        bookkeeping order identical).
-        """
-        def run():
-            return self.run_multiply(
-                algorithm, x, semiring=semiring, sorted_output=sorted_output,
-                mask_slices=mask_slices, mask_complement=mask_complement,
-                kwargs=kwargs)
-        return run
-
-    def gather_multiply(self, token) -> List:
-        """Complete a submitted multiply; per-strip results in strip order."""
-        return token()
-
-    def submit_partial(self, algorithm: str, slices: Sequence[tuple], *,
-                       semiring: Semiring, mask: Optional[np.ndarray],
-                       mask_complement: bool, out_dtype):
-        """Queue one column-partial fan-out; token for :meth:`gather_partial`."""
-        def run():
-            return self.run_partial(
-                algorithm, slices, semiring=semiring, mask=mask,
-                mask_complement=mask_complement, out_dtype=out_dtype)
-        return run
-
-    def gather_partial(self, token) -> List:
-        """Complete a submitted column-partial; per-strip streams in strip order."""
-        return token()
-
-    def abandon(self, token) -> None:
-        """Give up on a submitted call (its results will never be gathered)."""
 
     def comm_stats(self) -> Dict[str, float]:
         """Comm-plane accounting (empty for in-process backends)."""
@@ -988,7 +939,7 @@ class ProcessBackend(ExecutionBackend):
             "pipe_bytes_in": 0,
             "pipe_msgs_out": 0, "pipe_msgs_in": 0,
             "slab_bytes_in": 0, "slab_bytes_out": 0,
-            "output_overflows": 0, "max_inflight": 0,
+            "output_overflows": 0,
         }
 
         self._health: Dict[str, object] = {
@@ -1122,9 +1073,9 @@ class ProcessBackend(ExecutionBackend):
         message carries the expected versions, so a worker that somehow
         still holds the stale strip fails that call with a clear
         :class:`BackendError` instead of returning stale results.  Requires
-        no calls in flight — the sharded engine enforces this at
-        ``apply_updates``/``compact`` time.  A worker that dies mid-update
-        is simply left dead: its respawn (from ``_ensure_workers`` on the
+        no calls in flight — the sharded engines run their calls and their
+        ``apply_updates``/``compact`` under one lock.  A worker that dies
+        mid-update is simply left dead: its respawn (from ``_ensure_workers`` on the
         next call, which also reports the death once) attaches the already-
         updated strip specs.
         """
@@ -1284,8 +1235,6 @@ class ProcessBackend(ExecutionBackend):
             token.deadline_at = time.monotonic() + self._deadline_s
         self._tokens[token.call_id] = token
         self._comm["inline_calls" if inline else "calls"] += 1
-        self._comm["max_inflight"] = max(self._comm["max_inflight"],
-                                         len(self._tokens))
         return token
 
     def _drain_ready(self) -> None:
@@ -1587,7 +1536,7 @@ class ProcessBackend(ExecutionBackend):
         return results
 
     # ------------------------------------------------------------------ #
-    # async submit/gather (the overlapped data plane)
+    # submit/gather halves of each call (the chaos harness injects between)
     # ------------------------------------------------------------------ #
     def submit_multiply(self, algorithm, x, *, semiring, sorted_output,
                         mask_slices, mask_complement, kwargs):
@@ -1640,6 +1589,8 @@ class ProcessBackend(ExecutionBackend):
             self._finalize(token)
 
     def abandon(self, token: _Inflight) -> None:
+        """Give up on a submitted call; its regions release once no worker
+        can still write them."""
         self._finalize(token)
 
     def submit_partial(self, algorithm, slices, *, semiring, mask,
@@ -1766,7 +1717,7 @@ class ProcessBackend(ExecutionBackend):
         return out
 
     def comm_stats(self) -> Dict[str, float]:
-        """Comm-plane accounting: pipe vs. slab traffic, growth, overlap.
+        """Comm-plane accounting: pipe vs. slab traffic, growth, calls in flight.
 
         ``calls`` and every byte counter count pool round trips only;
         ``inline_calls`` counts the calls that ran in the parent.

@@ -90,24 +90,17 @@ class ExecutionContext:
     #: horizontal strips, no reduction, every strip scans the whole frontier),
     #: ``'column'`` (1-D vertical DCSC strips, each reading only its private
     #: frontier slice, merged in a reduction phase — the paper's
-    #: work-efficient scheme, §II-F) or ``'auto'`` (pick per matrix via the
-    #: paper's ``t > d`` crossover; see
-    #: :func:`repro.machine.cost_model.scheme_crossover`).
+    #: work-efficient scheme, §II-F).
     shard_scheme: str = "row"
     #: pin each process-backend worker to one CPU core
     #: (``os.sched_setaffinity``; silently a no-op on platforms without it).
     #: Off by default: pinning helps dedicated bench boxes and hurts shared
     #: ones, so it is an explicit opt-in.
     pin_workers: bool = False
-    #: how many queued async calls a sharded engine's ``gather()`` keeps
-    #: in flight on the backend at once (the overlapped-gather window; 1
-    #: degenerates to the historical call-at-a-time barrier).  Bounds the
-    #: comm plane's shared-memory footprint at window x per-call bytes.
-    backend_inflight: int = 8
     #: per-call wall-clock budget (seconds) for backend execution, measured
-    #: from submission; a gather that exceeds it raises
-    #: :class:`~repro.errors.DeadlineError` after cleanly abandoning the
-    #: call's in-flight slab regions.  ``None`` (the default) disables it.
+    #: from dispatch; a call that exceeds it raises
+    #: :class:`~repro.errors.DeadlineError` after cleanly abandoning its
+    #: in-flight slab regions.  ``None`` (the default) disables it.
     deadline: Optional[float] = None
     #: retry policy for retryable backend failures (worker deaths); the
     #: default policy performs no retries
@@ -135,13 +128,9 @@ class ExecutionContext:
             raise ValueError(f"backend must be a non-empty name, got {self.backend!r}")
         if self.backend_workers < 0:
             raise ValueError(f"backend_workers must be >= 0, got {self.backend_workers}")
-        if self.shard_scheme not in ("row", "column", "auto"):
+        if self.shard_scheme not in ("row", "column"):
             raise ValueError(
-                f"shard_scheme must be 'row', 'column' or 'auto', "
-                f"got {self.shard_scheme!r}")
-        if self.backend_inflight < 1:
-            raise ValueError(
-                f"backend_inflight must be >= 1, got {self.backend_inflight}")
+                f"shard_scheme must be 'row' or 'column', got {self.shard_scheme!r}")
         if self.deadline is not None and not self.deadline > 0:
             raise ValueError(f"deadline must be > 0 or None, got {self.deadline}")
         if not isinstance(self.retry, RetryPolicy):

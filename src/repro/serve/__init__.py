@@ -1,10 +1,11 @@
-"""Async query-serving layer: coalesce concurrent queries into fused batches.
+"""Async query-serving layer: coalesce concurrent queries into batches.
 
-The paper's block kernel pays its fixed costs once per batch; this package
-turns that into a serving-throughput win by coalescing independent client
-queries (multiply / personalized PageRank / multi-source BFS) against named
-graphs into fused :class:`~repro.formats.vector_block.SparseVectorBlock`
-executions.  See :class:`QueryServer` for the request lifecycle.
+This package coalesces independent client queries (multiply / personalized
+PageRank / multi-source BFS) against named graphs into one engine batch per
+flush — looped by default, or a fused
+:class:`~repro.formats.vector_block.SparseVectorBlock` execution that pays
+the paper's block kernel's fixed costs once per batch.  See
+:class:`QueryServer` for the request lifecycle.
 """
 
 from .clock import VirtualClock, WallClock

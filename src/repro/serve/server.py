@@ -1,4 +1,4 @@
-"""The query server: bounded queue -> coalescer -> fused batch execution.
+"""The query server: bounded queue -> coalescer -> batch execution.
 
 Request lifecycle::
 
@@ -10,17 +10,18 @@ Request lifecycle::
       v
     batch execution                     [pump thread / inline under VirtualClock]
       |  queued-expired members rejected with DeadlineError (never touch
-      |  the engine); the rest run as ONE batch (a fused block by default)
+      |  the engine); the rest run as ONE batch (looped, or a fused block)
       v
-    demux: per-request futures resolve with their slice of the block
+    demux: per-request futures resolve with their slice of the batch
 
 The server holds one persistent engine per named graph in an
 :class:`~repro.core.sharded.EngineGroup` (monolithic, or sharded when
 ``shards`` is given — the process backend's zero-copy plane included), plus
 a lazily-built column-stochastic engine per graph for PageRank queries.
 All execution happens on one pump so batches run serially — the throughput
-win comes from coalescing (one union gather / scatter / merge per batch,
-the paper's block-kernel economics), not from racing engines.
+win comes from coalescing (one engine entry per batch, and with
+``block_mode="fused"`` one union gather / scatter / merge per batch, the
+paper's block-kernel economics), not from racing engines.
 
 Under a :class:`~repro.serve.clock.VirtualClock` there is no pump thread:
 ``submit`` flushes size-capped groups inline and :meth:`advance` moves time
@@ -58,7 +59,8 @@ class QueryServer:
     Parameters
     ----------
     graphs:
-        ``name -> Graph | CSCMatrix``; each becomes a pinned member engine.
+        ``name -> Graph | CSCMatrix``; each becomes a member engine the
+        server owns for its lifetime.
     ctx:
         Execution context for every engine.  ``default_timeout_s`` is
         composed onto it with ``with_deadline(..., tighten=True)`` — the
@@ -76,10 +78,11 @@ class QueryServer:
         Deadline given to requests that don't carry their own.
     block_mode:
         Forwarded to the engines' blocked entry points; the default
-        ``"fused"`` runs every eligible batch through the fused block
-        kernel (ineligible ones quietly loop, bit-identically), and
         ``"looped"`` runs one kernel call per request without packing a
-        block.  Any other value raises ``ValueError`` here.
+        block (the faster path at ``num_threads=1``), and ``"fused"`` runs
+        every eligible batch through the fused block kernel (ineligible
+        ones quietly loop, bit-identically).  Any other value raises
+        ``ValueError`` here.
     algorithm:
         Kernel forced on multiply, PageRank and BFS batches; the default
         ``"bucket"`` is the fused kernel's host algorithm.  An unknown name
@@ -109,7 +112,7 @@ class QueryServer:
                  max_queue: int = 64,
                  overload: str = "reject",
                  default_timeout_s: Optional[float] = None,
-                 block_mode: str = "fused",
+                 block_mode: str = "looped",
                  algorithm: str = "bucket",
                  shards: Optional[int] = None,
                  clock=None,
@@ -257,9 +260,9 @@ class QueryServer:
         ``self._lock`` — the percentile sort and the per-engine
         ``health_stats()`` calls (which reach into backend state) run
         *outside* it, so stats polling never stalls concurrent ``submit``
-        callers for more than the copy.  Engines are pinned for the
-        server's lifetime, so reading their health without the serving lock
-        is safe.
+        callers for more than the copy.  The member engines live as long
+        as the server, so reading their health without the serving lock is
+        safe.
         """
         with self._lock:
             count = min(self._latency_count, self._latency_cap)

@@ -9,14 +9,13 @@ counter.  This file holds the process backend to the standard
 ``test_sharded_equivalence`` established for emulated shards, across
 
     P ∈ {1, 2, 3, 7} x all 5 kernels x semirings x mask modes x
-        sorted/unsorted inputs x fused / looped ``multiply_many`` x
-        sync / async front-ends,
+        sorted/unsorted inputs x fused / looped ``multiply_many``,
 
 plus the failure contract: kernel exceptions propagate with the failing
-strip id through ``multiply``, ``gather`` and ``EngineGroup`` and clear the
-async queue; a killed worker surfaces exactly one ``BackendError`` and the
-pool recovers; closing (or garbage-collecting) a process-backed engine
-releases every ``/dev/shm`` segment.
+strip id through ``multiply`` and ``EngineGroup``; a killed worker surfaces
+exactly one ``BackendError`` and the pool recovers; closing (or
+garbage-collecting) a process-backed engine releases every ``/dev/shm``
+segment.
 
 Pools are expensive relative to these tiny problems, so each parametrized
 case builds ONE engine pair and drives the whole sub-grid through it
@@ -304,9 +303,6 @@ def test_auto_is_rejected_before_any_strip_is_dispatched(scheme):
             engine.multiply(x, algorithm="auto")
         with pytest.raises(NotSupportedError):
             engine.multiply_many([x, x], algorithm="auto")
-        engine.submit(x, algorithm="auto")
-        with pytest.raises(NotSupportedError):
-            engine.gather()
         assert engine.backend.comm_stats()["calls"] == calls
         assert engine.total_calls == 0
         ref = make_sharded_engine(matrix, 2, default_context(backend="emulated"),
@@ -317,33 +313,8 @@ def test_auto_is_rejected_before_any_strip_is_dispatched(scheme):
 
 
 # --------------------------------------------------------------------------- #
-# async front-end and EngineGroup
+# EngineGroup
 # --------------------------------------------------------------------------- #
-def test_async_gather_matches_emulated_including_execution_order():
-    matrix, x_sorted, x_unsorted, mask = problem(3, seed=400)
-    emu, proc = engine_pair(matrix, 3, seed=5)
-    try:
-        calls = [
-            {},
-            {"semiring": MIN_SELECT2ND},
-            {"mask": mask, "mask_complement": True},
-            {"sorted_output": True},
-            {"algorithm": "graphmat"},
-        ]
-        for engine in (emu, proc):
-            for kw in calls:
-                engine.submit(x_sorted, **kw)
-        ref_results = emu.gather()
-        out_results = proc.gather()
-        # same seeded out-of-order execution, same submit-order results
-        assert emu.execution_log == proc.execution_log
-        for i, (ref, out) in enumerate(zip(ref_results, out_results)):
-            assert_same_pairs(ref.vector, out.vector, f"async {i}")
-            assert record_signature(ref.record) == record_signature(out.record)
-    finally:
-        proc.close()
-
-
 def test_engine_group_process_backend_matches_emulated():
     matrices = {name: random_csc(40 + i, 36, 0.2, seed=50 + i)
                 for i, name in enumerate(["a", "b", "c"])}
@@ -354,15 +325,13 @@ def test_engine_group_process_backend_matches_emulated():
                      default_context(seed=3, backend="process",
                                      backend_workers=2),
                      shards=2) as proc_group:
-        for group in (emu_group, proc_group):
-            for key in matrices:
-                group.submit(key, x)
-                group.submit(key, x, sorted_output=True)
-        ref_results = emu_group.gather()
-        out_results = proc_group.gather()
-        assert emu_group.execution_log == proc_group.execution_log
-        for i, (ref, out) in enumerate(zip(ref_results, out_results)):
-            assert_same_pairs(ref.vector, out.vector, f"group call {i}")
+        for key in matrices:
+            assert_same_pairs(emu_group.multiply(key, x).vector,
+                              proc_group.multiply(key, x).vector, f"{key}")
+            refs = emu_group.multiply_many(key, [x, x], sorted_output=True)
+            outs = proc_group.multiply_many(key, [x, x], sorted_output=True)
+            for i, (ref, out) in enumerate(zip(refs, outs)):
+                assert_bit_identical(ref.vector, out.vector, f"{key} many {i}")
 
 
 def test_engine_group_close_shuts_down_process_pools():
@@ -374,6 +343,7 @@ def test_engine_group_close_shuts_down_process_pools():
     segments = backend.segment_names()
     assert all(os.path.exists("/dev/shm/" + name) for name in segments)
     group.close()
+    group.close()  # idempotent
     assert backend.closed
     assert not any(os.path.exists("/dev/shm/" + name) for name in segments)
 
@@ -401,39 +371,19 @@ def test_worker_exception_propagates_with_strip_id_through_multiply():
         proc.close()
 
 
-def test_worker_exception_propagates_through_gather_and_clears_queue():
-    matrix = random_csc(30, 30, 0.2, seed=71)
-    x = SparseVector.full_like_indices(30, np.arange(5), 1.0)
-    emu, proc = engine_pair(matrix, 2)
-    try:
-        for engine, exc_type in ((emu, TypeError), (proc, TypeError)):
-            engine.submit(x)
-            engine.submit(x, bogus_kernel_kwarg=1)
-            engine.submit(x)
-            with pytest.raises(exc_type) as err:
-                engine.gather()
-            assert getattr(err.value, "strip_id", None) == 0
-            assert engine.pending == 0  # queue cleared despite the failure
-            engine.submit(x)
-            assert len(engine.gather()) == 1  # later submissions start fresh
-    finally:
-        proc.close()
-
-
 def test_worker_exception_propagates_through_engine_group():
     matrix = random_csc(25, 25, 0.25, seed=72)
     x = SparseVector.full_like_indices(25, np.arange(4), 1.0)
     with EngineGroup([matrix],
                      default_context(backend="process", backend_workers=1),
                      shards=2) as group:
-        group.submit(0, x)
-        group.submit(0, x, bogus_kernel_kwarg=1)
         with pytest.raises(TypeError) as err:
-            group.gather()
+            group.multiply(0, x, bogus_kernel_kwarg=1)
         assert getattr(err.value, "strip_id", None) == 0
-        assert group.pending == 0
-        group.submit(0, x)
-        assert len(group.gather()) == 1
+        with pytest.raises(TypeError) as err:
+            group.multiply_many(0, [x, x], bogus_kernel_kwarg=1)
+        assert getattr(err.value, "strip_id", None) == 0
+        assert group.multiply(0, x).vector.nnz >= 0  # the pool survived
 
 
 def test_invalid_operands_raise_parent_side_before_any_worker_runs():
@@ -503,22 +453,29 @@ def test_killed_worker_raises_backend_error_once_then_recovers():
 @pytest.mark.skipif(FAULTS_ENV, reason="chaos resilience defaults absorb "
                     "worker deaths instead of raising BackendError")
 def test_killed_worker_mid_gather_clears_queue_and_recovers():
+    """A worker killed while a call is in flight (between the backend's
+    submit and gather halves) fails that call once; the pool recovers, and
+    the failed call is released once its late replies drain."""
     matrix = random_csc(30, 30, 0.2, seed=76)
     x = SparseVector.full_like_indices(30, np.arange(6), 1.0)
     engine = ShardedEngine(matrix, 2,
                            default_context(backend="process",
                                            backend_workers=2))
     try:
-        engine.multiply(x)  # warm pool
-        engine.submit(x)
-        engine.submit(x)
-        os.kill(engine.backend.worker_pids()[0], signal.SIGKILL)
-        time.sleep(0.2)
+        ref = engine.multiply(x, sorted_output=True)  # warm pool
+        backend = engine.backend
+        victim = backend.worker_pids()[0]
+        os.kill(victim, signal.SIGSTOP)  # it cannot answer before it dies
+        token = backend.submit_multiply(
+            "bucket", x, semiring=PLUS_TIMES, sorted_output=True,
+            mask_slices=[None, None], mask_complement=False, kwargs={})
+        os.kill(victim, signal.SIGKILL)
         with pytest.raises(BackendError):
-            engine.gather()
-        assert engine.pending == 0
-        engine.submit(x)
-        assert len(engine.gather()) == 1
+            backend.gather_multiply(token)
+        assert_bit_identical(ref.vector,
+                             engine.multiply(x, sorted_output=True).vector,
+                             "after recovery")
+        assert backend.comm_stats()["inflight"] == 0
     finally:
         engine.close()
 
@@ -560,27 +517,28 @@ def test_garbage_collected_engine_releases_shared_memory():
 
 def test_workspace_stats_reflect_remote_reuse():
     matrix = random_csc(40, 40, 0.2, seed=82)
-    # graphmat reuses its strip scratch across these 4 calls; a bucket strip
-    # workspace counts its allocations at construction, so bucket would show
-    # no allocations_saved yet
-    engine = ShardedEngine(matrix, 2,
-                           default_context(backend="process",
-                                           backend_workers=1),
-                           algorithm="graphmat")
-    try:
-        x = SparseVector.full_like_indices(40, np.arange(10), 1.0)
-        before = engine.workspace_stats()
-        assert before["acquisitions"] == 0  # fresh-workspace placeholder
-        for _ in range(4):
-            engine.multiply(x)
-        after = engine.workspace_stats()
-        assert after["acquisitions"] > 0
-        assert after["allocations_saved"] > 0  # buffers were genuinely reused
-        assert after["spa_rows"] == matrix.nrows
-        summary = engine.summary()
-        assert summary["shards"] == 2 and summary["calls"] == 4
-    finally:
-        engine.close()
+    x = SparseVector.full_like_indices(40, np.arange(10), 1.0)
+    # graphmat reuses its strip scratch and bucket its bucket store across
+    # these 4 calls; only (re)allocations a call triggers count against reuse
+    for algorithm in ("graphmat", "bucket"):
+        engine = ShardedEngine(matrix, 2,
+                               default_context(backend="process",
+                                               backend_workers=1),
+                               algorithm=algorithm)
+        try:
+            before = engine.workspace_stats()
+            assert before["acquisitions"] == 0  # fresh-workspace placeholder
+            assert before["allocations"] == 0
+            for _ in range(4):
+                engine.multiply(x)
+            after = engine.workspace_stats()
+            assert after["acquisitions"] > 0
+            assert after["allocations_saved"] > 0, algorithm  # genuine reuse
+            assert after["spa_rows"] == matrix.nrows
+            summary = engine.summary()
+            assert summary["shards"] == 2 and summary["calls"] == 4
+        finally:
+            engine.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -625,7 +583,7 @@ def test_algorithms_match_across_backends():
 
 
 # --------------------------------------------------------------------------- #
-# comm plane: slab overflow, broadcast-once blocks, overlapped gather (PR 6)
+# comm plane: slab overflow, broadcast-once blocks
 # --------------------------------------------------------------------------- #
 def test_output_slab_overflow_regrows_and_stays_bit_identical(monkeypatch):
     """Tiny slabs force the overflow -> re-grant -> flush retry on every call;
@@ -684,43 +642,6 @@ def test_fused_block_is_broadcast_once_through_the_input_slab():
         assert after["calls"] - before["calls"] == 1
     finally:
         proc.close()
-
-
-def test_overlapped_gather_pipelines_and_matches_barrier_gather():
-    """With backend_inflight > 1 the async front-end keeps several calls in
-    flight on the pool at once (max_inflight > 1); results and the seeded
-    execution order are identical to the inflight=1 barrier and to the
-    emulated backend."""
-    matrix, x_sorted, x_unsorted, mask = problem(3, seed=92)
-    rng = np.random.default_rng(92)
-    xs = [x_sorted, x_unsorted] + [
-        SparseVector.full_like_indices(
-            x_sorted.n, np.sort(rng.choice(x_sorted.n, 6 + i, replace=False)),
-            1.0 + i)
-        for i in range(4)]
-
-    def run(backend, inflight):
-        ctx = default_context(num_threads=2, seed=0, backend=backend,
-                              backend_workers=2, backend_inflight=inflight)
-        engine = ShardedEngine(matrix, 3, ctx, algorithm="bucket")
-        try:
-            for i, x in enumerate(xs):
-                engine.submit(x, mask=mask if i % 2 else None)
-            results = engine.gather()
-            stats = engine.backend.comm_stats()
-            return results, list(engine.execution_log), stats
-        finally:
-            engine.close()
-
-    ref, ref_log, _ = run("emulated", 8)
-    overlapped, olog, ostats = run("process", 8)
-    barrier, blog, bstats = run("process", 1)
-    assert ostats["max_inflight"] > 1       # calls genuinely overlapped
-    assert bstats["max_inflight"] == 1      # window of 1 is the old barrier
-    assert ref_log == olog == blog
-    for i, r in enumerate(ref):
-        assert_results_match(r, overlapped[i], f"overlapped vec {i}")
-        assert_results_match(r, barrier[i], f"barrier vec {i}")
 
 
 # --------------------------------------------------------------------------- #

@@ -9,13 +9,12 @@ are therefore **bit-identical** to the monolithic engine across
 
     randomized problems x P ∈ {1, 2, 3, 7} x all 5 kernels x semirings
         x {no mask, mask, complement mask, row map} x sorted/unsorted inputs
-        x both execution backends x sync / async front-ends
-        x injected worker kills (chaos).
+        x both execution backends x injected worker kills (chaos).
 
 Column outputs are always row-sorted (the reduction sorts by construction),
 so they are compared byte-for-byte against the monolithic engine's
 ``sorted_output=True`` storage, and pair-for-pair against its default
-storage.  The same file locks down the scheme plumbing (context/env/auto
+storage.  The same file locks down the scheme plumbing (context/env
 resolution, algorithm entry points), the empty-strip edge cases
 (``P > ncols``, all-empty DCSC strips) mirroring the row-split
 ``P > nrows`` tests, and the eager update compaction (including deletions —
@@ -38,7 +37,6 @@ from repro.errors import NotSupportedError
 from repro.formats import SparseVector
 from repro.formats.dcsc import DCSCMatrix
 from repro.formats.partition import column_split
-from repro.machine.cost_model import scheme_crossover
 from repro.parallel import default_context
 from repro.parallel.faults import ChaosBackend
 from repro.semiring import (
@@ -197,27 +195,8 @@ def test_empty_and_hypersparse_strips_round_trip():
 
 
 # --------------------------------------------------------------------------- #
-# async, blocked, and update paths
+# blocked and update paths
 # --------------------------------------------------------------------------- #
-@given(problems())
-@settings(**SETTINGS)
-def test_column_async_gather_matches_sync(problem):
-    matrix, x, mask, threads, shards = problem
-    ctx = default_context(num_threads=threads)
-    sync = ColumnShardedEngine(matrix, shards, ctx, algorithm="bucket")
-    a = ColumnShardedEngine(matrix, shards, ctx, algorithm="bucket")
-    expected = [sync.multiply(x, semiring=MIN_PLUS),
-                sync.multiply(x, mask=mask, mask_complement=True),
-                sync.multiply(x)]
-    a.submit(x, semiring=MIN_PLUS)
-    a.submit(x, mask=mask, mask_complement=True)
-    a.submit(x)
-    results = a.gather()
-    assert a.pending == 0
-    for want, got in zip(expected, results):
-        assert_bit_identical(want.vector, got.vector, "async vs sync")
-
-
 def test_column_multiply_many_loops_and_rejects_fused():
     matrix = random_csc(25, 30, 0.2, seed=4)
     rng = np.random.default_rng(4)
@@ -265,31 +244,27 @@ def test_column_updates_compact_eagerly_and_stay_exact():
 # --------------------------------------------------------------------------- #
 # scheme resolution and algorithm entry points
 # --------------------------------------------------------------------------- #
-def test_scheme_crossover_is_the_papers_bound():
-    assert scheme_crossover(8, 4.0) == "column"   # t > d
-    assert scheme_crossover(2, 4.0) == "row"      # t <= d
-    assert scheme_crossover(4, 4.0) == "row"
-
-
 def test_make_sharded_engine_resolves_scheme(monkeypatch):
     matrix = random_csc(30, 30, 0.1, seed=7)  # avg degree 3
     ctx = default_context()
     assert isinstance(make_sharded_engine(matrix, 2, ctx), ShardedEngine)
     assert isinstance(make_sharded_engine(matrix, 2, ctx, scheme="column"),
                       ColumnShardedEngine)
-    # "auto": column only when shards exceed the average degree
-    auto_hi = make_sharded_engine(matrix, 16, ctx, scheme="auto")
-    assert isinstance(auto_hi, ColumnShardedEngine)
-    auto_lo = make_sharded_engine(matrix, 1, ctx, scheme="auto")
-    assert isinstance(auto_lo, ShardedEngine)
     # context default and env variable flow through
     ctx_col = ctx.with_shard_scheme("column")
     assert isinstance(make_sharded_engine(matrix, 2, ctx_col),
                       ColumnShardedEngine)
     monkeypatch.setenv("REPRO_SHARD_SCHEME", "column")
     assert default_context().shard_scheme == "column"
+    # only the two partitions exist: "auto" is an unknown scheme everywhere
+    for bad in ("auto", "diagonal"):
+        with pytest.raises(ValueError):
+            make_sharded_engine(matrix, 2, ctx, scheme=bad)
+        with pytest.raises(ValueError):
+            ctx.with_shard_scheme(bad)
+    monkeypatch.setenv("REPRO_SHARD_SCHEME", "auto")
     with pytest.raises(ValueError):
-        make_sharded_engine(matrix, 2, ctx, scheme="diagonal")
+        default_context()
 
 
 def test_bfs_with_column_scheme_matches_unsharded():
@@ -334,7 +309,7 @@ def test_column_in_parent_bit_identical(production_floor):
 
 
 def check_column_process_backend():
-    """Partials, updates and async gathers on the process backend; its stats."""
+    """Partials and updates on the process backend; its stats."""
     matrix = random_csc(45, 50, 0.15, seed=10)
     rng = np.random.default_rng(10)
     x = SparseVector(50, np.sort(rng.choice(50, size=12, replace=False)),
@@ -359,11 +334,6 @@ def check_column_process_backend():
                             algorithm="bucket").multiply(x, sorted_output=True)
         out2 = engine.multiply(x)
         assert_bit_identical(ref2.vector, out2.vector, "process after update")
-        # async pipeline
-        for _ in range(4):
-            engine.submit(x)
-        for got in engine.gather():
-            assert_bit_identical(ref2.vector, got.vector, "process async")
         return engine.backend.comm_stats()
 
 

@@ -8,7 +8,6 @@ from repro.formats import (
     BitVector,
     COOMatrix,
     CSCMatrix,
-    CSRMatrix,
     DCSCMatrix,
     SparseVector,
     column_split,
@@ -32,7 +31,7 @@ from conftest import random_csc, random_dense
 # --------------------------------------------------------------------------- #
 # conversions
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("fmt", ["coo", "csc", "csr", "dcsc"])
+@pytest.mark.parametrize("fmt", ["coo", "csc", "dcsc"])
 def test_convert_round_trip(fmt):
     mat = random_csc(10, 14, 0.2, seed=20)
     converted = convert(mat, fmt)
@@ -47,8 +46,7 @@ def test_convert_unknown_format():
 def test_to_csc_from_all_formats():
     dense = random_dense(8, 6, 0.3, seed=21)
     coo = COOMatrix.from_dense(dense)
-    for obj in (coo, CSCMatrix.from_coo(coo), CSRMatrix.from_coo(coo),
-                DCSCMatrix.from_coo(coo)):
+    for obj in (coo, CSCMatrix.from_coo(coo), DCSCMatrix.from_coo(coo)):
         np.testing.assert_allclose(to_csc(obj).to_dense(), dense)
 
 

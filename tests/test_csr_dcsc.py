@@ -1,67 +1,12 @@
-"""Unit tests for the CSR and DCSC matrix formats."""
+"""Unit tests for the DCSC matrix format."""
 
 import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import COOMatrix, CSCMatrix, CSRMatrix, DCSCMatrix
+from repro.formats import CSCMatrix, DCSCMatrix
 
-from conftest import random_csc, random_dense
-
-
-# --------------------------------------------------------------------------- #
-# CSR
-# --------------------------------------------------------------------------- #
-def test_csr_from_dense_round_trip():
-    dense = random_dense(6, 8, 0.3, seed=5)
-    mat = CSRMatrix.from_dense(dense)
-    np.testing.assert_allclose(mat.to_dense(), dense)
-    assert mat.nnz == np.count_nonzero(dense)
-
-
-def test_csr_row_access():
-    dense = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]])
-    mat = CSRMatrix.from_dense(dense)
-    cols, vals = mat.row(0)
-    np.testing.assert_array_equal(cols, [1, 2])
-    np.testing.assert_allclose(vals, [1.0, 2.0])
-    cols, vals = mat.row(1)
-    assert len(cols) == 0
-    assert mat.nzr() == 2
-    with pytest.raises(IndexError):
-        mat.row(5)
-
-
-def test_csr_csc_round_trip():
-    csc = random_csc(9, 7, 0.25, seed=6)
-    csr = CSRMatrix.from_csc(csc)
-    np.testing.assert_allclose(csr.to_dense(), csc.to_dense())
-    np.testing.assert_allclose(csr.to_csc().to_dense(), csc.to_dense())
-
-
-def test_csr_gather_rows():
-    dense = random_dense(6, 5, 0.4, seed=7)
-    mat = CSRMatrix.from_dense(dense)
-    cols, vals, src = mat.gather_rows(np.array([0, 3]))
-    expected = np.count_nonzero(dense[0]) + np.count_nonzero(dense[3])
-    assert len(cols) == expected
-    assert mat.gather_rows(np.array([], dtype=np.int64))[0].size == 0
-    with pytest.raises(IndexError):
-        mat.gather_rows(np.array([100]))
-
-
-def test_csr_transpose_and_scipy():
-    csc = random_csc(5, 8, 0.3, seed=8)
-    csr = CSRMatrix.from_csc(csc)
-    np.testing.assert_allclose(csr.transpose().to_dense(), csc.to_dense().T)
-    np.testing.assert_allclose(csr.to_scipy().toarray(), csc.to_dense())
-
-
-def test_csr_validation_errors():
-    with pytest.raises(FormatError):
-        CSRMatrix((2, 2), [0, 1], [0], [1.0])
-    with pytest.raises(FormatError):
-        CSRMatrix((2, 2), [0, 1, 2], [0, 9], [1.0, 2.0])
+from conftest import random_csc
 
 
 # --------------------------------------------------------------------------- #

@@ -112,12 +112,6 @@ def test_overlay_multiply_many_and_async(backend):
                 for k, (g, w) in enumerate(zip(got, want)):
                     assert_same_pairs(g.vector, w.vector, f"{mode} member {k}")
             assert engine.summary()["fused_batches"] == 1
-            # async front-end splices patches at gather time too
-            for x in xs:
-                engine.submit(x, semiring=PLUS_TIMES, sorted_output=True)
-                ref.submit(x, semiring=PLUS_TIMES, sorted_output=True)
-            for g, w in zip(engine.gather(), ref.gather()):
-                assert_same_pairs(g.vector, w.vector, "async")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -179,19 +173,6 @@ def test_targeted_compact_only_touches_named_strip():
         assert not engine.deltas[0].entries and engine.deltas[2].entries == 1
         assert engine.compact() is True                 # folds the rest
         assert all(d.is_empty for d in engine.deltas)
-
-
-def test_apply_updates_refused_while_async_calls_pending():
-    matrix = random_csc(20, 20, 0.2, seed=53)
-    with make_engine(matrix, 2, "emulated") as engine:
-        x = SparseVector.from_dense(np.arange(20, dtype=np.float64))
-        engine.submit(x)
-        with pytest.raises(BackendError, match="async call"):
-            engine.apply_updates([0], [0], [1.0])
-        with pytest.raises(BackendError, match="async"):
-            engine.compact()
-        engine.gather()                                  # drains the queue
-        assert engine.apply_updates([0], [0], [1.0])["applied"] == 1
 
 
 # --------------------------------------------------------------------------- #

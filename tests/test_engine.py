@@ -256,11 +256,6 @@ def test_auto_is_an_unknown_kernel_name_on_every_entry_point():
             engine.multiply(x, algorithm="auto")
         with pytest.raises(NotSupportedError):
             engine.multiply_many([x, x], algorithm="auto")
-        if hasattr(engine, "submit"):
-            engine.submit(x, algorithm="auto")
-            with pytest.raises(NotSupportedError):
-                engine.gather()
-            assert engine.pending == 0
         assert engine.total_calls == 0 and engine.history == []
         assert engine.multiply(x).vector.nnz > 0  # the engine stays usable
         engine.close()

@@ -15,9 +15,7 @@ contract of that path:
   rebuilt-matrix oracle, and the per-column counts follow the new strips;
 * a queued in-parent call blocks ``update_strip`` until gathered;
 * a worker killed while calls run in the parent surfaces exactly once, at
-  the next pool call (absorbed under a retry policy);
-* async gathers mixing both paths return submit-order results identical to
-  a barrier gather and to the emulated backend.
+  the next pool call (absorbed under a retry policy).
 """
 
 import os
@@ -242,7 +240,7 @@ def test_queued_in_parent_call_blocks_update_strip():
 
 
 # --------------------------------------------------------------------------- #
-# worker deaths and async mixing
+# worker deaths
 # --------------------------------------------------------------------------- #
 def _kill_worker(backend, w: int) -> None:
     """SIGKILL worker ``w`` and wait until its death is observable."""
@@ -278,35 +276,3 @@ def test_worker_killed_during_in_parent_calls_surfaces_at_next_pool_call(
         assert_same(emu.multiply(X_AT, sorted_output=True), out, "pool")
         health = engine.health_stats()
         assert sum(health["worker_deaths"]) == 1 and health["respawns"] == 1
-
-
-@pytest.mark.parametrize("scheme", ["row", "column"])
-def test_async_gather_mixing_in_parent_and_pool_calls(scheme):
-    matrix = boundary_matrix()
-    visited = np.zeros(M, dtype=bool)
-    visited[::3] = True
-    calls = [(X_SMALL, {}), (X_AT, {}), (X_BELOW, {}),
-             (X_AT, {"mask": visited, "mask_complement": True}),
-             (X_SMALL, {"mask": visited, "mask_complement": True}),
-             (frontier([1, 2, 63]), {})]
-
-    def run(backend, inflight):
-        ctx = default_context(num_threads=2, seed=0, backend=backend,
-                              backend_workers=2, backend_inflight=inflight)
-        with make_sharded_engine(matrix, 2, ctx, scheme=scheme,
-                                 algorithm="bucket") as engine:
-            for x, kw in calls:
-                engine.submit(x, sorted_output=True, **kw)
-            results = engine.gather()
-            return results, list(engine.execution_log), \
-                engine.backend.comm_stats()
-
-    ref, ref_log, _ = run("emulated", 8)
-    mixed, mixed_log, stats = run("process", 8)
-    barrier, barrier_log, _ = run("process", 1)
-    assert stats["calls"] == 2 and stats["inline_calls"] == 4
-    assert ref_log == mixed_log == barrier_log
-    for i, r in enumerate(ref):
-        for got in (mixed[i], barrier[i]):
-            assert_same(r, got, f"{scheme} call {i}")
-            assert record_signature(r.record) == record_signature(got.record)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.baselines import spmspv_dict, spmspv_scipy
 from repro.core import ShardedEngine, SharedSlab, SparseAccumulator, spmspv
 from repro.core.vector_ops import ewise_add, ewise_mult
-from repro.formats import COOMatrix, CSCMatrix, CSRMatrix, DCSCMatrix, SparseVector
+from repro.formats import COOMatrix, CSCMatrix, DCSCMatrix, SparseVector
 from repro.graphs.generators import erdos_renyi, rmat
 from repro.parallel import default_context
 from repro.semiring import MIN_PLUS, PLUS_TIMES
@@ -68,9 +68,7 @@ def test_csc_round_trip_preserves_dense(coo):
 @settings(**SETTINGS)
 def test_all_formats_agree(coo):
     csc = CSCMatrix.from_coo(coo)
-    csr = CSRMatrix.from_coo(coo)
     dcsc = DCSCMatrix.from_coo(coo)
-    np.testing.assert_allclose(csr.to_dense(), csc.to_dense(), atol=1e-12)
     np.testing.assert_allclose(dcsc.to_dense(), csc.to_dense(), atol=1e-12)
 
 

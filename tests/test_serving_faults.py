@@ -162,8 +162,9 @@ def test_serve_stats_health_matches_injected_events(monkeypatch, graphs):
 def test_failed_counter_matches_killed_batches(monkeypatch, graphs):
     """Seeded kill probability: every submitted request is accounted for as
     exactly one of served / failed, and failures equal the members of the
-    batches whose call died."""
-    server = chaos_server(monkeypatch, graphs, "seed=7,kill=0.3")
+    batches whose call died (fused, so each batch is one backend call)."""
+    server = chaos_server(monkeypatch, graphs, "seed=7,kill=0.3",
+                          server_kwargs={"block_mode": "fused"})
     rng = np.random.default_rng(0)
     total = 20
     try:

@@ -1,4 +1,4 @@
-"""The shard/async equivalence matrix: sharded execution, bit-identical.
+"""The shard equivalence matrix: sharded execution, bit-identical.
 
 A :class:`~repro.core.sharded.ShardedEngine` row-splits its matrix into P
 strips and runs one independent kernel call per strip.  Strips partition the
@@ -9,7 +9,7 @@ to the monolithic engine across
 
     randomized problems x P ∈ {1, 2, 3, 7} x all 5 kernels x semirings
         x {no mask, mask, complement mask, row map} x sorted/unsorted inputs
-        x fused / looped ``multiply_many`` x sync / async front-ends.
+        x fused / looped ``multiply_many``.
 
 As in ``test_kernel_equivalence``, sorted outputs are compared byte-for-byte
 as stored (per-strip sorted runs concatenate to the globally sorted order);
@@ -193,30 +193,6 @@ def test_sharded_fused_equals_sharded_looped(block_mode, problem):
         sorted_output=True)
     for a, b in zip(ref, out):
         assert_bit_identical(a.vector, b.vector, f"{block_mode} P={shards}")
-
-
-@given(problems())
-@settings(**SETTINGS)
-def test_async_gather_bit_identical_to_sync(problem):
-    """submit/gather returns, in submit order, what direct multiply returns."""
-    matrix, x, mask, threads, shards = problem
-    ctx = default_context(num_threads=threads)
-    calls = [
-        {},
-        {"semiring": MIN_SELECT2ND},
-        {"mask": mask, "mask_complement": True},
-        {"sorted_output": True},
-    ]
-    sync_engine = ShardedEngine(matrix, shards, ctx, algorithm="bucket")
-    expected = [sync_engine.multiply(x, **kw) for kw in calls]
-    async_engine = ShardedEngine(matrix, shards, ctx, algorithm="bucket")
-    tickets = [async_engine.submit(x, **kw) for kw in calls]
-    assert tickets == list(range(len(calls)))
-    assert async_engine.pending == len(calls)
-    results = async_engine.gather()
-    assert async_engine.pending == 0
-    for i, (ref, out) in enumerate(zip(expected, results)):
-        assert_bit_identical(ref.vector, out.vector, f"async call {i}")
 
 
 # --------------------------------------------------------------------------- #
