@@ -99,7 +99,7 @@ def bench_overlay(matrix, ctx, fraction: float, rounds: int) -> dict:
     def overlay():
         # every round starts from the pristine base: clear the previous
         # round's delta, then pay the real per-batch serving cost
-        overlay_engine.delta.clear()
+        overlay_engine.deltas[0].clear()
         overlay_engine.apply_updates(rows, cols, vals)
         return overlay_engine.multiply(x)
 

@@ -32,7 +32,12 @@ _REGISTRY: Dict[str, AlgorithmFn] = {}
 
 
 def register_algorithm(name: str, fn: AlgorithmFn, *, overwrite: bool = False) -> None:
-    """Register an SpMSpV implementation under a short name."""
+    """Register an SpMSpV implementation under a short name.
+
+    ``fn`` takes the shared signature above, ``workspace=`` included: every
+    engine passes its persistent workspace on each call (a kernel that has
+    no use for it may accept ``**kwargs``).
+    """
     if name in _REGISTRY and not overwrite:
         raise ValueError(f"algorithm {name!r} is already registered")
     _REGISTRY[name] = fn

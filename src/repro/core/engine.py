@@ -1,42 +1,63 @@
-"""The unified SpMSpV execution engine.
+"""The SpMSpV execution engine: one protocol over three layouts.
 
-:class:`SpMSpVEngine` is the one place where three cross-cutting concerns
-live, instead of being re-plumbed by every graph algorithm:
+:class:`SpMSpVEngine` runs every multiplication of one matrix.  It is the
+``whole`` layout, which keeps the matrix as one strip (``strips ==
+[matrix]``), and the base class of the two partitionings of §II-F: the row
+split (:class:`~repro.core.sharded.ShardedEngine`) and the column split
+(:class:`~repro.core.column_sharded.ColumnShardedEngine`), which cut it into
+P strips run by an execution backend.  A layout supplies its partition, its
+``multiply`` (inline kernel, concatenated row strips, or reduced column
+partials) and a ``_replace_strip`` hook; everything else is defined here,
+once:
 
-* **Persistent workspaces** (§III-A "Memory allocation") — the engine owns
-  one :class:`~repro.core.workspace.SpMSpVWorkspace` per matrix and threads
-  it through every kernel call, so an iterative algorithm performs zero
+* **Persistent workspaces** (§III-A "Memory allocation") — the whole layout
+  owns one :class:`~repro.core.workspace.SpMSpVWorkspace` and threads it
+  through every kernel call, so an iterative algorithm performs zero
   per-iteration ``BucketStore``/SPA allocations.
 * **One kernel per engine** — every call runs the registered kernel it is
   given (the engine default is the paper's bucket algorithm, overridable
-  per call) and records the call's measured wall time.
+  per call) and records the call's measured wall time in the call log.
 * **Batched multi-vector execution** — :meth:`SpMSpVEngine.multiply_many`
-  runs a block of input vectors (multi-source BFS frontiers, blocked
-  PageRank deltas) through one shared workspace: one kernel call per
-  vector by default, or — with ``block_mode="fused"`` — the fused block
-  kernel (:func:`repro.core.spmspv_block.spmspv_bucket_block`), one gather
+  validates and numbers a block of input vectors (multi-source BFS
+  frontiers, blocked PageRank deltas) and runs one call per vector by
+  default, or — with ``block_mode="fused"`` — the layout's fused block
+  path (:func:`repro.core.spmspv_block.spmspv_bucket_block`), one gather
   and one scatter for the whole vector block.
+* **Edge updates** — :meth:`~SpMSpVEngine.apply_updates` validates a batch
+  once and routes it into one :class:`~repro.formats.delta.DeltaLog` per
+  strip (``deltas``; the whole layout's log is ``deltas[0]``).  Reads
+  overlay a per-strip patch correction until a strip crosses the
+  compaction break-even and is rebuilt alone.
+* **Lifecycle and reporting** — ``close``, ``health_stats``,
+  ``delta_stats``, ``effective_matrix`` and one ``summary`` shape for
+  every layout.
 
-:func:`engine_for` caches engines per ``(matrix, context)`` so the
-backward-compatible :func:`repro.core.dispatch.spmspv` entry point also
+:func:`engine_for` caches whole-layout engines per ``(matrix, context)`` so
+the backward-compatible :func:`repro.core.dispatch.spmspv` entry point also
 executes through the engine.
 """
 
 from __future__ import annotations
 
-import inspect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..formats.coo import COOMatrix
 from ..formats.csc import CSCMatrix
-from ..formats.delta import DeltaLog, apply_delta, build_patch, splice_overlay
+from ..formats.delta import (
+    DeltaLog,
+    apply_delta,
+    build_patch,
+    check_updates,
+    splice_overlay,
+)
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
+from ..parallel.backends import ExecutionBackend, idle_health
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord
 from ..semiring import PLUS_TIMES, Semiring
@@ -74,15 +95,6 @@ def merge_overlay_record(base: ExecutionRecord,
                            wall_time_s=base.wall_time_s + patch.wall_time_s)
 
 
-@lru_cache(maxsize=None)
-def _accepts_workspace(fn) -> bool:
-    """Whether a registered kernel supports the shared ``workspace=`` signature."""
-    try:
-        return "workspace" in inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/partials
-        return False
-
-
 def check_block_mode(block_mode: str) -> None:
     """Raise ``ValueError`` unless ``block_mode`` names a batched path: the
     per-vector loop (``"looped"``, the default) or the fused block kernel."""
@@ -109,6 +121,11 @@ class EngineCall:
 class SpMSpVEngine:
     """Persistent-workspace SpMSpV executor for one matrix.
 
+    This class is the ``whole`` layout — one strip, the matrix itself, run
+    inline through the kernel — and the base of the row and column layouts,
+    which share its call log, batches, updates, compaction, lifecycle and
+    reporting.
+
     Parameters
     ----------
     matrix:
@@ -125,17 +142,44 @@ class SpMSpVEngine:
         same matrix); by default the engine allocates its own.
     """
 
+    #: how the matrix is cut into strips: "whole", "row" or "column"
+    scheme = "whole"
+    #: the coordinate (0: row, 1: column) that routes an update to its strip
+    _split_axis = 0
+    #: the strip executor of the sharded layouts; the whole layout has none
+    backend: Optional[ExecutionBackend] = None
+    #: compaction break-even (see :data:`COMPACT_FRACTION`), settable per
+    #: engine; the column layout ignores it (it compacts every update)
+    compact_fraction = COMPACT_FRACTION
+
     def __init__(self, matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
                  algorithm: str = "bucket",
                  workspace: Optional[SpMSpVWorkspace] = None):
+        self._init_layout(matrix, ctx, algorithm, strips=[matrix], lows=[0])
+        self.workspace = (workspace if workspace is not None
+                          else SpMSpVWorkspace(matrix.nrows, dtype=matrix.dtype))
+
+    def _init_layout(self, matrix: CSCMatrix, ctx: Optional[ExecutionContext],
+                     algorithm: str, *, strips: List[CSCMatrix],
+                     lows: Sequence[int]) -> None:
+        """State every layout shares; ``lows[s]`` is the first row (or, for
+        a column split, column) of strip ``s``."""
         from .dispatch import get_algorithm  # late: avoids import cycle
 
-        get_algorithm(algorithm)  # an unknown default fails at construction
+        get_algorithm(algorithm)  # an unknown default fails before any pool starts
         self.matrix = matrix
         self.ctx = ctx if ctx is not None else default_context()
         self.algorithm = algorithm
-        self.workspace = (workspace if workspace is not None
-                          else SpMSpVWorkspace(matrix.nrows, dtype=matrix.dtype))
+        #: the base strips (CSC); for the whole layout, ``[matrix]``
+        self.strips = strips
+        self._lows = np.asarray(lows, dtype=np.int64)
+        #: (row, col) of each strip's first entry in the full matrix
+        self._offsets = [(int(lo), 0) if self._split_axis == 0 else (0, int(lo))
+                         for lo in lows]
+        strip_nnz = np.array([strip.nnz for strip in strips], dtype=np.float64)
+        mean_nnz = float(strip_nnz.mean())
+        #: static max/mean stored-entry balance of the partition
+        self.nnz_balance = float(strip_nnz.max() / mean_nnz) if mean_nnz > 0 else 1.0
         #: recent calls (trimmed beyond max_history; lifetime aggregates
         #: live in total_calls / total_wall_ms)
         self.history: List[EngineCall] = []
@@ -144,106 +188,183 @@ class SpMSpVEngine:
         self.total_wall_ms = 0.0
         self._batches = 0
         self._fused_batches = 0
-        #: pending edge updates overlaid on self.matrix (see formats.delta)
-        self.delta = DeltaLog(matrix.shape)
-        self.compact_fraction = COMPACT_FRACTION
+        #: per-strip pending edge updates overlaid on the base strips (see
+        #: formats.delta); each strip compacts on its own
+        self.deltas: List[DeltaLog] = [DeltaLog(strip.shape) for strip in strips]
         self.compactions = 0
-        self._patch: Optional[Tuple[CSCMatrix, np.ndarray]] = None
-        self._row_nnz: Optional[np.ndarray] = None
-        # one multiplication at a time per engine: concurrent callers of the
-        # spmspv shim share this engine's workspace, which is not reentrant
-        self._lock = threading.Lock()
+        self._patches: List[Optional[Tuple[CSCMatrix, np.ndarray]]] = \
+            [None] * len(strips)
+        self._row_nnz: List[Optional[np.ndarray]] = [None] * len(strips)
+        # one call at a time per engine (workspaces are not reentrant);
+        # reentrant because a batch holds it across its per-vector calls
+        self._lock = threading.RLock()
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.strips)
 
     # ------------------------------------------------------------------ #
-    # dynamic updates (delta overlay)
+    # dynamic updates (per-strip delta overlay + compaction)
     # ------------------------------------------------------------------ #
     def apply_updates(self, rows, cols, values=None) -> Dict[str, object]:
-        """Record edge updates against this engine's matrix.
+        """Record edge updates, routed to the owning strips' delta logs.
 
         ``values=None`` deletes the listed edges; otherwise each ``(row,
-        col)`` is inserted (or reweighted if present).  Updates take effect
-        on the very next multiply via the delta overlay — the base matrix
-        and its workspace stay warm.  Once the delta-touched rows carry more
-        than ``compact_fraction`` of the base nonzeros the engine compacts:
-        the effective matrix is rebuilt once and the delta resets.
+        col)`` is inserted (or reweighted if present).  The whole batch is
+        validated before any strip records it, so a malformed batch
+        (:func:`~repro.formats.delta.check_updates`) changes nothing.
+        Updates take effect on the very next multiply via the delta overlay
+        — the base strips and their workspaces stay warm.  A strip whose
+        delta-touched rows carry more than ``compact_fraction`` of its
+        nonzeros compacts **alone**: it is rebuilt once, handed to
+        :meth:`_replace_strip`, and its delta resets.
         """
         with self._lock:
-            if values is None:
-                applied = self.delta.delete_edges(rows, cols)
-            else:
-                applied = self.delta.set_edges(rows, cols, values)
-            self._patch = None
-            compacted = self._maybe_compact_locked()
-            return {"applied": applied, "delta_entries": self.delta.entries,
-                    "compacted": compacted}
+            rows, cols, values = check_updates(self.matrix.shape, rows, cols, values)
+            compacted: List[int] = []
+            for s, local_rows, local_cols, local_values in self._route(
+                    rows, cols, values):
+                if local_values is None:
+                    self.deltas[s].delete_edges(local_rows, local_cols)
+                else:
+                    self.deltas[s].set_edges(local_rows, local_cols, local_values)
+                self._patches[s] = None
+                if self._maybe_compact_locked(s):
+                    compacted.append(s)
+            return {"applied": len(rows),
+                    "delta_entries": sum(d.entries for d in self.deltas),
+                    "compacted": bool(compacted),
+                    "compacted_strips": compacted}
 
-    def _overlay_nnz_locked(self) -> int:
-        """Upper bound on the patch nnz the overlay pays per multiply."""
-        if self._row_nnz is None:
-            self._row_nnz = self.matrix.row_counts()
-        return int(self._row_nnz[self.delta.touched_rows()].sum()) + self.delta.entries
+    def _route(self, rows: np.ndarray, cols: np.ndarray, values: Optional[np.ndarray]):
+        """Split a validated update batch by owning strip; yields ``(strip,
+        rows, cols, values)`` in strip-local coordinates."""
+        strip_of = np.searchsorted(self._lows, cols if self._split_axis else rows,
+                                   side="right") - 1
+        for s in np.unique(strip_of).tolist():
+            sel = strip_of == s
+            row_lo, col_lo = self._offsets[s]
+            yield (s, rows[sel] - row_lo, cols[sel] - col_lo,
+                   None if values is None else values[sel])
 
-    def _maybe_compact_locked(self) -> bool:
-        if self.delta.is_empty:
+    def _maybe_compact_locked(self, s: int) -> bool:
+        """Compact strip ``s`` once its overlay costs more than a rebuild:
+        the patch nnz a multiply pays exceeds ``compact_fraction`` of the
+        strip's nonzeros."""
+        delta = self.deltas[s]
+        if delta.is_empty:
             return False
-        if self._overlay_nnz_locked() <= self.compact_fraction * max(self.matrix.nnz, 1):
+        if self._row_nnz[s] is None:
+            self._row_nnz[s] = self.strips[s].row_counts()
+        patch_nnz = int(self._row_nnz[s][delta.touched_rows()].sum()) + delta.entries
+        if patch_nnz <= self.compact_fraction * max(self.strips[s].nnz, 1):
             return False
-        return self._compact_locked()
+        return self._compact_locked(s)
 
-    def _compact_locked(self) -> bool:
-        if self.delta.is_empty:
+    def _compact_locked(self, s: int) -> bool:
+        if self.deltas[s].is_empty:
             return False
-        self.matrix = apply_delta(self.matrix, self.delta)
-        self.delta = DeltaLog(self.matrix.shape)
-        self._patch = None
-        self._row_nnz = None
+        strip = apply_delta(self.strips[s], self.deltas[s])
+        self._replace_strip(s, strip)
+        self.strips[s] = strip
+        self.deltas[s] = DeltaLog(strip.shape)
+        self._patches[s] = None
+        self._row_nnz[s] = None
         self.compactions += 1
         return True
 
-    def compact(self) -> bool:
-        """Fold the pending delta into the base matrix now; True if it ran."""
+    def _replace_strip(self, s: int, strip: CSCMatrix) -> None:
+        """Where a compacted strip goes: the whole layout computes with it
+        directly; the sharded layouts push it to their backend."""
+        self.matrix = strip
+
+    def compact(self, strip: Optional[int] = None) -> bool:
+        """Fold pending deltas into their base strips now (only ``strip``
+        when given); True if any compaction ran."""
         with self._lock:
-            return self._compact_locked()
+            if strip is not None:
+                return self._compact_locked(strip)
+            return any([self._compact_locked(s) for s in range(self.num_shards)])
 
     def effective_matrix(self) -> CSCMatrix:
-        """The matrix this engine currently computes with (base ⊕ delta)."""
+        """The full matrix this engine currently computes with (base ⊕ delta)."""
         with self._lock:
-            if self.delta.is_empty:
-                return self.matrix
-            return apply_delta(self.matrix, self.delta)
+            effective = [strip if delta.is_empty else apply_delta(strip, delta)
+                         for strip, delta in zip(self.strips, self.deltas)]
+            if len(effective) == 1:
+                return effective[0]
+            coos = [strip.to_coo() for strip in effective]
+            offsets = self._offsets
+            return CSCMatrix.from_coo(
+                COOMatrix(self.matrix.shape,
+                          np.concatenate([c.rows + r for c, (r, _) in zip(coos, offsets)]),
+                          np.concatenate([c.cols + k for c, (_, k) in zip(coos, offsets)]),
+                          np.concatenate([c.vals for c in coos]), check=False),
+                sum_duplicates=False)
 
     def delta_stats(self) -> Dict[str, object]:
         with self._lock:
-            stats = self.delta.stats()
-            stats["compactions"] = self.compactions
-            return stats
+            return {
+                "events": sum(len(d) for d in self.deltas),
+                "entries": sum(d.entries for d in self.deltas),
+                "per_strip_entries": [d.entries for d in self.deltas],
+                "compactions": self.compactions,
+            }
 
-    def _patch_pair_locked(self) -> Optional[Tuple[CSCMatrix, np.ndarray]]:
-        if self.delta.is_empty:
-            return None
-        if self._patch is None:
-            self._patch = build_patch(self.matrix, self.delta)
-        return self._patch
+    def _patch_locked(self, s: int) -> Tuple[CSCMatrix, np.ndarray]:
+        """Strip ``s``'s ``(patch, touched)`` pair, built on the first read
+        after a write (the strip must have pending updates)."""
+        if self._patches[s] is None:
+            self._patches[s] = build_patch(self.strips[s], self.deltas[s])
+        return self._patches[s]
 
-    def _overlay_locked(self, fn, base: SpMSpVResult, x: SparseVector, *,
-                        semiring: Semiring, sorted_output: Optional[bool],
-                        mask: Optional[Mask], mask_complement: bool,
+    def _overlay_locked(self, s: int, fn, base: SpMSpVResult, x: SparseVector,
+                        ctx: ExecutionContext, *, semiring: Semiring,
+                        sorted_output: Optional[bool], mask: Optional[Mask],
+                        mask_complement: bool, workspace: object,
                         kwargs: Dict) -> SpMSpVResult:
-        """Patch-correct one base result (same kernel, same inputs, same mask)."""
-        patch, touched = self._patch
-        pres = fn(patch, x, self.ctx, semiring=semiring,
-                  sorted_output=sorted_output, mask=mask,
-                  mask_complement=mask_complement, **kwargs)
-        vector = splice_overlay(base.vector, pres.vector, touched)
-        info = dict(base.info)
-        info["delta_patch_nnz"] = patch.nnz
-        return SpMSpVResult(vector=vector,
+        """Patch-correct strip ``s``'s base result (same kernel, same inputs,
+        same mask)."""
+        patch, touched = self._patch_locked(s)
+        pres = fn(patch, x, ctx, semiring=semiring, sorted_output=sorted_output,
+                  mask=mask, mask_complement=mask_complement, workspace=workspace,
+                  **kwargs)
+        return SpMSpVResult(vector=splice_overlay(base.vector, pres.vector, touched),
                             record=merge_overlay_record(base.record, pres.record),
-                            info=info)
+                            info=dict(base.info, delta_patch_nnz=patch.nnz))
+
+    def _overlay_block_locked(self, s: int, results: List[SpMSpVResult],
+                              block: SparseVectorBlock, ctx: ExecutionContext, *,
+                              semiring: Semiring, sorted_output: Optional[bool],
+                              masks, mask_complement: bool,
+                              workspace: SpMSpVWorkspace) -> List[SpMSpVResult]:
+        """:meth:`_overlay_locked` for one fused block call on strip ``s``."""
+        from .spmspv_block import spmspv_bucket_block  # late: avoids import cycle
+
+        patch, touched = self._patch_locked(s)
+        presults = spmspv_bucket_block(
+            patch, block, ctx, semiring=semiring, sorted_output=sorted_output,
+            masks=masks, mask_complement=mask_complement, workspace=workspace)
+        return [SpMSpVResult(vector=splice_overlay(r.vector, p.vector, touched),
+                             record=merge_overlay_record(r.record, p.record),
+                             info=dict(r.info, delta_patch_nnz=patch.nnz))
+                for r, p in zip(results, presults)]
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
+    def _log_call(self, algorithm: str, f: int, n: int, wall_ms: float,
+                  batch: Optional[int], fused: bool = False) -> None:
+        """Append one executed call to the history and lifetime totals."""
+        self.history.append(EngineCall(
+            index=self.total_calls, algorithm=algorithm, f=f,
+            density=f / max(n, 1), wall_ms=wall_ms, batch=batch, fused=fused))
+        self.total_calls += 1
+        self.total_wall_ms += wall_ms
+        if len(self.history) > 2 * self.max_history:
+            # cached engines live for the process: keep memory bounded
+            del self.history[:len(self.history) - self.max_history]
+
     def multiply(self, x: SparseVector, *,
                  semiring: Semiring = PLUS_TIMES,
                  sorted_output: Optional[bool] = None,
@@ -259,29 +380,19 @@ class SpMSpVEngine:
         with self._lock:
             name = algorithm if algorithm is not None else self.algorithm
             fn = get_algorithm(name)
-
             if workspace is None:
                 workspace = self.workspace
-            if _accepts_workspace(fn):
-                kwargs = dict(kwargs, workspace=workspace)
             result = fn(self.matrix, x, self.ctx, semiring=semiring,
                         sorted_output=sorted_output, mask=mask,
-                        mask_complement=mask_complement, **kwargs)
-            if self._patch_pair_locked() is not None:
+                        mask_complement=mask_complement, workspace=workspace,
+                        **kwargs)
+            if not self.deltas[0].is_empty:
                 result = self._overlay_locked(
-                    fn, result, x, semiring=semiring,
+                    0, fn, result, x, self.ctx, semiring=semiring,
                     sorted_output=sorted_output, mask=mask,
-                    mask_complement=mask_complement, kwargs=kwargs)
-
-            wall_ms = result.record.wall_time_s * 1e3
-            self.history.append(EngineCall(
-                index=self.total_calls, algorithm=name, f=x.nnz,
-                density=x.nnz / max(x.n, 1), wall_ms=wall_ms, batch=_batch))
-            self.total_calls += 1
-            self.total_wall_ms += wall_ms
-            if len(self.history) > 2 * self.max_history:
-                # cached engines live for the process: keep memory bounded
-                del self.history[:len(self.history) - self.max_history]
+                    mask_complement=mask_complement, workspace=workspace,
+                    kwargs=kwargs)
+            self._log_call(name, x.nnz, x.n, result.record.wall_time_s * 1e3, _batch)
             return result
 
     # ------------------------------------------------------------------ #
@@ -345,24 +456,39 @@ class SpMSpVEngine:
         pairs) merge work.  Both paths return bit-identical results.  This
         is the multi-source BFS / blocked PageRank entry point.
         """
+        return self._run_batch(
+            self._multiply_block, xs, semiring=semiring,
+            sorted_output=sorted_output, masks=masks,
+            mask_complement=mask_complement, algorithm=algorithm,
+            block_mode=block_mode, block=_block, kwargs=kwargs)
+
+    def _run_batch(self, fused, xs: Sequence[SparseVector], *,
+                   semiring: Semiring, sorted_output: Optional[bool],
+                   masks: Optional[Sequence[Optional[Mask]]],
+                   mask_complement: bool, algorithm: Optional[str],
+                   block_mode: str, block: Optional[SparseVectorBlock],
+                   kwargs: Dict) -> List[SpMSpVResult]:
+        """Validate and number one batch, then run it: through the layout's
+        ``fused`` path when asked and eligible, else one :meth:`multiply`
+        per vector (an ineligible batch, e.g. a single surviving BFS
+        frontier, quietly loops, which is bit-identical anyway)."""
         check_block_mode(block_mode)
         xs = list(xs)
         if masks is not None and len(masks) != len(xs):
             raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
-        batch = self._batches
-        self._batches += 1
         name = algorithm if algorithm is not None else self.algorithm
-        if block_mode == "fused" and self._block_eligible(xs, name, kwargs):
-            return self._multiply_block(
-                xs, batch=batch, semiring=semiring, sorted_output=sorted_output,
-                masks=masks, mask_complement=mask_complement, block=_block)
-        # an ineligible batch (e.g. a single surviving BFS frontier) quietly
-        # runs the per-vector loop, which is bit-identical anyway
-        return [self.multiply(x, semiring=semiring, sorted_output=sorted_output,
-                              mask=masks[i] if masks is not None else None,
-                              mask_complement=mask_complement, algorithm=name,
-                              _batch=batch, **kwargs)
-                for i, x in enumerate(xs)]
+        with self._lock:
+            batch = self._batches
+            self._batches += 1
+            if block_mode == "fused" and self._block_eligible(xs, name, kwargs):
+                return fused(xs, batch=batch, semiring=semiring,
+                             sorted_output=sorted_output, masks=masks,
+                             mask_complement=mask_complement, block=block)
+            return [self.multiply(x, semiring=semiring, sorted_output=sorted_output,
+                                  mask=masks[i] if masks is not None else None,
+                                  mask_complement=mask_complement, algorithm=name,
+                                  _batch=batch, **kwargs)
+                    for i, x in enumerate(xs)]
 
     def _multiply_block(self, xs: List[SparseVector], *, batch: int,
                         semiring: Semiring, sorted_output: Optional[bool],
@@ -380,49 +506,42 @@ class SpMSpVEngine:
                 self.matrix, block, self.ctx, semiring=semiring,
                 sorted_output=sorted_output, masks=masks,
                 mask_complement=mask_complement, workspace=self.workspace)
-            pair = self._patch_pair_locked()
-            if pair is not None:
-                patch, touched = pair
-                presults = spmspv_bucket_block(
-                    patch, block, self.ctx, semiring=semiring,
+            if not self.deltas[0].is_empty:
+                results = self._overlay_block_locked(
+                    0, results, block, self.ctx, semiring=semiring,
                     sorted_output=sorted_output, masks=masks,
                     mask_complement=mask_complement, workspace=self.workspace)
-                results = [
-                    SpMSpVResult(
-                        vector=splice_overlay(r.vector, p.vector, touched),
-                        record=merge_overlay_record(r.record, p.record),
-                        info=dict(r.info, delta_patch_nnz=patch.nnz))
-                    for r, p in zip(results, presults)]
             self._fused_batches += 1
-            nnzs = block.nnz_per_vector()
-            for i, result in enumerate(results):
-                f = int(nnzs[i])
-                wall_ms = result.record.wall_time_s * 1e3
-                self.history.append(EngineCall(
-                    index=self.total_calls, algorithm="bucket_block", f=f,
-                    density=f / max(block.n, 1), wall_ms=wall_ms,
-                    batch=batch, fused=True))
-                self.total_calls += 1
-                self.total_wall_ms += wall_ms
-            if len(self.history) > 2 * self.max_history:
-                del self.history[:len(self.history) - self.max_history]
+            for f, result in zip(block.nnz_per_vector().tolist(), results):
+                self._log_call("bucket_block", f, block.n,
+                               result.record.wall_time_s * 1e3, batch, fused=True)
             return results
 
     # ------------------------------------------------------------------ #
-    # lifecycle: symmetric with ShardedEngine, whose process backend holds
-    # real resources — callers can treat any engine as a context manager
+    # lifecycle: process-backed layouts hold real resources, so callers
+    # treat every engine as a context manager
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release engine resources (the monolithic engine holds none)."""
+        """Release backend resources (worker pool, shared memory; idempotent).
+
+        The whole layout and the emulated backend hold none.  Engines are
+        also cleaned up by a gc finalizer, so forgetting to close leaks
+        nothing past collection — but long-lived processes that churn
+        through process-backed engines should close (or ``with``) them
+        promptly.
+        """
+        if self.backend is not None:
+            self.backend.close()
 
     def health_stats(self) -> Dict[str, object]:
-        """Resilience accounting, shape-compatible with sharded engines.
-
-        The monolithic engine has no workers to lose, so every counter is
-        zero — serving layers can aggregate health over a mixed engine
-        fleet without special-casing."""
-        return {"worker_deaths": [], "respawns": 0, "retries": 0,
-                "fallback_calls": 0, "fallback_strips": 0, "deadline_hits": 0}
+        """Backend resilience accounting (deaths, retries, fallbacks,
+        deadline hits): all zero for the whole layout, in-process backends
+        and a healthy pool, so serving layers aggregate health over a mixed
+        engine fleet without special-casing; see
+        :meth:`.parallel.backends.ExecutionBackend.health_stats`."""
+        if self.backend is None:
+            return idle_health()
+        return self.backend.health_stats()
 
     def __enter__(self) -> "SpMSpVEngine":
         return self
@@ -431,8 +550,12 @@ class SpMSpVEngine:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # introspection (consumed by repro.analysis.reporting)
+    # introspection (consumed by repro.analysis.reporting and detach())
     # ------------------------------------------------------------------ #
+    def workspace_stats(self) -> Dict[str, float]:
+        """Reuse statistics of the engine's workspace."""
+        return self.workspace.stats()
+
     def algorithms_used(self) -> List[str]:
         """Distinct kernels executed, in first-use order."""
         seen: "OrderedDict[str, None]" = OrderedDict()
@@ -451,7 +574,7 @@ class SpMSpVEngine:
 
         ``algorithms_used`` and ``switches`` are computed over the retained
         history window (``max_history`` recent calls); the scalar totals are
-        lifetime counters.
+        lifetime counters.  Every layout reports the same keys.
         """
         return {
             "calls": self.total_calls,
@@ -460,14 +583,20 @@ class SpMSpVEngine:
             "algorithms_used": self.algorithms_used(),
             "switches": self.switch_count,
             "total_wall_ms": self.total_wall_ms,
-            "workspace": self.workspace.stats(),
-            "delta_entries": self.delta.entries,
+            "scheme": self.scheme,
+            "shards": self.num_shards,
+            "nnz_balance": self.nnz_balance,
+            "workspace": self.workspace_stats(),
+            "comm": self.backend.comm_stats() if self.backend is not None else {},
+            "health": self.health_stats(),
+            "delta_entries": sum(d.entries for d in self.deltas),
             "compactions": self.compactions,
         }
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"SpMSpVEngine(matrix={self.matrix.nrows}x{self.matrix.ncols}, "
-                f"algorithm={self.algorithm!r}, calls={len(self.history)})")
+        return (f"{type(self).__name__}(matrix={self.matrix.nrows}x"
+                f"{self.matrix.ncols}, shards={self.num_shards}, "
+                f"algorithm={self.algorithm!r}, calls={self.total_calls})")
 
 
 # --------------------------------------------------------------------------- #

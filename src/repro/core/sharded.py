@@ -1,9 +1,10 @@
-"""Sharded SpMSpV execution: partition-aware engine with scheduled per-shard kernels.
+"""Row-split sharded SpMSpV execution: the ``row`` layout of the engine.
 
-The paper's algorithm is designed around partitioned execution — per-thread
-buckets over row strips — yet the :class:`~repro.core.engine.SpMSpVEngine`
-runs every multiplication against one monolithic matrix.
-:class:`ShardedEngine` closes that gap at the *engine* level:
+:class:`ShardedEngine` is the :class:`~repro.core.engine.SpMSpVEngine`
+protocol over P row strips (the paper's per-thread buckets over row strips,
+at the *engine* level).  The call log, batches, update routing, per-strip
+overlay and compaction, lifecycle and reporting are the base class's; this
+layout adds only what the row split changes:
 
 * the matrix is **row-split** into P strips
   (:func:`repro.formats.partition.row_split`, the §II-F scheme the CombBLAS
@@ -23,16 +24,19 @@ runs every multiplication against one monolithic matrix.
   the same order.  Sorted outputs are byte-identical as stored; unsorted
   outputs are byte-identical as (row, value) pairs (storage order is
   bucket-layout-specific, exactly as across the kernel family);
+* pending updates are corrected parent-side, strip by strip, while the
+  workers keep serving the immutable base strips; a compacted strip is
+  pushed to the backend alone (``backend.update_strip``);
 * :meth:`ShardedEngine.multiply_many` loops over its vectors by default and
   shards fused blocks on request (``block_mode="fused"``): the
   column-union block is packed **once** and shared by every strip's fused
   kernel call, while the (row, vector-id) scatter and the segmented merge
   stay strip-local.
 
-:class:`EngineGroup` holds one engine per named matrix — monolithic, or
-sharded when ``shards`` is given — that it builds and owns, so long-lived
-multi-graph workloads (BFS/PageRank over many graphs, the query server)
-keep every member's workspace warm for the group's lifetime.
+:class:`EngineGroup` holds one engine per named matrix — whole, or
+row-sharded when ``shards`` is given — that it builds and owns, so
+long-lived multi-graph workloads (BFS/PageRank over many graphs, the query
+server) keep every member's workspace warm for the group's lifetime.
 
 *Where* the per-strip calls execute is delegated to the context's pluggable
 **execution backend** (:mod:`repro.parallel.backends`): the default
@@ -45,41 +49,37 @@ release the pool promptly; a gc finalizer covers the rest.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .._typing import INDEX_DTYPE, as_index_array
-from ..errors import DimensionMismatchError
-from ..formats.coo import COOMatrix
+from .._typing import INDEX_DTYPE
 from ..formats.csc import CSCMatrix
-from ..formats.delta import DeltaLog, apply_delta, build_patch, splice_overlay
 from ..formats.partition import RowSplit, row_split
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..parallel.backends import ExecutionBackend, make_backend
+from ..parallel.backends import make_backend
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
 from ..parallel.scheduler import Assignment, schedule
 from ..semiring import PLUS_TIMES, Semiring
-from .engine import (
-    COMPACT_FRACTION,
-    EngineCall,
-    SpMSpVEngine,
-    _accepts_workspace,
-    check_block_mode,
-    merge_overlay_record,
-)
+from .engine import SpMSpVEngine
 from .result import SpMSpVResult
 from .vector_ops import Mask, check_operands, mask_bitmap
 from .workspace import SpMSpVWorkspace
 
 
-class ShardedEngine:
+def check_shards(shards: int) -> int:
+    """The partition width P as an int; raises ``ValueError`` below 1."""
+    if int(shards) < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    return int(shards)
+
+
+class ShardedEngine(SpMSpVEngine):
     """Row-split, per-strip-scheduled SpMSpV executor for one matrix.
 
     Parameters
@@ -99,24 +99,20 @@ class ShardedEngine:
         As in :class:`~repro.core.engine.SpMSpVEngine`.
     """
 
+    scheme = "row"
+
     def __init__(self, matrix: CSCMatrix, shards: int,
                  ctx: Optional[ExecutionContext] = None, *,
                  algorithm: str = "bucket"):
-        from .dispatch import get_algorithm  # late: avoids import cycle
-
-        if int(shards) < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        get_algorithm(algorithm)  # fail before a worker pool starts
-        self.matrix = matrix
-        self.ctx = ctx if ctx is not None else default_context()
-        self.algorithm = algorithm
-        self.split: RowSplit = row_split(matrix, int(shards))
+        self.split: RowSplit = row_split(matrix, check_shards(shards))
+        self._init_layout(matrix, ctx, algorithm, strips=self.split.strips,
+                          lows=[lo for lo, _hi in self.split.row_ranges])
         #: per-strip execution context: the paper's row-split runs one strip
         #: per thread with no intra-strip parallelism (§II-F)
         self.shard_ctx = replace(self.ctx, num_threads=1)
         #: pluggable strip executor (emulated in-process loop by default, or
         #: a persistent shared-memory worker pool with ``backend="process"``)
-        self.backend: ExecutionBackend = make_backend(
+        self.backend = make_backend(
             self.ctx.backend, strips=self.split.strips,
             shard_ctx=self.shard_ctx, dtype=matrix.dtype,
             use_thread_pool=self.ctx.use_thread_pool,
@@ -124,39 +120,16 @@ class ShardedEngine:
         #: the emulated backend's local per-strip workspaces; empty for
         #: backends whose workspaces live out-of-process
         self.workspaces = getattr(self.backend, "workspaces", [])
-        strip_nnz = np.array([strip.nnz for strip in self.split.strips], dtype=np.float64)
-        mean_nnz = float(strip_nnz.mean()) if len(strip_nnz) else 0.0
-        #: static max/mean stored-entry balance of the row partition
-        self.nnz_balance = float(strip_nnz.max() / mean_nnz) if mean_nnz > 0 else 1.0
-        self.history: List[EngineCall] = []
-        self.max_history = 4096
-        self.total_calls = 0
-        self.total_wall_ms = 0.0
-        self._batches = 0
-        self._fused_batches = 0
-        #: per-strip pending edge updates, routed by the row partition; each
-        #: strip compacts independently once its delta crosses break-even
-        self.deltas: List[DeltaLog] = [
-            DeltaLog(strip.shape) for strip in self.split.strips]
-        self.compact_fraction = COMPACT_FRACTION
-        self.compactions = 0
-        self._patches: List[Optional[Tuple[CSCMatrix, np.ndarray]]] = \
-            [None] * self.split.num_parts
         #: parent-side workspaces for the (tiny) strip patch corrections —
         #: the workers keep serving the immutable base strips
         self._patch_ws: Dict[int, SpMSpVWorkspace] = {}
-        self._strip_row_nnz: List[Optional[np.ndarray]] = \
-            [None] * self.split.num_parts
-        # bookkeeping is reentrant (multiply_many loops over multiply)
-        self._lock = threading.RLock()
+
+    def _replace_strip(self, s: int, strip: CSCMatrix) -> None:
+        self.backend.update_strip(s, strip)
 
     # ------------------------------------------------------------------ #
     # shard plumbing
     # ------------------------------------------------------------------ #
-    @property
-    def num_shards(self) -> int:
-        return self.split.num_parts
-
     def _slice_mask(self, mask: Optional[Mask]) -> List[Optional[np.ndarray]]:
         """Compile a row-space mask once and view it per strip.
 
@@ -230,166 +203,13 @@ class ShardedEngine:
             merged.add_phase(out)
         return merged
 
-    def _run_strip_calls(self, name: str, x: SparseVector, *, semiring: Semiring,
-                         sorted_output: Optional[bool],
-                         mask_slices: List[Optional[np.ndarray]],
-                         mask_complement: bool, kwargs: Dict
-                         ) -> List[SpMSpVResult]:
-        """One independent kernel call per strip, on the engine's backend."""
-        return self.backend.run_multiply(
-            name, x, semiring=semiring, sorted_output=sorted_output,
-            mask_slices=mask_slices, mask_complement=mask_complement,
-            kwargs=kwargs)
-
-    # ------------------------------------------------------------------ #
-    # dynamic updates (per-strip delta overlay + compaction)
-    # ------------------------------------------------------------------ #
-    def apply_updates(self, rows, cols, values=None) -> Dict[str, object]:
-        """Record edge updates, routed to the owning strips' delta logs.
-
-        ``values=None`` deletes the listed edges.  Updates are visible on the
-        next multiply: the workers keep serving the immutable base strips
-        while the parent splices in tiny strip-local patch corrections.  A
-        strip whose delta-touched rows cross ``compact_fraction`` of its
-        nonzeros is rebuilt **alone** — the other strips' workspaces and
-        shared-memory slabs stay untouched.
-        """
-        with self._lock:
-            rows = as_index_array(rows)
-            cols = as_index_array(cols)
-            m, n = self.matrix.shape
-            if len(rows) and (rows.min() < 0 or rows.max() >= m):
-                raise DimensionMismatchError(f"update row out of range for {m} rows")
-            if len(cols) and (cols.min() < 0 or cols.max() >= n):
-                raise DimensionMismatchError(f"update col out of range for {n} cols")
-            if values is not None:
-                values = np.asarray(values, dtype=np.float64)
-                if values.ndim == 0:
-                    values = np.broadcast_to(values, rows.shape).copy()
-            lows = np.array([lo for lo, _hi in self.split.row_ranges])
-            strip_of = np.searchsorted(lows, rows, side="right") - 1
-            compacted: List[int] = []
-            for s in np.unique(strip_of).tolist():
-                sel = strip_of == s
-                lo = self.split.row_ranges[s][0]
-                if values is None:
-                    self.deltas[s].delete_edges(rows[sel] - lo, cols[sel])
-                else:
-                    self.deltas[s].set_edges(rows[sel] - lo, cols[sel], values[sel])
-                self._patches[s] = None
-                if self._maybe_compact_strip_locked(s):
-                    compacted.append(s)
-            return {"applied": int(len(rows)),
-                    "delta_entries": sum(d.entries for d in self.deltas),
-                    "compacted": bool(compacted),
-                    "compacted_strips": compacted}
-
-    def _overlay_nnz_strip_locked(self, s: int) -> int:
-        """Upper bound on strip ``s``'s patch nnz (the per-multiply overlay tax)."""
-        if self._strip_row_nnz[s] is None:
-            self._strip_row_nnz[s] = self.split.strips[s].row_counts()
-        return (int(self._strip_row_nnz[s][self.deltas[s].touched_rows()].sum())
-                + self.deltas[s].entries)
-
-    def _maybe_compact_strip_locked(self, s: int) -> bool:
-        if self.deltas[s].is_empty:
-            return False
-        threshold = self.compact_fraction * max(self.split.strips[s].nnz, 1)
-        if self._overlay_nnz_strip_locked(s) <= threshold:
-            return False
-        return self._compact_strip_locked(s)
-
-    def _compact_strip_locked(self, s: int) -> bool:
-        if self.deltas[s].is_empty:
-            return False
-        new_strip = apply_delta(self.split.strips[s], self.deltas[s])
-        self.split.strips[s] = new_strip
-        self.backend.update_strip(s, new_strip)
-        self.deltas[s] = DeltaLog(new_strip.shape)
-        self._patches[s] = None
-        self._strip_row_nnz[s] = None
-        self.compactions += 1
-        return True
-
-    def compact(self, strip: Optional[int] = None) -> bool:
-        """Fold pending deltas into their base strips now; True if any ran."""
-        with self._lock:
-            if strip is not None:
-                return self._compact_strip_locked(strip)
-            return any([self._compact_strip_locked(s)
-                        for s in range(self.num_shards)])
-
-    def effective_matrix(self) -> CSCMatrix:
-        """The full-row-space matrix this engine currently computes with."""
-        with self._lock:
-            rows_parts, cols_parts, vals_parts = [], [], []
-            for (lo, _hi), strip, delta in zip(self.split.row_ranges,
-                                               self.split.strips, self.deltas):
-                eff = strip if delta.is_empty else apply_delta(strip, delta)
-                coo = eff.to_coo()
-                rows_parts.append(coo.rows + lo)
-                cols_parts.append(coo.cols)
-                vals_parts.append(coo.vals)
-            return CSCMatrix.from_coo(
-                COOMatrix(self.matrix.shape,
-                          np.concatenate(rows_parts) if rows_parts else [],
-                          np.concatenate(cols_parts) if cols_parts else [],
-                          np.concatenate(vals_parts) if vals_parts else [],
-                          check=False),
-                sum_duplicates=False)
-
-    def delta_stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "events": sum(len(d) for d in self.deltas),
-                "entries": sum(d.entries for d in self.deltas),
-                "per_strip_entries": [d.entries for d in self.deltas],
-                "compactions": self.compactions,
-            }
-
-    def _patch_pair_strip_locked(self, s: int
-                                 ) -> Optional[Tuple[CSCMatrix, np.ndarray]]:
-        if self.deltas[s].is_empty:
-            return None
-        if self._patches[s] is None:
-            self._patches[s] = build_patch(self.split.strips[s], self.deltas[s])
-        return self._patches[s]
-
     def _patch_workspace_locked(self, s: int) -> SpMSpVWorkspace:
         ws = self._patch_ws.get(s)
         if ws is None:
-            strip = self.split.strips[s]
+            strip = self.strips[s]
             ws = SpMSpVWorkspace(strip.nrows, dtype=strip.dtype)
             self._patch_ws[s] = ws
         return ws
-
-    def _overlay_strip_outs_locked(self, outs: List[SpMSpVResult], name: str, x,
-                                   *, semiring: Semiring,
-                                   sorted_output: Optional[bool],
-                                   mask_slices: List[Optional[np.ndarray]],
-                                   mask_complement: bool,
-                                   kwargs: Dict) -> List[SpMSpVResult]:
-        """Splice parent-side patch corrections into the strips' base outputs."""
-        from .dispatch import get_algorithm  # late: avoids import cycle
-
-        outs = list(outs)
-        for s in range(self.num_shards):
-            pair = self._patch_pair_strip_locked(s)
-            if pair is None:
-                continue
-            patch, touched = pair
-            fn = get_algorithm(name)
-            kw = dict(kwargs)
-            if _accepts_workspace(fn):
-                kw["workspace"] = self._patch_workspace_locked(s)
-            pres = fn(patch, x, self.shard_ctx, semiring=semiring,
-                      sorted_output=sorted_output, mask=mask_slices[s],
-                      mask_complement=mask_complement, **kw)
-            outs[s] = SpMSpVResult(
-                vector=splice_overlay(outs[s].vector, pres.vector, touched),
-                record=merge_overlay_record(outs[s].record, pres.record),
-                info=dict(outs[s].info, delta_patch_nnz=patch.nnz))
-        return outs
 
     # ------------------------------------------------------------------ #
     # execution
@@ -413,7 +233,7 @@ class ShardedEngine:
                 x, semiring=semiring, sorted_output=sorted_output, mask=mask,
                 mask_complement=mask_complement, algorithm=algorithm,
                 _batch=_batch, **kwargs)
-            outs = self._run_strip_calls(
+            outs = self.backend.run_multiply(
                 plan["name"], x, semiring=semiring,
                 sorted_output=plan["resolved_sorted"],
                 mask_slices=plan["mask_slices"],
@@ -439,10 +259,10 @@ class ShardedEngine:
         check_operands(self.matrix, x)
         mask_slices = self._slice_mask(mask)
         name = algorithm if algorithm is not None else self.algorithm
-        get_algorithm(name)  # validate the kernel name before dispatching
+        fn = get_algorithm(name)  # validate the kernel name before dispatching
         resolved_sorted = (sorted_output if sorted_output is not None
                            else (x.sorted and self.ctx.sorted_vectors))
-        return {"x": x, "name": name, "resolved_sorted": resolved_sorted,
+        return {"x": x, "name": name, "fn": fn, "resolved_sorted": resolved_sorted,
                 "semiring": semiring, "mask_slices": mask_slices,
                 "mask_complement": mask_complement, "kwargs": kwargs,
                 "batch": _batch, "t0": time.perf_counter()}
@@ -450,15 +270,18 @@ class ShardedEngine:
     def _finish_call(self, plan: Dict, outs: List[SpMSpVResult]) -> SpMSpVResult:
         """Fold strip results into one result + all per-call bookkeeping."""
         x = plan["x"]
-        name = plan["name"]
         resolved_sorted = plan["resolved_sorted"]
         if any(not d.is_empty for d in self.deltas):
-            outs = self._overlay_strip_outs_locked(
-                outs, name, x, semiring=plan["semiring"],
-                sorted_output=resolved_sorted,
-                mask_slices=plan["mask_slices"],
-                mask_complement=plan["mask_complement"],
-                kwargs=plan["kwargs"])
+            outs = list(outs)
+            for s, delta in enumerate(self.deltas):
+                if not delta.is_empty:
+                    outs[s] = self._overlay_locked(
+                        s, plan["fn"], outs[s], x, self.shard_ctx,
+                        semiring=plan["semiring"], sorted_output=resolved_sorted,
+                        mask=plan["mask_slices"][s],
+                        mask_complement=plan["mask_complement"],
+                        workspace=self._patch_workspace_locked(s),
+                        kwargs=plan["kwargs"])
         y = self._concatenate([o.vector for o in outs], resolved_sorted)
         dfs = [float(o.info.get("df", o.record.info.get("df", 0.0))) for o in outs]
         assignment = self._schedule_shards([df + 1.0 for df in dfs])
@@ -472,14 +295,8 @@ class ShardedEngine:
                   "shard_imbalance": assignment.imbalance(),
                   "early_mask": outs[0].record.info.get("early_mask", False)})
         record.wall_time_s = time.perf_counter() - plan["t0"]
-        wall_ms = record.wall_time_s * 1e3
-        self.history.append(EngineCall(
-            index=self.total_calls, algorithm=name, f=x.nnz,
-            density=x.nnz / max(x.n, 1), wall_ms=wall_ms, batch=plan["batch"]))
-        self.total_calls += 1
-        self.total_wall_ms += wall_ms
-        if len(self.history) > 2 * self.max_history:
-            del self.history[:len(self.history) - self.max_history]
+        self._log_call(plan["name"], x.nnz, x.n, record.wall_time_s * 1e3,
+                       plan["batch"])
         return SpMSpVResult(vector=y, record=record,
                             info={"f": x.nnz, "df": sum(dfs),
                                   "nnz_y": y.nnz, "shards": self.num_shards})
@@ -487,25 +304,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------ #
     # blocked execution
     # ------------------------------------------------------------------ #
-    def multiply_block(self, block: SparseVectorBlock, *,
-                       semiring: Semiring = PLUS_TIMES,
-                       sorted_output: Optional[bool] = None,
-                       masks: Optional[Sequence[Optional[Mask]]] = None,
-                       mask_complement: bool = False,
-                       algorithm: Optional[str] = None,
-                       block_mode: str = "looped") -> List[SpMSpVResult]:
-        """Sharded execution of an already-packed block (serving entry point).
-
-        Mirrors :meth:`SpMSpVEngine.multiply_block`: the caller's pack is
-        reused by the fused path (one shared block for every strip) instead
-        of being re-derived; results are bit-identical to
-        :meth:`multiply_many` over ``block.to_vectors()``.
-        """
-        return self.multiply_many(
-            block.to_vectors(), semiring=semiring, sorted_output=sorted_output,
-            masks=masks, mask_complement=mask_complement, algorithm=algorithm,
-            block_mode=block_mode, _block=block)
-
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
                       sorted_output: Optional[bool] = None,
@@ -527,25 +325,11 @@ class ShardedEngine:
         folded into each strip's scatter.  Outputs are bit-identical to the
         unsharded ``multiply_many`` in both modes.
         """
-        check_block_mode(block_mode)
-        xs = list(xs)
-        if masks is not None and len(masks) != len(xs):
-            raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
-        with self._lock:
-            batch = self._batches
-            self._batches += 1
-            name = algorithm if algorithm is not None else self.algorithm
-            if block_mode == "fused" and \
-                    SpMSpVEngine._block_eligible(xs, name, kwargs):
-                return self._multiply_many_fused(
-                    xs, batch=batch, semiring=semiring,
-                    sorted_output=sorted_output, masks=masks,
-                    mask_complement=mask_complement, block=_block)
-            return [self.multiply(
-                x, semiring=semiring, sorted_output=sorted_output,
-                mask=masks[i] if masks is not None else None,
-                mask_complement=mask_complement, algorithm=name,
-                _batch=batch, **kwargs) for i, x in enumerate(xs)]
+        return self._run_batch(
+            self._multiply_many_fused, xs, semiring=semiring,
+            sorted_output=sorted_output, masks=masks,
+            mask_complement=mask_complement, algorithm=algorithm,
+            block_mode=block_mode, block=_block, kwargs=kwargs)
 
     def _multiply_many_fused(self, xs: List[SparseVector], *, batch: int,
                              semiring: Semiring, sorted_output: Optional[bool],
@@ -568,26 +352,13 @@ class ShardedEngine:
         per_strip = self.backend.run_block(
             block, semiring=semiring, sorted_output=sorted_output,
             strip_masks=strip_masks, mask_complement=mask_complement)
-        if any(not d.is_empty for d in self.deltas):
-            from .spmspv_block import spmspv_bucket_block  # late: import cycle
-
-            per_strip = [list(rs) for rs in per_strip]
-            for s in range(self.num_shards):
-                pair = self._patch_pair_strip_locked(s)
-                if pair is None:
-                    continue
-                patch, touched = pair
-                presults = spmspv_bucket_block(
-                    patch, block, self.shard_ctx, semiring=semiring,
+        for s, delta in enumerate(self.deltas):
+            if not delta.is_empty:
+                per_strip[s] = self._overlay_block_locked(
+                    s, per_strip[s], block, self.shard_ctx, semiring=semiring,
                     sorted_output=sorted_output, masks=strip_masks[s],
                     mask_complement=mask_complement,
                     workspace=self._patch_workspace_locked(s))
-                per_strip[s] = [
-                    SpMSpVResult(
-                        vector=splice_overlay(r.vector, p.vector, touched),
-                        record=merge_overlay_record(r.record, p.record),
-                        info=dict(r.info, delta_patch_nnz=patch.nnz))
-                    for r, p in zip(per_strip[s], presults)]
         # equal per-vector share of the batch wall time, frozen before the
         # bookkeeping below (as the fused kernel itself apportions)
         wall_share_s = (time.perf_counter() - t0) / max(k, 1)
@@ -613,53 +384,18 @@ class ShardedEngine:
                       "df": df_i, "nnz_y": y.nnz, "fused": True,
                       "block_k": k, "shards": self.num_shards})
             record.wall_time_s = wall_share_s
-            self.history.append(EngineCall(
-                index=self.total_calls, algorithm="bucket_block",
-                f=int(nnzs[i]), density=int(nnzs[i]) / max(block.n, 1),
-                wall_ms=wall_share_s * 1e3, batch=batch, fused=True))
-            self.total_calls += 1
-            self.total_wall_ms += wall_share_s * 1e3
+            self._log_call("bucket_block", int(nnzs[i]), block.n,
+                           wall_share_s * 1e3, batch, fused=True)
             results.append(SpMSpVResult(
                 vector=y, record=record,
                 info={"f": int(nnzs[i]), "df": df_i, "nnz_y": y.nnz,
                       "fused": True, "shards": self.num_shards}))
         self._fused_batches += 1
-        if len(self.history) > 2 * self.max_history:
-            del self.history[:len(self.history) - self.max_history]
         return results
 
     # ------------------------------------------------------------------ #
-    # introspection (consumed by repro.analysis.reporting and detach())
+    # introspection
     # ------------------------------------------------------------------ #
-    def algorithms_used(self) -> List[str]:
-        """Distinct kernels executed, in first-use order."""
-        seen: "OrderedDict[str, None]" = OrderedDict()
-        for call in self.history:
-            seen.setdefault(call.algorithm, None)
-        return list(seen)
-
-    @property
-    def switch_count(self) -> int:
-        """How many times consecutive calls used different algorithms."""
-        return sum(1 for a, b in zip(self.history, self.history[1:])
-                   if a.algorithm != b.algorithm)
-
-    def close(self) -> None:
-        """Release backend resources (worker pool, shared memory; idempotent).
-
-        A no-op for the emulated backend.  Engines are also cleaned up by a
-        gc finalizer, so forgetting to close leaks nothing past collection —
-        but long-lived processes that churn through process-backed engines
-        should close (or ``with``) them promptly.
-        """
-        self.backend.close()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def workspace_stats(self) -> Dict[str, float]:
         """Aggregate reuse statistics over the per-strip workspaces.
 
@@ -679,35 +415,6 @@ class ShardedEngine:
             "spa_rows": self.matrix.nrows,
             "block_capacity": sum(s["block_capacity"] for s in stats),
         }
-
-    def health_stats(self) -> Dict[str, object]:
-        """Backend resilience accounting (deaths, retries, fallbacks,
-        deadline hits) — all zero for in-process backends and for a healthy
-        pool; see :meth:`.parallel.backends.ExecutionBackend.health_stats`."""
-        return self.backend.health_stats()
-
-    def summary(self) -> Dict[str, object]:
-        """Aggregate statistics of the engine's lifetime (for reporting)."""
-        return {
-            "calls": self.total_calls,
-            "batches": self._batches,
-            "fused_batches": self._fused_batches,
-            "algorithms_used": self.algorithms_used(),
-            "switches": self.switch_count,
-            "total_wall_ms": self.total_wall_ms,
-            "shards": self.num_shards,
-            "nnz_balance": self.nnz_balance,
-            "workspace": self.workspace_stats(),
-            "comm": self.backend.comm_stats(),
-            "health": self.backend.health_stats(),
-            "delta_entries": sum(d.entries for d in self.deltas),
-            "compactions": self.compactions,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"ShardedEngine(matrix={self.matrix.nrows}x{self.matrix.ncols}, "
-                f"shards={self.num_shards}, algorithm={self.algorithm!r}, "
-                f"calls={self.total_calls})")
 
 
 class EngineGroup:
@@ -732,17 +439,16 @@ class EngineGroup:
                  else list(enumerate(matrices)))
         if not items:
             raise ValueError("EngineGroup needs at least one matrix")
-        self._engines: "OrderedDict[object, Union[SpMSpVEngine, ShardedEngine]]" = \
-            OrderedDict(
-                (key, SpMSpVEngine(matrix, self.ctx) if shards is None
-                 else ShardedEngine(matrix, shards, self.ctx))
-                for key, matrix in items)
+        self._engines: "OrderedDict[object, SpMSpVEngine]" = OrderedDict(
+            (key, SpMSpVEngine(matrix, self.ctx) if shards is None
+             else ShardedEngine(matrix, shards, self.ctx))
+            for key, matrix in items)
 
     # ------------------------------------------------------------------ #
     def keys(self) -> List[object]:
         return list(self._engines)
 
-    def engine(self, key) -> Union[SpMSpVEngine, ShardedEngine]:
+    def engine(self, key) -> SpMSpVEngine:
         """The member engine for ``key`` (raises ``KeyError`` if absent)."""
         return self._engines[key]
 
@@ -764,7 +470,7 @@ class EngineGroup:
 
     def apply_updates(self, key, rows, cols, values=None) -> Dict[str, object]:
         """Record edge updates against member ``key`` (``values=None`` deletes);
-        see :meth:`SpMSpVEngine.apply_updates` / :meth:`ShardedEngine.apply_updates`."""
+        see :meth:`SpMSpVEngine.apply_updates`."""
         return self._engines[key].apply_updates(rows, cols, values)
 
     # ------------------------------------------------------------------ #

@@ -46,10 +46,42 @@ from .sparse_vector import SparseVector
 
 __all__ = [
     "DeltaLog",
+    "check_updates",
     "build_patch",
     "apply_delta",
     "splice_overlay",
 ]
+
+
+def check_updates(shape, rows, cols, values=None
+                  ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Validate one batch of edge updates against a matrix shape.
+
+    Returns ``(rows, cols, values)`` as index arrays and a float64 value
+    array (a scalar value is broadcast to every edge; ``values=None``, a
+    deletion, stays None).  Raises :class:`~repro.errors.FormatError` when
+    the arrays differ in length and
+    :class:`~repro.errors.DimensionMismatchError` for an index outside
+    ``shape``, so a caller can validate a whole batch before any of it is
+    recorded.
+    """
+    rows = as_index_array(rows)
+    cols = as_index_array(cols)
+    if len(rows) != len(cols):
+        raise FormatError(
+            f"update arrays must have equal length, got {len(rows)} and {len(cols)}")
+    m, n = shape
+    if len(rows) and (rows.min() < 0 or rows.max() >= m):
+        raise DimensionMismatchError(f"update row out of range for {m} rows")
+    if len(cols) and (cols.min() < 0 or cols.max() >= n):
+        raise DimensionMismatchError(f"update col out of range for {n} cols")
+    if values is not None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 0:
+            values = np.full(rows.shape, values)
+        if values.shape != rows.shape:
+            raise FormatError("values must match update index arrays")
+    return rows, cols, values
 
 
 class DeltaLog:
@@ -78,25 +110,15 @@ class DeltaLog:
     # ------------------------------------------------------------------ #
     # building
     # ------------------------------------------------------------------ #
-    def _append(self, rows, cols, vals, deleted: bool) -> int:
-        rows = as_index_array(rows)
-        cols = as_index_array(cols)
-        if len(rows) != len(cols):
-            raise FormatError(
-                f"update arrays must have equal length, got {len(rows)} and {len(cols)}")
-        m, n = self.shape
-        if len(rows) and (rows.min() < 0 or rows.max() >= m):
-            raise DimensionMismatchError(f"update row out of range for {m} rows")
-        if len(cols) and (cols.min() < 0 or cols.max() >= n):
-            raise DimensionMismatchError(f"update col out of range for {n} cols")
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != rows.shape:
-            raise FormatError("values must match update index arrays")
+    def _append(self, rows, cols, vals) -> int:
+        """Log one validated batch; ``vals=None`` logs deletions."""
+        rows, cols, vals = check_updates(self.shape, rows, cols, vals)
         if len(rows) == 0:
             return 0
+        deleted = vals is None
         self._rows.append(rows)
         self._cols.append(cols)
-        self._vals.append(vals)
+        self._vals.append(np.zeros(len(rows)) if deleted else vals)
         self._dels.append(np.full(len(rows), deleted, dtype=bool))
         self._count += len(rows)
         self._resolved = None
@@ -104,15 +126,11 @@ class DeltaLog:
 
     def set_edges(self, rows, cols, values) -> int:
         """Insert or reweight edges; returns the number of logged events."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 0:
-            values = np.broadcast_to(values, np.shape(as_index_array(rows))).copy()
-        return self._append(rows, cols, values, deleted=False)
+        return self._append(rows, cols, values)
 
     def delete_edges(self, rows, cols) -> int:
         """Mark edges deleted (no-op for absent edges at resolution time)."""
-        rows = as_index_array(rows)
-        return self._append(rows, cols, np.zeros(len(rows)), deleted=True)
+        return self._append(rows, cols, None)
 
     def clear(self) -> None:
         self._rows, self._cols, self._vals, self._dels = [], [], [], []

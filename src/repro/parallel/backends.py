@@ -118,6 +118,12 @@ def _fresh_stats(spa_rows: int) -> Dict[str, float]:
     return dict(_FRESH_STATS_TEMPLATE, spa_rows=spa_rows)
 
 
+def idle_health() -> Dict[str, object]:
+    """The health counters of an executor with no workers to lose: all zero."""
+    return {"worker_deaths": [], "respawns": 0, "retries": 0,
+            "fallback_calls": 0, "fallback_strips": 0, "deadline_hits": 0}
+
+
 def _attach_strip_id(exc: BaseException, strip: int, backend: str,
                      remote_traceback: Optional[str] = None) -> BaseException:
     """Annotate a kernel exception with the strip that raised it."""
@@ -209,11 +215,10 @@ class ExecutionBackend(ABC):
         """Resilience accounting: deaths, retries, fallbacks, deadline hits.
 
         In-process backends have no workers to lose, so every counter is
-        zero; the keys are stable across backends so serving layers can
-        aggregate health uniformly.
+        zero (:func:`idle_health`); the keys are stable across backends so
+        serving layers can aggregate health uniformly.
         """
-        return {"worker_deaths": [], "respawns": 0, "retries": 0,
-                "fallback_calls": 0, "fallback_strips": 0, "deadline_hits": 0}
+        return idle_health()
 
     def close(self) -> None:
         """Release backend resources (idempotent; default: nothing to do)."""
@@ -272,17 +277,14 @@ class EmulatedBackend(ExecutionBackend):
         """
         if op == "multiply":
             from ..core.dispatch import get_algorithm
-            from ..core.engine import _accepts_workspace
 
             fn = get_algorithm(args["algorithm"])
-            kw = dict(args["kwargs"])
-            if _accepts_workspace(fn):
-                kw["workspace"] = self.workspaces[s]
             return [fn(self.strips[s], args["x"], self.shard_ctx,
                        semiring=args["semiring"],
                        sorted_output=args["sorted_output"],
                        mask=args["mask_slices"][s],
-                       mask_complement=args["mask_complement"], **kw)]
+                       mask_complement=args["mask_complement"],
+                       workspace=self.workspaces[s], **args["kwargs"])]
         if op == "block":
             from ..core.spmspv_block import spmspv_bucket_block
 
@@ -448,7 +450,6 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
     instead of pinning their shared-memory mappings forever.
     """
     from ..core.dispatch import get_algorithm
-    from ..core.engine import _accepts_workspace
     from ..core.spmspv_block import spmspv_bucket_block
     from ..core.spmspv_column import column_partial
     from ..core.workspace import (
@@ -605,7 +606,6 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
             in_region = reader.region(in_ref)
             x = read_vector(in_region, x_spec)
             fn = get_algorithm(algorithm)
-            takes_ws = _accepts_workspace(fn)
         elif op == "partial":
             # column-split: one shared full-row map, per-strip frontier
             # slices riding the mask_specs slot of the generic message
@@ -632,12 +632,10 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
                         f"this call")
                 if op == "multiply":
                     mask = read_map(in_region, mask_specs[strip])
-                    kw = dict(kwargs)
-                    if takes_ws:
-                        kw["workspace"] = workspaces[strip]
                     result = fn(strips[strip], x, ctx,
                                 semiring=get_semiring(sr), sorted_output=so,
-                                mask=mask, mask_complement=comp, **kw)
+                                mask=mask, mask_complement=comp,
+                                workspace=workspaces[strip], **kwargs)
                     results = [result]
                 elif op == "partial":
                     idx_desc, val_desc, gpos_desc = x_specs[strip]
@@ -1086,7 +1084,7 @@ class ProcessBackend(ExecutionBackend):
         if self._tokens:
             raise BackendError(
                 f"update_strip({strip}) with {len(self._tokens)} call(s) "
-                f"in flight; gather or abandon them first")
+                f"in flight; gather them first")
         if matrix.nrows != self._local.strips[strip].nrows:
             raise BackendError(
                 f"strip {strip} replacement has {matrix.nrows} rows, "
@@ -1587,11 +1585,6 @@ class ProcessBackend(ExecutionBackend):
                     for s in range(self.num_strips)]
         finally:
             self._finalize(token)
-
-    def abandon(self, token: _Inflight) -> None:
-        """Give up on a submitted call; its regions release once no worker
-        can still write them."""
-        self._finalize(token)
 
     def submit_partial(self, algorithm, slices, *, semiring, mask,
                        mask_complement, out_dtype):

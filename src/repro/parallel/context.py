@@ -78,8 +78,6 @@ class ExecutionContext:
     #: size (entries) of the thread-private staging buffer used for cache-friendly
     #: bucket insertion (§III-A, "Cache efficiency"); 0 disables the buffer.
     private_buffer_size: int = 512
-    #: deterministic seed used wherever a kernel needs tie-breaking randomness
-    seed: int = 0
     #: execution backend for sharded engines ('emulated' | 'process' | any
     #: name registered with :func:`repro.parallel.backends.register_backend`)
     backend: str = "emulated"

@@ -307,10 +307,6 @@ class ChaosBackend(ExecutionBackend):
             block, semiring=semiring, sorted_output=sorted_output,
             strip_masks=strip_masks, mask_complement=mask_complement))
 
-    def abandon(self, token) -> None:
-        self._pending_delay.pop(id(token), None)
-        self._inner.abandon(token)
-
     def update_strip(self, strip, matrix) -> None:
         # no faults on the (rare) compaction path: the versioned
         # ack-before-unlink protocol is exercised by the inner backend's

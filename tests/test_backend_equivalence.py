@@ -65,15 +65,14 @@ MASK_MODES = ["none", "mask", "complement", "map"]
 SHARD_COUNTS = [1, 2, 3, 7]
 
 
-def engine_pair(matrix, shards, *, threads=2, seed=0):
+def engine_pair(matrix, shards, *, threads=2):
     """One emulated and one process engine over the same matrix and context."""
     emu = ShardedEngine(matrix, shards,
-                        default_context(num_threads=threads, seed=seed,
-                                        backend="emulated"),
+                        default_context(num_threads=threads, backend="emulated"),
                         algorithm="bucket")
     proc = ShardedEngine(matrix, shards,
-                         default_context(num_threads=threads, seed=seed,
-                                         backend="process", backend_workers=2),
+                         default_context(num_threads=threads, backend="process",
+                                         backend_workers=2),
                          algorithm="bucket")
     return emu, proc
 
@@ -319,11 +318,10 @@ def test_engine_group_process_backend_matches_emulated():
     matrices = {name: random_csc(40 + i, 36, 0.2, seed=50 + i)
                 for i, name in enumerate(["a", "b", "c"])}
     x = SparseVector.full_like_indices(36, np.arange(0, 36, 4), 1.0)
-    with EngineGroup(matrices, default_context(seed=3, backend="emulated"),
+    with EngineGroup(matrices, default_context(backend="emulated"),
                      shards=2) as emu_group, \
          EngineGroup(matrices,
-                     default_context(seed=3, backend="process",
-                                     backend_workers=2),
+                     default_context(backend="process", backend_workers=2),
                      shards=2) as proc_group:
         for key in matrices:
             assert_same_pairs(emu_group.multiply(key, x).vector,

@@ -263,7 +263,7 @@ def test_vector_block_pack_arrays_round_trips_through_a_region():
 
 
 # --------------------------------------------------------------------------- #
-# abandon() under in-flight faults: segment/region accounting
+# abandoning a call under in-flight faults: segment/region accounting
 # --------------------------------------------------------------------------- #
 def _process_backend(shards=4, workers=2, seed=3):
     """A bare ProcessBackend (no chaos rerouting) plus a matching frontier."""
@@ -316,7 +316,7 @@ def test_abandon_with_dead_worker_releases_all_regions():
         os.kill(backend.worker_pids()[0], signal.SIGKILL)
         assert _drain_until(
             backend, lambda: token.lost or backend._workers[0] is None)
-        backend.abandon(token)
+        backend._finalize(token)
         # surviving workers' late replies drain; all regions come home
         assert _drain_until(
             backend,
@@ -341,7 +341,7 @@ def test_abandon_mid_overflow_flush_releases_all_regions():
         # on a fast box the flush may complete between drains; both orders
         # must end with zero outstanding regions)
         _drain_until(backend, lambda: token.flushing or token.complete)
-        backend.abandon(token)
+        backend._finalize(token)
         assert _drain_until(
             backend,
             lambda: all(a.outstanding == 0 for a in backend._arenas))
@@ -356,7 +356,7 @@ def test_abandon_then_close_with_unfinished_call_leaks_no_segment():
     backend, x = _process_backend(seed=7)
     token = _submit(backend, x)
     names = list(backend.segment_names())
-    backend.abandon(token)
+    backend._finalize(token)
     backend.close()
     for name in names:
         assert not os.path.exists("/dev/shm/" + name)

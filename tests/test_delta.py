@@ -296,9 +296,10 @@ def test_small_update_stays_in_delta():
     matrix = random_csc(60, 60, 0.2, seed=13)
     engine = SpMSpVEngine(matrix, default_context())
     ack = engine.apply_updates([0], [0], [1.0])
-    assert ack == {"applied": 1, "delta_entries": 1, "compacted": False}
+    assert ack == {"applied": 1, "delta_entries": 1, "compacted": False,
+                   "compacted_strips": []}
     assert engine.delta_stats()["compactions"] == 0
-    assert not engine.delta.is_empty
+    assert not engine.deltas[0].is_empty
 
 
 def test_large_update_triggers_compaction():
@@ -309,7 +310,8 @@ def test_large_update_triggers_compaction():
     cols = rng.integers(0, 30, size=300)
     ack = engine.apply_updates(rows, cols, rng.random(300))
     assert ack["compacted"] and ack["delta_entries"] == 0
-    assert engine.delta.is_empty
+    assert ack["compacted_strips"] == [0]
+    assert engine.deltas[0].is_empty
     assert engine.delta_stats()["compactions"] == 1
     # the compacted base is the rebuilt matrix (replay the same rng stream)
     ref = DeltaLog(matrix.shape)
@@ -326,7 +328,7 @@ def test_explicit_compact_and_summary_counters():
     assert engine.compact() is False            # nothing pending
     engine.apply_updates([1], [2], [3.0])
     assert engine.compact() is True
-    assert engine.delta.is_empty
+    assert engine.deltas[0].is_empty
     summary = engine.summary()
     assert summary["delta_entries"] == 0
     assert summary["compactions"] == 1

@@ -18,9 +18,9 @@ Two properties carry the production story:
 import numpy as np
 import pytest
 
-from repro.core import ShardedEngine, SpMSpVEngine
+from repro.core import ShardedEngine, SpMSpVEngine, make_sharded_engine
 from repro.core.sharded import EngineGroup
-from repro.errors import BackendError, NotSupportedError
+from repro.errors import BackendError, FormatError, NotSupportedError
 from repro.formats import DeltaLog, SparseVector, apply_delta, matrices_equal
 from repro.parallel import default_context
 from repro.parallel.backends import ExecutionBackend, ProcessBackend
@@ -136,6 +136,27 @@ def test_compaction_end_to_end_matches_fresh_engine(backend):
             assert np.array_equal(got.vector.values, want.vector.values)
 
 
+@pytest.mark.parametrize("layout", ["whole", "row", "column"])
+def test_malformed_updates_raise_format_error_on_every_layout(layout):
+    """A batch whose arrays differ in length is refused whole, before any
+    strip records part of it — by every layout alike."""
+    matrix = random_csc(12, 12, 0.2, seed=53)
+    ctx = default_context(backend="emulated")
+    engine = (SpMSpVEngine(matrix, ctx) if layout == "whole"
+              else make_sharded_engine(matrix, 3, ctx, scheme=layout))
+    with engine:
+        for rows, cols, values in (
+                ([0, 5, 11], [0, 5], [1.0, 2.0, 3.0]),   # rows longer
+                ([0, 5], [0, 5, 11], [1.0, 2.0]),        # cols longer
+                ([0, 5, 11], [0, 5, 11], [1.0, 2.0]),    # values shorter
+                ([0, 5, 11], [0, 5], None)):             # a bad delete
+            with pytest.raises(FormatError):
+                engine.apply_updates(rows, cols, values)
+            stats = engine.delta_stats()
+            assert stats["entries"] == 0 and stats["compactions"] == 0
+        assert matrices_equal(engine.effective_matrix(), matrix)
+
+
 # --------------------------------------------------------------------------- #
 # compaction locality
 # --------------------------------------------------------------------------- #
@@ -206,7 +227,8 @@ def test_emulated_update_strip_validates_shape():
 def test_process_update_strip_guard_rails():
     matrix = random_csc(24, 24, 0.2, seed=61)
     with make_engine(matrix, 2, "process") as engine:
-        backend = engine.backend
+        # under a chaos plan the pool sits behind the fault wrapper
+        backend = getattr(engine.backend, "_inner", engine.backend)
         assert isinstance(backend, ProcessBackend)
         with pytest.raises(BackendError, match="rows"):
             backend.update_strip(0, random_csc(3, 24, 0.5))

@@ -68,7 +68,7 @@ X_SMALL = frontier([3, 40, SHORT], seed=2)
 
 
 def process_ctx():
-    return default_context(num_threads=2, seed=0, backend="process",
+    return default_context(num_threads=2, backend="process",
                            backend_workers=2)
 
 

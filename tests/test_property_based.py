@@ -223,9 +223,9 @@ def sharded_problems(draw):
 @settings(**POOL_SETTINGS)
 def test_process_backend_fuzz_matches_emulated(problem, algorithm, complement):
     """Random graph x mask x shards: the two backends agree bit for bit."""
-    matrix, x, mask, shards, seed = problem
+    matrix, x, mask, shards, _seed = problem
     complement = complement and mask is not None
-    ctx = default_context(num_threads=2, seed=seed % 97, backend="emulated")
+    ctx = default_context(num_threads=2, backend="emulated")
     with ShardedEngine(matrix, shards, ctx, algorithm=algorithm) as emu, \
          ShardedEngine(matrix, shards,
                        ctx.with_backend("process", workers=2),
