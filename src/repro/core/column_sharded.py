@@ -99,7 +99,6 @@ class ColumnShardedEngine(SpMSpVEngine):
             self.ctx.backend,
             strips=[DCSCMatrix.from_csc(s) for s in self.split.strips],
             shard_ctx=self.shard_ctx, dtype=matrix.dtype,
-            use_thread_pool=self.ctx.use_thread_pool,
             workers=self.ctx.backend_workers, scheme="column")
 
     # ------------------------------------------------------------------ #

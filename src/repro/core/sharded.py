@@ -115,7 +115,6 @@ class ShardedEngine(SpMSpVEngine):
         self.backend = make_backend(
             self.ctx.backend, strips=self.split.strips,
             shard_ctx=self.shard_ctx, dtype=matrix.dtype,
-            use_thread_pool=self.ctx.use_thread_pool,
             workers=self.ctx.backend_workers)
         #: the emulated backend's local per-strip workspaces; empty for
         #: backends whose workspaces live out-of-process

@@ -41,7 +41,6 @@ from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
 from ..parallel.partitioner import partition_by_weight
 from ..parallel.scheduler import schedule
-from ..parallel.threadpool import run_chunks
 from ..semiring import PLUS_TIMES, Semiring
 from .buckets import (
     BucketStore,
@@ -220,8 +219,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
         metrics.buffer_writes = nb
         return metrics
 
-    estimate_phase.thread_metrics = run_chunks(_estimate, t,
-                                               use_thread_pool=ctx.use_thread_pool)
+    estimate_phase.thread_metrics = [_estimate(tid) for tid in range(t)]
     record.add_phase(estimate_phase)
 
     offsets = compute_offsets(counts)
@@ -264,8 +262,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
             len(chunk), len(rows), n, input_sorted=x.sorted)
         return metrics
 
-    bucketing_phase.thread_metrics = run_chunks(_bucketing, t,
-                                                use_thread_pool=ctx.use_thread_pool)
+    bucketing_phase.thread_metrics = [_bucketing(tid) for tid in range(t)]
     record.add_phase(bucketing_phase)
 
     # ------------------------------------------------------------------ #
@@ -321,7 +318,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
                 2 * size_k, bucket_span_rows, ctx.platform.l2_kb)
         return metrics
 
-    merge_phase.thread_metrics = run_chunks(_merge, t, use_thread_pool=ctx.use_thread_pool)
+    merge_phase.thread_metrics = [_merge(tid) for tid in range(t)]
     record.add_phase(merge_phase)
 
     # ------------------------------------------------------------------ #
@@ -351,7 +348,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
             metrics.cache_line_misses += cnt  # non-consecutive SPA reads (§IV-F)
         return metrics
 
-    output_phase.thread_metrics = run_chunks(_output, t, use_thread_pool=ctx.use_thread_pool)
+    output_phase.thread_metrics = [_output(tid) for tid in range(t)]
     record.add_phase(output_phase)
 
     # the output lives in the row space of A, which has length m; an

@@ -3,8 +3,11 @@
 Real serving traffic mutates the graph, but every matrix in the repo is
 frozen at engine build time (the process backend even copies the CSC arrays
 into shared memory once).  :class:`DeltaLog` records edge updates — insert,
-reweight, delete — against an immutable base matrix, and :func:`build_patch`
-turns the log into a *patch matrix* that lets SpMSpV run as
+reweight, delete — against an immutable base matrix.  It keeps only the
+resolved edge set (one latest-wins entry per touched edge), merging each
+batch in as it lands, so a write costs O(entries + batch) and reading the
+resolved set costs nothing.  :func:`build_patch` turns the log into a
+*patch matrix* that lets SpMSpV run as
 
     ``y = splice(base_kernel(A, x), patch_kernel(P, x))``
 
@@ -34,7 +37,7 @@ Update semantics
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -87,42 +90,50 @@ def check_updates(shape, rows, cols, values=None
 class DeltaLog:
     """An append-only log of edge updates against a fixed matrix shape.
 
-    The log stores raw ``(row, col, value, deleted)`` events in arrival
-    order; :meth:`resolved` collapses them latest-wins per edge.  Instances
-    are cheap: appending a batch is O(batch) and resolution is cached until
-    the next append.
+    The log keeps only its resolved edge set: one ``(row, col, value,
+    deleted)`` entry per distinct touched edge, sorted by ``(row, col)``,
+    latest-wins.  Each append merges its batch into those sorted entries
+    (concatenate, then a stable sort that runs in about linear time on the
+    sorted prefix), so a write costs O(entries + batch) and
+    :meth:`resolved` costs nothing.  ``len()`` still counts the raw events
+    appended since the last :meth:`clear`.
     """
 
-    __slots__ = ("shape", "_rows", "_cols", "_vals", "_dels", "_count", "_resolved")
+    __slots__ = ("shape", "_count", "_resolved")
 
     def __init__(self, shape):
         m, n = int(shape[0]), int(shape[1])
         if m < 0 or n < 0:
             raise FormatError(f"invalid delta shape {shape!r}")
         self.shape = (m, n)
-        self._rows: List[np.ndarray] = []
-        self._cols: List[np.ndarray] = []
-        self._vals: List[np.ndarray] = []
-        self._dels: List[np.ndarray] = []
-        self._count = 0
-        self._resolved: Optional[Tuple[np.ndarray, ...]] = None
+        self.clear()
 
     # ------------------------------------------------------------------ #
     # building
     # ------------------------------------------------------------------ #
     def _append(self, rows, cols, vals) -> int:
-        """Log one validated batch; ``vals=None`` logs deletions."""
+        """Merge one validated batch; ``vals=None`` logs deletions."""
         rows, cols, vals = check_updates(self.shape, rows, cols, vals)
-        if len(rows) == 0:
+        count = len(rows)
+        if count == 0:
             return 0
         deleted = vals is None
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(np.zeros(len(rows)) if deleted else vals)
-        self._dels.append(np.full(len(rows), deleted, dtype=bool))
-        self._count += len(rows)
-        self._resolved = None
-        return len(rows)
+        old_rows, old_cols, old_vals, old_dels = self._resolved
+        rows = np.concatenate([old_rows, rows])
+        cols = np.concatenate([old_cols, cols])
+        vals = np.concatenate([old_vals, np.zeros(count) if deleted else vals])
+        dels = np.concatenate([old_dels, np.full(count, deleted)])
+        # stable: within one edge the later event sorts last, and wins
+        keys = rows.astype(np.int64) * self.shape[1] + cols
+        order = np.argsort(keys, kind="stable")
+        ks = keys[order]
+        last = np.empty(len(ks), dtype=bool)
+        last[-1] = True
+        np.not_equal(ks[1:], ks[:-1], out=last[:-1])
+        pick = order[last]
+        self._resolved = (rows[pick], cols[pick], vals[pick], dels[pick])
+        self._count += count
+        return count
 
     def set_edges(self, rows, cols, values) -> int:
         """Insert or reweight edges; returns the number of logged events."""
@@ -133,9 +144,10 @@ class DeltaLog:
         return self._append(rows, cols, None)
 
     def clear(self) -> None:
-        self._rows, self._cols, self._vals, self._dels = [], [], [], []
+        empty_idx = np.empty(0, dtype=INDEX_DTYPE)
+        self._resolved = (empty_idx, empty_idx.copy(),
+                          np.empty(0, dtype=np.float64), np.empty(0, dtype=bool))
         self._count = 0
-        self._resolved = None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -149,60 +161,23 @@ class DeltaLog:
         return self._count == 0
 
     def resolved(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Collapse the log latest-wins; returns ``(rows, cols, vals, deleted)``.
+        """The log latest-wins: ``(rows, cols, vals, deleted)``.
 
-        The returned arrays are sorted by ``(row, col)`` and contain one
-        entry per distinct touched edge (deletes included, flagged).
+        The arrays are sorted by ``(row, col)`` and contain one entry per
+        distinct touched edge (deletes included, flagged).
         """
-        if self._resolved is None:
-            if self._count == 0:
-                empty_idx = np.empty(0, dtype=INDEX_DTYPE)
-                self._resolved = (empty_idx, empty_idx.copy(),
-                                  np.empty(0, dtype=np.float64),
-                                  np.empty(0, dtype=bool))
-            else:
-                rows = np.concatenate(self._rows)
-                cols = np.concatenate(self._cols)
-                vals = np.concatenate(self._vals)
-                dels = np.concatenate(self._dels)
-                keys = rows.astype(np.int64) * self.shape[1] + cols
-                order = np.argsort(keys, kind="stable")
-                ks = keys[order]
-                last = np.empty(len(ks), dtype=bool)
-                last[-1] = True
-                np.not_equal(ks[1:], ks[:-1], out=last[:-1])
-                pick = order[last]
-                self._resolved = (rows[pick], cols[pick], vals[pick], dels[pick])
         return self._resolved
 
     @property
     def entries(self) -> int:
         """Number of distinct edges touched after latest-wins resolution."""
-        return int(len(self.resolved()[0]))
+        return int(len(self._resolved[0]))
 
     def touched_rows(self) -> np.ndarray:
         """Boolean length-``nrows`` flag array of rows with any resolved update."""
         flags = np.zeros(self.shape[0], dtype=bool)
-        flags[self.resolved()[0]] = True
+        flags[self._resolved[0]] = True
         return flags
-
-    def slice_rows(self, row_lo: int, row_hi: int) -> "DeltaLog":
-        """Return a new log holding the events in ``[row_lo, row_hi)``,
-        re-based to strip-local row coordinates (event order preserved)."""
-        if not (0 <= row_lo <= row_hi <= self.shape[0]):
-            raise DimensionMismatchError(
-                f"row range [{row_lo}, {row_hi}) out of bounds for {self.shape[0]} rows")
-        out = DeltaLog((row_hi - row_lo, self.shape[1]))
-        for rows, cols, vals, dels in zip(self._rows, self._cols, self._vals, self._dels):
-            keep = (rows >= row_lo) & (rows < row_hi)
-            if not keep.any():
-                continue
-            out._rows.append(rows[keep] - row_lo)
-            out._cols.append(cols[keep])
-            out._vals.append(vals[keep])
-            out._dels.append(dels[keep])
-            out._count += int(keep.sum())
-        return out
 
     def stats(self) -> dict:
         return {

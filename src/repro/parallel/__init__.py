@@ -18,7 +18,6 @@ from .partitioner import (
     partition_vector_nonzeros,
 )
 from .scheduler import Assignment, schedule, schedule_dynamic, schedule_lpt, schedule_static
-from .threadpool import run_chunks, shutdown_pool
 
 __all__ = [
     "Assignment",
@@ -40,10 +39,8 @@ __all__ = [
     "partition_by_weight",
     "partition_vector_nonzeros",
     "register_backend",
-    "run_chunks",
     "schedule",
     "schedule_dynamic",
     "schedule_lpt",
     "schedule_static",
-    "shutdown_pool",
 ]

@@ -11,16 +11,13 @@ its parallel environment:
   (round-robin),
 * ``platform`` — the machine preset used by the cost model to turn per-thread
   work into simulated time,
-* ``use_thread_pool`` — optionally run per-thread chunks on a real
-  ``ThreadPoolExecutor``.  This is off by default: with CPython's GIL the
-  pool adds overhead without adding parallelism for these index-heavy
-  kernels, and the deterministic serial execution keeps tests reproducible.
-  The flag exists so the structure can be exercised end-to-end.
 * ``backend`` — how a :class:`~repro.core.sharded.ShardedEngine` executes its
   per-strip kernel calls: ``'emulated'`` (deterministic in-process execution,
   the default) or ``'process'`` (a persistent ``multiprocessing`` worker pool
   holding the strips in shared memory — the first genuinely parallel
-  execution path in the package).  Backends are pluggable; see
+  execution path in the package).  Backends are pluggable: a backend
+  implements one call method,
+  :meth:`~repro.parallel.backends.ExecutionBackend.run`; see
   :mod:`repro.parallel.backends`.  ``backend_workers`` caps the process
   pool's size (0 = one worker per strip, up to the machine's core count).
 """
@@ -74,7 +71,6 @@ class ExecutionContext:
     scheduling: str = "dynamic"
     platform: Platform = field(default_factory=lambda: EDISON)
     sorted_vectors: bool = True
-    use_thread_pool: bool = False
     #: size (entries) of the thread-private staging buffer used for cache-friendly
     #: bucket insertion (§III-A, "Cache efficiency"); 0 disables the buffer.
     private_buffer_size: int = 512

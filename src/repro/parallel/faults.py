@@ -10,14 +10,15 @@ racy and covers one failure shape at a time.  This module makes failure a
   ``numpy.random.default_rng([seed, i])``, so the i-th call of a run sees
   the same faults regardless of how many calls preceded it or in what
   order tokens were gathered — reruns and bisects are exact.
-* :class:`ChaosBackend` — a wrapper around the real
-  :class:`~repro.parallel.backends.ProcessBackend` that injects the
-  planned faults at the comm-plane seams: worker kills (SIGKILL before
-  dispatch), mid-call kills (after dispatch, before gather), slow strips
-  (a parent-side stall between submit and gather, exercising deadlines),
-  output-slab overflow storms (grant hints clamped so every strip takes
-  the grow→flush path), and poisoned exception dumps (a kernel raising an
-  unpicklable exception).  It is registered as the ``"chaos"`` backend;
+* :class:`ChaosBackend` — the real
+  :class:`~repro.parallel.backends.ProcessBackend`, subclassed to inject
+  the planned faults at the seam between a call's ``submit`` and
+  ``gather`` halves: worker kills (SIGKILL before dispatch), mid-call kills
+  (after dispatch, before gather), slow strips (a parent-side stall
+  between submit and gather, exercising deadlines), output-slab overflow
+  storms (grant hints clamped so every strip takes the grow→flush path),
+  and poisoned exception dumps (a kernel raising an unpicklable
+  exception).  It is registered as the ``"chaos"`` backend;
   :func:`~repro.parallel.backends.make_backend` reroutes ``"process"``
   requests here whenever the ``REPRO_BACKEND_FAULTS`` environment variable
   carries a plan spec, so entire existing suites run under fire unchanged.
@@ -34,16 +35,11 @@ import os
 import signal
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from .backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    _FAULTS_ENV,
-    register_backend,
-)
+from .backends import ProcessBackend, _FAULTS_ENV, register_backend
 
 __all__ = ["FaultPlan", "ChaosBackend", "plan_from_env"]
 
@@ -160,31 +156,34 @@ def _poison_kernel(matrix, x, ctx, *, semiring, sorted_output=True,
 _CLAMPED_GRANT = 64
 
 
-class ChaosBackend(ExecutionBackend):
+class ChaosBackend(ProcessBackend):
     """The real process backend with a :class:`FaultPlan` strapped to it.
 
-    Every public operation delegates to an inner
-    :class:`~repro.parallel.backends.ProcessBackend`; faults are injected
-    around the delegation, never inside it — the inner backend's recovery
-    machinery must cope with them exactly as it would with organic
-    failures.  ``injected_stats()`` reports what was actually injected so
-    tests can assert the plan fired.
+    It overrides only the two halves of a call: :meth:`submit` injects the
+    plan's pre-dispatch faults (kill, overflow storm, poison) before the
+    pool's own ``submit`` and the mid-call ones (kill_mid, delay) after it,
+    and :meth:`gather` serves a planned stall before the pool's own
+    ``gather``.  Faults are injected around the pool's machinery, never
+    inside it, so its recovery paths must cope with them exactly as with
+    organic failures.  ``injected_stats()`` reports what was actually
+    injected so tests can assert the plan fired.
     """
 
     name = "chaos"
 
-    def __init__(self, inner: ProcessBackend, plan: FaultPlan):
-        self._inner = inner
-        self._plan = plan
+    def __init__(self, **kwargs):
+        """Build the pool (keywords as :class:`ProcessBackend`) under the
+        plan carried by ``REPRO_BACKEND_FAULTS`` (no faults without one)."""
+        # set before the pool forks, so a poisoning plan's kernel is
+        # registered in the workers too
+        self.plan = plan_from_env() or FaultPlan()
         self._call_index = 0
         #: id(token) -> seconds to stall before gathering that token
         self._pending_delay: Dict[int, float] = {}
         self._injected: Dict[str, int] = {
             "kill": 0, "kill_mid": 0, "delay": 0, "overflow": 0, "poison": 0}
+        super().__init__(**kwargs)
 
-    # ------------------------------------------------------------------ #
-    # fault primitives
-    # ------------------------------------------------------------------ #
     def _kill_worker(self, call_index: int, kind: str) -> None:
         """SIGKILL the planned victim and wait until it is observably dead.
 
@@ -196,10 +195,8 @@ class ChaosBackend(ExecutionBackend):
         """
         from multiprocessing.connection import wait as _wait
 
-        inner = self._inner
         self._injected[kind] += 1
-        w = self._plan.victim(call_index, inner.num_workers)
-        proc = inner._workers[w]
+        proc = self._workers[self._plan.victim(call_index, self.num_workers)]
         if proc is None or not proc.is_alive():
             return  # already dead (e.g. killed by the previous event)
         try:
@@ -210,117 +207,34 @@ class ChaosBackend(ExecutionBackend):
         # "exists" but its pipe is torn down, which is the observable death
         _wait([proc.sentinel], timeout=10.0)
 
-    def _clamp_grants(self, op: str) -> None:
-        """Shrink every grant hint so each strip overflows its region."""
-        hints = self._inner._grant_hint[op]
-        for s in range(len(hints)):
-            hints[s] = _CLAMPED_GRANT
-        self._injected["overflow"] += 1
-
-    def _before_submit(self, op: str, algorithm: Optional[str]):
-        """Run the call's pre-dispatch events; returns (events, algorithm)."""
+    def submit(self, op, **args):
         i = self._call_index
         self._call_index += 1
         ev = self._plan.events(i)
         if ev["kill"]:
             self._kill_worker(i, "kill")
         if ev["overflow"]:
-            self._clamp_grants(op)
-        if ev["poison"] and algorithm is not None:
+            # clamp every grant hint so each strip overflows its region
+            hints = self._grant_hint[op]
+            hints[:] = [_CLAMPED_GRANT] * len(hints)
+            self._injected["overflow"] += 1
+        if ev["poison"] and op == "multiply":
+            # only a multiply names a swappable registry kernel
             self._injected["poison"] += 1
-            algorithm = "_chaos_poison"
-        return i, ev, algorithm
-
-    def _after_submit(self, i: int, ev: Dict[str, bool], token) -> None:
+            args["algorithm"] = "_chaos_poison"
+        token = super().submit(op, **args)
         if ev["kill_mid"]:
             self._kill_worker(i, "kill_mid")
         if ev["delay"]:
             self._pending_delay[id(token)] = self._plan.delay_s
             self._injected["delay"] += 1
+        return token
 
-    def _before_gather(self, token) -> None:
+    def gather(self, token):
         delay = self._pending_delay.pop(id(token), None)
         if delay:
             time.sleep(delay)
-
-    # ------------------------------------------------------------------ #
-    # ExecutionBackend interface (delegate + inject)
-    # ------------------------------------------------------------------ #
-    def submit_multiply(self, algorithm, x, *, semiring, sorted_output,
-                        mask_slices, mask_complement, kwargs):
-        i, ev, algorithm = self._before_submit("multiply", algorithm)
-        token = self._inner.submit_multiply(
-            algorithm, x, semiring=semiring, sorted_output=sorted_output,
-            mask_slices=mask_slices, mask_complement=mask_complement,
-            kwargs=kwargs)
-        self._after_submit(i, ev, token)
-        return token
-
-    def gather_multiply(self, token) -> List:
-        self._before_gather(token)
-        return self._inner.gather_multiply(token)
-
-    def submit_partial(self, algorithm, slices, *, semiring, mask,
-                       mask_complement, out_dtype):
-        # poison targets the multiply op's kernel table; a column partial
-        # has no swappable kernel, so only kill/overflow/delay events apply
-        i, ev, _ = self._before_submit("partial", None)
-        token = self._inner.submit_partial(
-            algorithm, slices, semiring=semiring, mask=mask,
-            mask_complement=mask_complement, out_dtype=out_dtype)
-        self._after_submit(i, ev, token)
-        return token
-
-    def gather_partial(self, token) -> List:
-        self._before_gather(token)
-        return self._inner.gather_partial(token)
-
-    def run_partial(self, algorithm, slices, *, semiring, mask,
-                    mask_complement, out_dtype):
-        return self.gather_partial(self.submit_partial(
-            algorithm, slices, semiring=semiring, mask=mask,
-            mask_complement=mask_complement, out_dtype=out_dtype))
-
-    def submit_block(self, block, *, semiring, sorted_output, strip_masks,
-                     mask_complement):
-        i, ev, _ = self._before_submit("block", None)
-        token = self._inner.submit_block(
-            block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement)
-        self._after_submit(i, ev, token)
-        return token
-
-    def gather_block(self, token) -> List[List]:
-        self._before_gather(token)
-        return self._inner.gather_block(token)
-
-    def run_multiply(self, algorithm, x, *, semiring, sorted_output,
-                     mask_slices, mask_complement, kwargs):
-        return self.gather_multiply(self.submit_multiply(
-            algorithm, x, semiring=semiring, sorted_output=sorted_output,
-            mask_slices=mask_slices, mask_complement=mask_complement,
-            kwargs=kwargs))
-
-    def run_block(self, block, *, semiring, sorted_output, strip_masks,
-                  mask_complement):
-        return self.gather_block(self.submit_block(
-            block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement))
-
-    def update_strip(self, strip, matrix) -> None:
-        # no faults on the (rare) compaction path: the versioned
-        # ack-before-unlink protocol is exercised by the inner backend's
-        # own suite; chaos targets the per-call hot path
-        self._inner.update_strip(strip, matrix)
-
-    def workspace_stats(self):
-        return self._inner.workspace_stats()
-
-    def comm_stats(self) -> Dict[str, float]:
-        return self._inner.comm_stats()
-
-    def health_stats(self) -> Dict[str, object]:
-        return self._inner.health_stats()
+        return super().gather(token)
 
     def injected_stats(self) -> Dict[str, int]:
         """How many of each fault kind actually fired so far."""
@@ -332,40 +246,13 @@ class ChaosBackend(ExecutionBackend):
 
     @plan.setter
     def plan(self, plan: FaultPlan) -> None:
-        # tests swap plans mid-run to aim specific faults at specific calls
+        # tests swap plans mid-run to aim specific faults at specific calls.
+        # Fork-started workers inherit the poison registration; spawn-started
+        # ones re-import the package without it, so poison under spawn
+        # surfaces as an unknown-algorithm kernel error instead
         if plan.poison:
             _register_poison()
         self._plan = plan
-
-    @property
-    def closed(self) -> bool:
-        return self._inner.closed
-
-    def close(self) -> None:
-        self._pending_delay.clear()
-        self._inner.close()
-
-    def __getattr__(self, name):
-        # everything else (worker_pids, segment_names, num_strips, ...) is
-        # the inner backend's business
-        if name == "_inner":  # guard: never recurse before __init__ ran
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-
-def _chaos_factory(*, strips, shard_ctx, dtype, use_thread_pool=False,
-                   workers=0, scheme="row") -> ChaosBackend:
-    """Backend factory: plan from the environment, real pool underneath."""
-    plan = plan_from_env() or FaultPlan()
-    if plan.poison:
-        # fork-started workers inherit this registration; spawn-started
-        # ones re-import the package without it, so poison under spawn
-        # surfaces as an unknown-algorithm kernel error instead
-        _register_poison()
-    inner = ProcessBackend(strips=strips, shard_ctx=shard_ctx, dtype=dtype,
-                           use_thread_pool=use_thread_pool, workers=workers,
-                           scheme=scheme)
-    return ChaosBackend(inner, plan)
 
 
 def _register_poison() -> None:
@@ -375,4 +262,4 @@ def _register_poison() -> None:
     register_algorithm("_chaos_poison", _poison_kernel, overwrite=True)
 
 
-register_backend("chaos", _chaos_factory)
+register_backend("chaos", ChaosBackend)

@@ -35,8 +35,15 @@ import pytest
 from repro.core import EngineGroup, ShardedEngine, make_sharded_engine
 from repro.errors import BackendError, DimensionError, NotSupportedError
 from repro.formats import SparseVector
-from repro.parallel import available_backends, default_context
-from repro.parallel.backends import EmulatedBackend, ProcessBackend
+from repro.core.workspace import SpMSpVWorkspace
+from repro.parallel import available_backends, backends, default_context
+from repro.parallel.backends import (
+    EmulatedBackend,
+    ExecutionBackend,
+    ProcessBackend,
+    register_backend,
+    run_strip,
+)
 from repro.semiring import (
     MAX_SELECT2ND,
     MAX_TIMES,
@@ -51,7 +58,7 @@ from repro.semiring import (
 from conftest import malformed_maps, random_csc, row_map
 
 #: the CI chaos job runs this suite under a seeded fault plan (the "chaos"
-#: wrapper backend + resilience defaults absorb injected worker deaths), so
+#: backend + resilience defaults absorb injected worker deaths), so
 #: tests asserting the *unprotected* death contract are skipped there
 FAULTS_ENV = bool(os.environ.get("REPRO_BACKEND_FAULTS"))
 
@@ -144,12 +151,67 @@ def test_backend_registry_exposes_both_backends():
     matrix = random_csc(10, 10, 0.3, seed=1)
     emu, proc = engine_pair(matrix, 2)
     assert isinstance(emu.backend, EmulatedBackend)
-    if FAULTS_ENV:  # "process" is rerouted to the chaos wrapper under faults
+    if FAULTS_ENV:  # "process" is rerouted to the chaos backend under faults
         from repro.parallel.faults import ChaosBackend
         assert isinstance(proc.backend, ChaosBackend)
     else:
         assert isinstance(proc.backend, ProcessBackend)
     proc.close()
+
+
+class ReversedBackend(ExecutionBackend):
+    """A backend that implements only ``run``: strips last to first."""
+
+    name = "reversed"
+
+    def __init__(self, *, strips, shard_ctx, dtype, workers=0, scheme="row"):
+        self.strips = list(strips)
+        self.shard_ctx = shard_ctx
+        self.scheme = scheme
+        self.workspaces = [SpMSpVWorkspace(s.nrows, dtype=dtype)
+                           for s in self.strips]
+
+    def run(self, op, args):
+        out = {}
+        for s in reversed(range(len(self.strips))):
+            out[s] = run_strip(op, s, self.strips[s], self.shard_ctx,
+                               self.workspaces[s], args)
+        return [out[s] for s in range(len(self.strips))]
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_backend_implementing_only_run_matches_emulated(scheme, monkeypatch):
+    """One method is the whole contract: a registered backend with only
+    ``run`` serves ``multiply``, looped and fused ``multiply_many`` and
+    column partials bit-identically to the emulated backend."""
+    monkeypatch.setattr(backends, "_BACKENDS", dict(backends._BACKENDS))
+    register_backend("reversed", ReversedBackend)
+    matrix, x_sorted, x_unsorted, mask = problem(3, seed=410)
+    xs = [x_sorted, x_unsorted, SparseVector.empty(x_sorted.n)]
+    with make_sharded_engine(matrix, 3,
+                             default_context(num_threads=2, backend="emulated"),
+                             scheme=scheme) as emu, \
+         make_sharded_engine(matrix, 3,
+                             default_context(num_threads=2, backend="reversed"),
+                             scheme=scheme) as rev:
+        assert isinstance(rev.backend, ReversedBackend)
+        for semiring in CORE_SEMIRINGS:
+            for mode in MASK_MODES:
+                kw = mask_kwargs(mode, mask)
+                for x in (x_sorted, x_unsorted):
+                    label = f"{scheme}/{semiring.name}/{mode}/sorted={x.sorted}"
+                    assert_results_match(emu.multiply(x, semiring=semiring, **kw),
+                                         rev.multiply(x, semiring=semiring, **kw),
+                                         label)
+        # the column layout has no fused path
+        for block_mode in ("fused", "looped") if scheme == "row" else ("looped",):
+            for masks in (None, [mask, None, row_map(mask)]):
+                refs = emu.multiply_many(xs, masks=masks, block_mode=block_mode)
+                outs = rev.multiply_many(xs, masks=masks, block_mode=block_mode)
+                for i, (ref, out) in enumerate(zip(refs, outs)):
+                    assert_results_match(
+                        ref, out, f"{scheme}/{block_mode}/masks="
+                                  f"{masks is not None}/vec{i}")
 
 
 def test_unknown_backend_is_rejected():
@@ -464,12 +526,13 @@ def test_killed_worker_mid_gather_clears_queue_and_recovers():
         backend = engine.backend
         victim = backend.worker_pids()[0]
         os.kill(victim, signal.SIGSTOP)  # it cannot answer before it dies
-        token = backend.submit_multiply(
-            "bucket", x, semiring=PLUS_TIMES, sorted_output=True,
-            mask_slices=[None, None], mask_complement=False, kwargs={})
+        token = backend.submit(
+            "multiply", algorithm="bucket", x=x, semiring=PLUS_TIMES,
+            sorted_output=True, mask_slices=[None, None],
+            mask_complement=False, kwargs={})
         os.kill(victim, signal.SIGKILL)
         with pytest.raises(BackendError):
-            backend.gather_multiply(token)
+            backend.gather(token)
         assert_bit_identical(ref.vector,
                              engine.multiply(x, sorted_output=True).vector,
                              "after recovery")

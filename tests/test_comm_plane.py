@@ -286,10 +286,10 @@ def _process_backend(shards=4, workers=2, seed=3):
 def _submit(backend, x):
     from repro.semiring import PLUS_TIMES
 
-    return backend.submit_multiply(
-        "bucket", x, semiring=PLUS_TIMES, sorted_output=True,
-        mask_slices=[None] * backend.num_strips, mask_complement=False,
-        kwargs={})
+    return backend.submit(
+        "multiply", algorithm="bucket", x=x, semiring=PLUS_TIMES,
+        sorted_output=True, mask_slices=[None] * backend.num_strips,
+        mask_complement=False, kwargs={})
 
 
 def _drain_until(backend, predicate, timeout=10.0):

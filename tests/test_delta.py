@@ -11,6 +11,8 @@ no-op, delete-then-reinsert) plus the cost-model compaction trigger.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import SpMSpVEngine
 from repro.errors import DimensionMismatchError, FormatError
@@ -161,24 +163,51 @@ def test_validation_errors():
         apply_delta(matrix, DeltaLog((4, 4)))     # shape mismatch
 
 
-def test_slice_rows_partitions_entries():
-    delta = DeltaLog((10, 6))
-    rng = np.random.default_rng(5)
-    delta.set_edges(rng.integers(0, 10, 20), rng.integers(0, 6, 20),
-                    rng.random(20))
-    delta.delete_edges(rng.integers(0, 10, 6), rng.integers(0, 6, 6))
-    lo_half = delta.slice_rows(0, 5)
-    hi_half = delta.slice_rows(5, 10)
-    assert lo_half.entries + hi_half.entries == delta.entries
-    assert lo_half.shape == (5, 6) and hi_half.shape == (5, 6)
-    # slices re-base rows to strip-local coordinates
-    r_all, _, _, _ = delta.resolved()
-    r_lo, _, _, _ = lo_half.resolved()
-    r_hi, _, _, _ = hi_half.resolved()
-    assert set(r_lo) == {r for r in r_all if r < 5}
-    assert set(r_hi + 5) == {r for r in r_all if r >= 5}
-    with pytest.raises(DimensionMismatchError):
-        delta.slice_rows(5, 3)
+#: one batch: (deletes?, [(row, col, value)]) over a 6x5 base
+BATCHES = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
+                                 st.floats(-4.0, 4.0, allow_nan=False)),
+                       max_size=8)),
+    max_size=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(BATCHES)
+def test_resolved_and_apply_delta_match_a_dict_replay(batches):
+    """Interleaved set/delete batches, each merged into the resolved set as
+    it lands, resolve exactly as replaying every event into a dict does."""
+    base = random_csc(6, 5, 0.4, seed=17)
+    delta = DeltaLog(base.shape)
+    replay = {}  # (row, col) -> latest value, None for a delete
+    for deleting, batch in batches:
+        rows = [r for r, _c, _v in batch]
+        cols = [c for _r, c, _v in batch]
+        if deleting:
+            delta.delete_edges(rows, cols)
+        else:
+            delta.set_edges(rows, cols, [v for _r, _c, v in batch])
+        for r, c, v in batch:
+            replay[(r, c)] = None if deleting else v
+    assert len(delta) == sum(len(batch) for _d, batch in batches)
+    rows, cols, vals, dels = delta.resolved()
+    edges = sorted(replay)
+    assert list(zip(rows.tolist(), cols.tolist())) == edges
+    assert dels.tolist() == [replay[e] is None for e in edges]
+    assert vals[~dels].tolist() == [replay[e] for e in edges
+                                    if replay[e] is not None]
+    coo = to_coo(base)
+    expected = dict(zip(zip(coo.rows.tolist(), coo.cols.tolist()),
+                        coo.vals.tolist()))
+    for edge, value in replay.items():
+        if value is None:
+            expected.pop(edge, None)
+        else:
+            expected[edge] = value
+    rebuilt = to_coo(apply_delta(base, delta))
+    assert dict(zip(zip(rebuilt.rows.tolist(), rebuilt.cols.tolist()),
+                    rebuilt.vals.tolist())) == expected
+    assert rebuilt.nnz == len(expected)
 
 
 def test_stats_reports_shape_of_pending_work():

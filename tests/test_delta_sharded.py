@@ -204,13 +204,7 @@ def test_abstract_backend_refuses_update_strip():
     class Minimal(ExecutionBackend):
         name = "minimal"
 
-        def run_multiply(self, *a, **k):  # pragma: no cover - never called
-            raise AssertionError
-
-        def run_block(self, *a, **k):  # pragma: no cover - never called
-            raise AssertionError
-
-        def workspace_stats(self):  # pragma: no cover - never called
+        def run(self, op, args):  # pragma: no cover - never called
             raise AssertionError
 
     with pytest.raises(NotSupportedError, match="cannot update strips"):
@@ -227,20 +221,21 @@ def test_emulated_update_strip_validates_shape():
 def test_process_update_strip_guard_rails():
     matrix = random_csc(24, 24, 0.2, seed=61)
     with make_engine(matrix, 2, "process") as engine:
-        # under a chaos plan the pool sits behind the fault wrapper
-        backend = getattr(engine.backend, "_inner", engine.backend)
+        # under a chaos plan the pool is the ProcessBackend subclass
+        backend = engine.backend
         assert isinstance(backend, ProcessBackend)
         with pytest.raises(BackendError, match="rows"):
             backend.update_strip(0, random_csc(3, 24, 0.5))
         # a genuinely in-flight backend call (submitted, not yet gathered)
         # blocks update_strip: its workers may read the strip slabs any moment
         x = SparseVector.from_dense(np.arange(24, dtype=np.float64))
-        token = backend.submit_multiply(
-            "bucket", x, semiring=PLUS_TIMES, sorted_output=True,
-            mask_slices=[None] * 2, mask_complement=False, kwargs={})
+        token = backend.submit(
+            "multiply", algorithm="bucket", x=x, semiring=PLUS_TIMES,
+            sorted_output=True, mask_slices=[None] * 2,
+            mask_complement=False, kwargs={})
         with pytest.raises(BackendError, match="in flight"):
             backend.update_strip(0, engine.split.strips[0])
-        backend.gather_multiply(token)
+        backend.gather(token)
         backend.close()
         with pytest.raises(BackendError, match="closed"):
             backend.update_strip(0, engine.split.strips[0])

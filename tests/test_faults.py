@@ -7,7 +7,7 @@ results **bit-identical** to the emulated backend or raises **exactly one
 typed error** (``DeadlineError``/``BackendError``); never a wrong answer,
 a hang past the deadline, or a leaked shared-memory segment.
 
-Chaos is injected through the registered ``"chaos"`` wrapper backend (the
+Chaos is injected through the registered ``"chaos"`` backend (the
 ``REPRO_BACKEND_FAULTS`` env knob reroutes ``backend="process"`` there), so
 these tests drive the *real* process pool through its public engine API
 while the plan kills it in seeded, reproducible ways.
@@ -48,7 +48,7 @@ def reference(matrix, x):
 
 
 def chaos_engine(monkeypatch, matrix, spec, **ctx_kwargs):
-    """A process-backed engine rerouted through the chaos wrapper."""
+    """A process-backed engine rerouted through the chaos backend."""
     monkeypatch.setenv("REPRO_BACKEND_FAULTS", spec)
     ctx = default_context(backend="process", backend_workers=WORKERS,
                           **ctx_kwargs)
@@ -259,8 +259,8 @@ def test_slow_call_raises_deadline_error_and_pool_survives(monkeypatch):
         # abandoned call's regions drain; the pool serves the next call
         engine.backend.plan = FaultPlan()
         assert_identical(ref, engine.multiply(x), "after deadline")
-        engine.backend._inner._drain_ready()
-        assert all(a.outstanding == 0 for a in engine.backend._inner._arenas)
+        engine.backend._drain_ready()
+        assert all(a.outstanding == 0 for a in engine.backend._arenas)
     finally:
         engine.close()
     assert not any(os.path.exists("/dev/shm/" + n) for n in segments)

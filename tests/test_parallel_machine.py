@@ -1,4 +1,4 @@
-"""Tests for the parallel runtime (context, partitioner, scheduler, threadpool)
+"""Tests for the parallel runtime (context, partitioner, scheduler)
 and the machine model (platforms, cost model, cache estimators, simulator)."""
 
 import numpy as np
@@ -26,12 +26,10 @@ from repro.parallel import (
     load_imbalance,
     partition_by_weight,
     partition_vector_nonzeros,
-    run_chunks,
     schedule,
     schedule_dynamic,
     schedule_lpt,
     schedule_static,
-    shutdown_pool,
 )
 from repro.parallel.metrics import ExecutionRecord, PhaseRecord
 
@@ -136,31 +134,6 @@ def test_schedule_every_item_assigned_once():
         a = schedule(costs, 7, policy)
         assigned = sorted(sum(a.items_per_thread, []))
         assert assigned == list(range(50))
-
-
-# --------------------------------------------------------------------------- #
-# threadpool
-# --------------------------------------------------------------------------- #
-def test_run_chunks_serial_and_parallel():
-    results = run_chunks(lambda i: i * i, 5, use_thread_pool=False)
-    assert results == [0, 1, 4, 9, 16]
-    results = run_chunks(lambda i: i + 1, 4, use_thread_pool=True)
-    assert results == [1, 2, 3, 4]
-    assert run_chunks(lambda i: i, 0) == []
-    shutdown_pool()
-
-
-def test_spmspv_with_real_thread_pool():
-    from conftest import random_csc, random_sparse_vector
-    from repro.baselines import spmspv_scipy
-    from repro.core import spmspv_bucket
-
-    matrix = random_csc(40, 40, 0.2, seed=60)
-    x = random_sparse_vector(40, 10, seed=61)
-    ctx = default_context(num_threads=4, use_thread_pool=True)
-    result = spmspv_bucket(matrix, x, ctx)
-    assert result.vector.equals(spmspv_scipy(matrix, x))
-    shutdown_pool()
 
 
 # --------------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 A process-backend call gathering fewer than ``POOL_MIN_WORK`` entries (the
 nonzeros in the frontier's columns, summed over strips and over a block's
-vectors) runs in the parent at gather time, on the emulated backend's
-per-strip code.  Every test here opts back into the production floor (the
+vectors) runs in the parent at gather time, through the same
+``run_strip`` the workers call.  Every test here opts back into the production floor (the
 ``production_floor`` fixture undoes conftest's pin to 0) and checks one
 contract of that path:
 
@@ -229,13 +229,14 @@ def test_queued_in_parent_call_blocks_update_strip():
     matrix = boundary_matrix()
     with ShardedEngine(matrix, 2, process_ctx(), algorithm="bucket") as engine:
         backend = engine.backend
-        token = backend.submit_multiply(
-            "bucket", X_SMALL, semiring=PLUS_TIMES, sorted_output=True,
-            mask_slices=[None, None], mask_complement=False, kwargs={})
+        token = backend.submit(
+            "multiply", algorithm="bucket", x=X_SMALL, semiring=PLUS_TIMES,
+            sorted_output=True, mask_slices=[None, None],
+            mask_complement=False, kwargs={})
         strip = engine.split.strips[0]
         with pytest.raises(BackendError, match="in flight"):
             backend.update_strip(0, strip)
-        assert len(backend.gather_multiply(token)) == 2
+        assert len(backend.gather(token)) == 2
         backend.update_strip(0, strip)  # nothing queued any more
 
 

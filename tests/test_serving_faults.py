@@ -32,7 +32,7 @@ def graphs():
 
 
 def chaos_server(monkeypatch, graphs, spec, *, server_kwargs=None, **ctx_kwargs):
-    """A sharded process-backed server rerouted through the chaos wrapper."""
+    """A sharded process-backed server rerouted through the chaos backend."""
     monkeypatch.setenv("REPRO_BACKEND_FAULTS", spec)
     ctx_kwargs.setdefault("retry", RetryPolicy())  # default: no retries
     ctx_kwargs.setdefault("degraded_fallback", False)
