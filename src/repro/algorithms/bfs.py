@@ -11,32 +11,34 @@ allocated once, marked with the vertices each level reaches, and passed as
 the complemented output mask.  The kernels probe it once per gathered entry,
 so a level costs O(frontier + gathered entries) rather than O(visited).
 
-The result carries the :class:`~repro.parallel.metrics.ExecutionRecord` of
-every SpMSpV performed, because the paper's Figures 4 and 5 report exactly
+:func:`bfs`, :func:`bfs_multi_source` and the cold path of
+:func:`~repro.algorithms.incremental.incremental_bfs` share one level loop,
+which runs every level as one ``multiply_many`` batch (a single search is a
+batch of one).  A sharded run takes its scheme and backend from the
+context: ``bfs(A, s, ctx.with_shard_scheme("column"), shards=P)``.
+
+A single search's result carries the :class:`~repro.parallel.metrics.ExecutionRecord`
+of every SpMSpV performed, because the paper's Figures 4 and 5 report exactly
 "the runtime of SpMSpVs in all iterations omitting other costs of the BFS".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .._typing import INDEX_DTYPE
-from ..core.column_sharded import ColumnShardedEngine, make_sharded_engine
 from ..core.engine import SpMSpVEngine, check_block_mode
-from ..core.result import DetachableResult, SpMSpVResult
-from ..core.sharded import ShardedEngine
-
-#: any engine the traversals can run on
-AnyEngine = SpMSpVEngine | ShardedEngine | ColumnShardedEngine
+from ..core.result import DetachableResult
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..graphs.graph import Graph
-from ..parallel.context import ExecutionContext, default_context
+from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import MIN_SELECT2ND
+from ._engine import adjacency, algorithm_engine
 
 
 @dataclass
@@ -55,7 +57,7 @@ class BFSResult(DetachableResult):
     #: execution record of every SpMSpV call, in order
     records: List[ExecutionRecord] = field(default_factory=list)
     #: the engine that ran the traversal (workspace stats, per-call choices)
-    engine: Optional[AnyEngine] = None
+    engine: Optional[SpMSpVEngine] = None
     #: True when this result was produced by a full recomputation that an
     #: incremental entry point fell back to (deletions invalidate reuse)
     recomputed: bool = False
@@ -71,14 +73,41 @@ class BFSResult(DetachableResult):
         return int(reached.max()) if len(reached) else 0
 
 
+@dataclass
+class MultiSourceBFSResult(DetachableResult):
+    """Outcome of a batched multi-source breadth-first search."""
+
+    sources: List[int]
+    #: levels[k] is the BFS level array of sources[k] (-1 for unreachable)
+    levels: np.ndarray
+    #: parents[k] is the BFS parent array of sources[k]
+    parents: np.ndarray
+    #: iterations until every search exhausted its frontier
+    num_iterations: int
+    #: SpMSpV calls performed for each source (matches the per-source ``bfs``)
+    iterations_per_source: List[int] = field(default_factory=list)
+    #: total frontier nnz over the searches still running: the sources, then
+    #: after every level that leaves one running
+    frontier_sizes: List[int] = field(default_factory=list)
+    engine: Optional[SpMSpVEngine] = None
+
+    @property
+    def num_sources(self) -> int:
+        return len(self.sources)
+
+    def result_for(self, source: int) -> BFSResult:
+        """Extract one search's outcome as a standalone :class:`BFSResult`."""
+        k = self.sources.index(source)
+        return BFSResult(source=source, levels=self.levels[k], parents=self.parents[k],
+                         num_iterations=self.iterations_per_source[k],
+                         frontier_sizes=[], records=[])
+
+
 def bfs(graph: Graph | CSCMatrix, source: int,
         ctx: Optional[ExecutionContext] = None, *,
         algorithm: str = "bucket",
         max_levels: Optional[int] = None,
-        collect_frontiers: bool = False,
-        shards: Optional[int] = None,
-        backend: Optional[str] = None,
-        shard_scheme: Optional[str] = None) -> BFSResult:
+        shards: Optional[int] = None) -> BFSResult:
     """Run a frontier-expansion BFS from ``source``.
 
     Parameters
@@ -95,121 +124,17 @@ def bfs(graph: Graph | CSCMatrix, source: int,
         (``'bucket' | 'combblas_spa' | 'combblas_heap' | 'graphmat' | 'sort'``).
     max_levels:
         Optional cap on the number of levels (useful for tests / truncated runs).
-    collect_frontiers:
-        When true, the returned result also keeps each frontier vector
-        (memory-heavy; used by the Fig. 3 benchmark to harvest realistic
-        frontiers of different sparsity).
     shards:
-        When given, the traversal runs through a
-        :class:`~repro.core.sharded.ShardedEngine` over that many row
-        strips instead of the monolithic engine — bit-identical levels and
-        parents, sharded execution.
-    backend:
-        Overrides the context's sharded execution backend (``"emulated"`` |
-        ``"process"``); only meaningful together with ``shards``.
-    shard_scheme:
-        Partitioning scheme for the sharded engine: ``"row"`` |
-        ``"column"``.  ``None`` defers to ``ctx.shard_scheme``; only
-        meaningful together with ``shards``.
+        When given, the traversal runs through a sharded engine over that
+        many strips instead of the monolithic engine — bit-identical levels
+        and parents, sharded execution.  ``ctx.shard_scheme`` picks the
+        layout (``"row"`` | ``"column"``) and ``ctx.backend`` its strip
+        executor.
     """
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("BFS requires a square adjacency matrix")
-    n = matrix.ncols
-    if not (0 <= source < n):
-        raise IndexError(f"source {source} out of range for {n} vertices")
-    ctx = ctx if ctx is not None else default_context()
-    if backend is not None:
-        ctx = ctx.with_backend(backend)
+    matrix = adjacency(graph, "BFS", [source])
     # one engine per traversal: buckets/SPA are allocated once, reused per level
-    engine = (make_sharded_engine(matrix, shards, ctx, algorithm=algorithm,
-                                  scheme=shard_scheme)
-              if shards is not None
-              else SpMSpVEngine(matrix, ctx, algorithm=algorithm))
-    return _traverse(engine, source, max_levels=max_levels,
-                     collect_frontiers=collect_frontiers)
-
-
-def _traverse(engine: AnyEngine, source: int, *,
-              max_levels: Optional[int] = None,
-              collect_frontiers: bool = False) -> BFSResult:
-    """The single-source level loop over an existing engine.
-
-    Shared by :func:`bfs` and the cold path of
-    :func:`~repro.algorithms.incremental.incremental_bfs`, whose engine may
-    hold pending edge updates.
-    """
-    n = engine.matrix.ncols
-    levels = np.full(n, -1, dtype=INDEX_DTYPE)
-    parents = np.full(n, -1, dtype=INDEX_DTYPE)
-    levels[source] = 0
-    parents[source] = source
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-
-    frontier = SparseVector(n, np.array([source], dtype=INDEX_DTYPE),
-                            np.array([float(source)]), sorted=True, check=False)
-    records: List[ExecutionRecord] = []
-    frontier_sizes: List[int] = [frontier.nnz]
-    frontiers: List[SparseVector] = [frontier.copy()] if collect_frontiers else []
-
-    level = 0
-    while frontier.nnz:
-        if max_levels is not None and level >= max_levels:
-            break
-        level += 1
-        result: SpMSpVResult = engine.multiply(frontier, semiring=MIN_SELECT2ND,
-                                               mask=visited, mask_complement=True)
-        records.append(result.record)
-        reached = result.vector
-        if reached.nnz == 0:
-            break
-        levels[reached.indices] = level
-        parents[reached.indices] = reached.values.astype(INDEX_DTYPE)
-        visited[reached.indices] = True
-        # next frontier: the newly reached vertices carrying their own ids
-        frontier = SparseVector(n, reached.indices.copy(),
-                                reached.indices.astype(np.float64),
-                                sorted=reached.sorted, check=False)
-        frontier_sizes.append(frontier.nnz)
-        if collect_frontiers:
-            frontiers.append(frontier.copy())
-
-    result = BFSResult(source=source, levels=levels, parents=parents,
-                       num_iterations=level, frontier_sizes=frontier_sizes,
-                       records=records, engine=engine)
-    if collect_frontiers:
-        result.frontiers = frontiers  # type: ignore[attr-defined]
-    return result
-
-
-@dataclass
-class MultiSourceBFSResult(DetachableResult):
-    """Outcome of a batched multi-source breadth-first search."""
-
-    sources: List[int]
-    #: levels[k] is the BFS level array of sources[k] (-1 for unreachable)
-    levels: np.ndarray
-    #: parents[k] is the BFS parent array of sources[k]
-    parents: np.ndarray
-    #: iterations until every search exhausted its frontier
-    num_iterations: int
-    #: SpMSpV calls performed for each source (matches the per-source ``bfs``)
-    iterations_per_source: List[int] = field(default_factory=list)
-    #: per-level total frontier nnz summed over the still-active searches
-    frontier_sizes: List[int] = field(default_factory=list)
-    engine: Optional[AnyEngine] = None
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.sources)
-
-    def result_for(self, source: int) -> BFSResult:
-        """Extract one search's outcome as a standalone :class:`BFSResult`."""
-        k = self.sources.index(source)
-        return BFSResult(source=source, levels=self.levels[k], parents=self.parents[k],
-                         num_iterations=self.iterations_per_source[k],
-                         frontier_sizes=[], records=[])
+    engine = algorithm_engine(matrix, ctx, algorithm=algorithm, shards=shards)
+    return _single_source(engine, source, max_levels=max_levels)
 
 
 def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
@@ -218,9 +143,7 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
                      max_levels: Optional[int] = None,
                      block_mode: str = "looped",
                      shards: Optional[int] = None,
-                     backend: Optional[str] = None,
-                     shard_scheme: Optional[str] = None,
-                     engine: Optional[AnyEngine] = None
+                     engine: Optional[SpMSpVEngine] = None
                      ) -> MultiSourceBFSResult:
     """Run independent BFS traversals from several sources as one batched job.
 
@@ -237,85 +160,95 @@ def bfs_multi_source(graph: Graph | CSCMatrix, sources: List[int],
     (``"fused"``: one gather/scatter per level for all frontiers, the masks
     folded into its scatter); both are bit-identical, so this is a
     performance knob only.  Any other value raises ``ValueError``.
-    ``shards`` routes every level through a
-    :class:`~repro.core.sharded.ShardedEngine` over that many row strips —
-    fused blocks shard too (the column-union pack is shared, the scatter is
-    strip-local) and results stay bit-identical.  ``backend`` overrides the
-    context's sharded execution backend (``"emulated"`` | ``"process"``) and
-    ``shard_scheme`` the partitioning scheme (``"row"`` | ``"column"``; the
-    column scheme has only the looped block path).
+    ``shards`` routes every level through a sharded engine over that many
+    strips, on ``ctx.shard_scheme`` (``"row"`` | ``"column"``; the column
+    scheme has only the looped block path) and ``ctx.backend`` — fused
+    blocks shard too (the column-union pack is shared, the scatter is
+    strip-local) and results stay bit-identical.
     ``engine`` supplies a *persistent* engine already holding this adjacency
     matrix (the serving layer's reuse path: one warm workspace across many
-    traversals); when given, ``ctx``/``shards``/``backend``/``shard_scheme``
-    are ignored in favour of the engine's own configuration, and
-    ``algorithm`` still selects the kernel of every level.
+    traversals); when given, ``ctx`` and ``shards`` are ignored in favour of
+    the engine's own configuration, and ``algorithm`` still selects the
+    kernel of every level.
     """
     check_block_mode(block_mode)
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("BFS requires a square adjacency matrix")
-    n = matrix.ncols
     sources = [int(s) for s in sources]
-    for s in sources:
-        if not (0 <= s < n):
-            raise IndexError(f"source {s} out of range for {n} vertices")
-    if engine is not None:
-        if engine.matrix.shape != matrix.shape:
-            raise ValueError(
-                f"engine holds a {engine.matrix.shape} matrix; graph is {matrix.shape}")
-    else:
-        ctx = ctx if ctx is not None else default_context()
-        if backend is not None:
-            ctx = ctx.with_backend(backend)
-        engine = (make_sharded_engine(matrix, shards, ctx, algorithm=algorithm,
-                                      scheme=shard_scheme)
-                  if shards is not None
-                  else SpMSpVEngine(matrix, ctx, algorithm=algorithm))
+    matrix = adjacency(graph, "BFS", sources)
+    engine = algorithm_engine(matrix, ctx, algorithm=algorithm, shards=shards,
+                              engine=engine)
+    return _search(engine, sources, algorithm=algorithm, max_levels=max_levels,
+                   block_mode=block_mode)[0]
 
+
+def _single_source(engine: SpMSpVEngine, source: int, *,
+                   max_levels: Optional[int] = None) -> BFSResult:
+    """One search on the engine's own kernel (which may hold pending edge
+    updates), with its records."""
+    multi, records = _search(engine, [source], max_levels=max_levels)
+    return BFSResult(source=source, levels=multi.levels[0], parents=multi.parents[0],
+                     num_iterations=multi.num_iterations,
+                     frontier_sizes=multi.frontier_sizes, records=records[0],
+                     engine=engine)
+
+
+def _search(engine: SpMSpVEngine, sources: List[int], *,
+            algorithm: Optional[str] = None,
+            max_levels: Optional[int] = None,
+            block_mode: str = "looped"
+            ) -> Tuple[MultiSourceBFSResult, List[List[ExecutionRecord]]]:
+    """The level loop of every traversal: one search per source.
+
+    Each level runs the still-active frontiers through one
+    :meth:`~repro.core.engine.SpMSpVEngine.multiply_many` (``algorithm=None``
+    is the engine's own kernel), each masked by its search's row of one
+    ``(k, n)`` visited map.  A search ends at the first level that reaches
+    no new vertex.  Returns the result and each search's execution records,
+    one per SpMSpV, in order.
+    """
+    n = engine.ncols
     k = len(sources)
     levels = np.full((k, n), -1, dtype=INDEX_DTYPE)
     parents = np.full((k, n), -1, dtype=INDEX_DTYPE)
-    frontiers: List[Optional[SparseVector]] = []
     visited = np.zeros((k, n), dtype=bool)
+    live: Dict[int, SparseVector] = {}  # running search -> its frontier
     for i, s in enumerate(sources):
         levels[i, s] = 0
         parents[i, s] = s
         visited[i, s] = True
-        frontiers.append(SparseVector(n, np.array([s], dtype=INDEX_DTYPE),
-                                      np.array([float(s)]), sorted=True, check=False))
-    frontier_sizes: List[int] = [sum(f.nnz for f in frontiers if f is not None)]
-    iterations_per_source = [0] * k
+        live[i] = SparseVector(n, np.array([s], dtype=INDEX_DTYPE),
+                               np.array([float(s)]), sorted=True, check=False)
+    records: List[List[ExecutionRecord]] = [[] for _ in range(k)]
+    frontier_sizes = [k]
 
     level = 0
-    while any(f is not None and f.nnz for f in frontiers):
-        if max_levels is not None and level >= max_levels:
-            break
+    while live and (max_levels is None or level < max_levels):
         level += 1
-        active = [i for i, f in enumerate(frontiers) if f is not None and f.nnz]
-        for i in active:
-            iterations_per_source[i] += 1
-        xs = [frontiers[i] for i in active]
-        masks = [visited[i] for i in active]
-        results = engine.multiply_many(xs, semiring=MIN_SELECT2ND, masks=masks,
+        active = list(live)
+        results = engine.multiply_many(list(live.values()), semiring=MIN_SELECT2ND,
+                                       masks=[visited[i] for i in active],
                                        mask_complement=True, algorithm=algorithm,
                                        block_mode=block_mode)
         for i, result in zip(active, results):
+            records[i].append(result.record)
             reached = result.vector
             if reached.nnz == 0:
-                frontiers[i] = None
+                del live[i]
                 continue
             levels[i, reached.indices] = level
             parents[i, reached.indices] = reached.values.astype(INDEX_DTYPE)
             visited[i, reached.indices] = True
-            frontiers[i] = SparseVector(n, reached.indices.copy(),
-                                        reached.indices.astype(np.float64),
-                                        sorted=reached.sorted, check=False)
-        frontier_sizes.append(sum(f.nnz for f in frontiers if f is not None))
+            # next frontier: the newly reached vertices carrying their own ids
+            live[i] = SparseVector(n, reached.indices.copy(),
+                                   reached.indices.astype(np.float64),
+                                   sorted=reached.sorted, check=False)
+        if live:
+            frontier_sizes.append(sum(f.nnz for f in live.values()))
 
-    return MultiSourceBFSResult(sources=sources, levels=levels, parents=parents,
-                                num_iterations=level,
-                                iterations_per_source=iterations_per_source,
-                                frontier_sizes=frontier_sizes, engine=engine)
+    result = MultiSourceBFSResult(sources=sources, levels=levels, parents=parents,
+                                  num_iterations=level,
+                                  iterations_per_source=[len(r) for r in records],
+                                  frontier_sizes=frontier_sizes, engine=engine)
+    return result, records
 
 
 def validate_bfs_tree(graph: Graph | CSCMatrix, result: BFSResult) -> bool:

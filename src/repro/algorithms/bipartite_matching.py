@@ -25,7 +25,7 @@ from ..core.engine import SpMSpVEngine
 from ..core.result import DetachableResult
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
-from ..parallel.context import ExecutionContext, default_context
+from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import MIN_SELECT2ND
 
@@ -57,7 +57,6 @@ def maximal_bipartite_matching(matrix: CSCMatrix,
                                algorithm: str = "bucket",
                                max_iterations: Optional[int] = None) -> MatchingResult:
     """Compute a maximal matching of the bipartite graph described by ``matrix``."""
-    ctx = ctx if ctx is not None else default_context()
     m, n = matrix.shape
     max_iterations = max_iterations if max_iterations is not None else n + 1
     engine = SpMSpVEngine(matrix, ctx, algorithm=algorithm)

@@ -21,9 +21,10 @@ from ..core.result import DetachableResult
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..graphs.graph import Graph
-from ..parallel.context import ExecutionContext, default_context
+from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import MIN_SELECT2ND
+from ._engine import adjacency
 
 
 @dataclass
@@ -57,11 +58,8 @@ def connected_components(graph: Graph | CSCMatrix,
     this computes weakly connected components only if the matrix has been
     symmetrized by the caller.
     """
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("connected components requires a square adjacency matrix")
+    matrix = adjacency(graph, "connected components")
     n = matrix.ncols
-    ctx = ctx if ctx is not None else default_context()
     max_iterations = max_iterations if max_iterations is not None else n + 1
     engine = SpMSpVEngine(matrix, ctx, algorithm=algorithm)
 

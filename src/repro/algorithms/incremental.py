@@ -31,43 +31,33 @@ Caveats (documented, by design):
   from a cold run, because only improved vertices re-expand.
 * Incremental PageRank is exact to the iteration tolerance (the fixed
   point is unique), not bit-identical to a cold run.
+
+Both entry points run on the caller's ``engine`` (deltas included) or on a
+new whole-layout engine.  A recomputed BFS runs the level loop of
+:func:`~repro.algorithms.bfs.bfs`, and the warm restart continues in the
+delta iteration of :func:`~repro.algorithms.pagerank.pagerank`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from .._typing import INDEX_DTYPE, as_index_array
-from ..core.column_sharded import ColumnShardedEngine
 from ..core.engine import SpMSpVEngine
-from ..core.sharded import ShardedEngine
 from ..errors import NotSupportedError
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..graphs.graph import Graph
-from ..parallel.context import ExecutionContext, default_context
+from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import MIN_SELECT2ND, PLUS_TIMES
-from .bfs import BFSResult, _traverse
-from .pagerank import PageRankResult, column_stochastic
+from ._engine import adjacency, algorithm_engine
+from .bfs import BFSResult, _single_source
+from .pagerank import PageRankResult, _iterate, _spread, _teleport, column_stochastic
 
 __all__ = ["incremental_bfs", "incremental_pagerank"]
-
-Engine = Union[SpMSpVEngine, ShardedEngine, ColumnShardedEngine]
-
-
-def _resolve_engine(matrix: CSCMatrix, ctx: Optional[ExecutionContext],
-                    algorithm: str, engine: Optional[Engine]) -> Engine:
-    if engine is not None:
-        if engine.matrix.shape != matrix.shape:
-            raise ValueError(
-                f"engine holds a {engine.matrix.shape} matrix; "
-                f"graph is {matrix.shape}")
-        return engine
-    return SpMSpVEngine(matrix, ctx if ctx is not None else default_context(),
-                        algorithm=algorithm)
 
 
 def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
@@ -76,7 +66,7 @@ def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
                     algorithm: str = "bucket",
                     deleted_rows=None, deleted_cols=None,
                     on_delete: str = "error",
-                    engine: Optional[Engine] = None) -> BFSResult:
+                    engine: Optional[SpMSpVEngine] = None) -> BFSResult:
     """Repair a BFS result after edge insertions.
 
     ``graph`` is the **updated** adjacency (``A(i, j)`` = edge ``j -> i``;
@@ -106,9 +96,7 @@ def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
     graph (through ``engine`` when given, so engine-side deltas are
     honoured) and returns that result with ``recomputed=True``.
     """
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("BFS requires a square adjacency matrix")
+    matrix = adjacency(graph, "BFS")
     n = matrix.ncols
     if len(previous.levels) != n:
         raise ValueError(
@@ -123,7 +111,7 @@ def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
         else np.empty(0, dtype=INDEX_DTYPE)
     if len(del_rows) != len(del_cols):
         raise ValueError("deleted_rows and deleted_cols must match in length")
-    engine = _resolve_engine(matrix, ctx, algorithm, engine)
+    engine = algorithm_engine(matrix, ctx, algorithm=algorithm, engine=engine)
     if len(del_rows):
         if on_delete == "error":
             raise NotSupportedError(
@@ -134,7 +122,7 @@ def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
                 f"on_delete='recompute' to fall back to a cold BFS, or run "
                 f"repro.algorithms.bfs.bfs on the updated graph directly")
         # a cold BFS through the caller's engine keeps its deltas visible
-        result = _traverse(engine, previous.source)
+        result = _single_source(engine, previous.source)
         result.recomputed = True
         return result
 
@@ -168,7 +156,6 @@ def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
 
     records: List[ExecutionRecord] = []
     frontier_sizes: List[int] = []
-    iterations = 0
     while in_worklist.any():
         work = np.flatnonzero(in_worklist)
         level = int(levels[work].min())
@@ -178,7 +165,6 @@ def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
                                 frontier_idx.astype(np.float64),
                                 sorted=True, check=False)
         frontier_sizes.append(frontier.nnz)
-        iterations += 1
         result = engine.multiply(frontier, semiring=MIN_SELECT2ND)
         records.append(result.record)
         reached = result.vector
@@ -192,7 +178,7 @@ def incremental_bfs(graph: Graph | CSCMatrix, previous: BFSResult,
         in_worklist[targets] = True
 
     return BFSResult(source=previous.source, levels=levels, parents=parents,
-                     num_iterations=iterations, frontier_sizes=frontier_sizes,
+                     num_iterations=len(records), frontier_sizes=frontier_sizes,
                      records=records, engine=engine)
 
 
@@ -203,7 +189,7 @@ def incremental_pagerank(graph: Graph | CSCMatrix, previous_scores: np.ndarray,
                          max_iterations: int = 200,
                          personalization: Optional[np.ndarray] = None,
                          algorithm: str = "bucket",
-                         engine: Optional[Engine] = None) -> PageRankResult:
+                         engine: Optional[SpMSpVEngine] = None) -> PageRankResult:
     """Warm-restart PageRank on the updated graph from the previous scores.
 
     ``graph`` is the **updated** adjacency; ``engine``, when given, must
@@ -218,9 +204,7 @@ def incremental_pagerank(graph: Graph | CSCMatrix, previous_scores: np.ndarray,
     the tolerance — after a small update batch, typically in a handful of
     iterations instead of the cold run's dozens.
     """
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("PageRank requires a square adjacency matrix")
+    matrix = adjacency(graph, "PageRank")
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1); got {damping}")
     n = matrix.ncols
@@ -232,69 +216,26 @@ def incremental_pagerank(graph: Graph | CSCMatrix, previous_scores: np.ndarray,
     total = previous_scores.sum()
     if not total > 0:
         raise ValueError("previous_scores must have positive total mass")
-    if engine is None:
-        transition = column_stochastic(matrix)
-        engine = SpMSpVEngine(transition,
-                              ctx if ctx is not None else default_context(),
-                              algorithm=algorithm)
-    else:
-        transition = engine.matrix
-        if transition.shape != matrix.shape:
-            raise ValueError(
-                f"engine holds a {transition.shape} matrix; "
-                f"graph is {matrix.shape}")
-    dangling = np.flatnonzero(np.diff(transition.indptr) == 0)
+    engine = algorithm_engine(matrix, ctx, algorithm=algorithm, engine=engine,
+                              operator=column_stochastic)
+    teleport = _teleport(n, personalization)
 
-    if personalization is None:
-        teleport = np.full(n, 1.0 / n)
-    else:
-        teleport = np.zeros(n)
-        teleport[np.asarray(personalization, dtype=INDEX_DTYPE)] = 1.0
-        teleport /= teleport.sum()
-
-    def spread_of(vec: SparseVector) -> tuple:
-        """One application of ``damping * M`` to a delta vector."""
-        result = engine.multiply(vec, semiring=PLUS_TIMES)
-        dense = np.zeros(n)
-        if result.vector.nnz:
-            dense[result.vector.indices] = damping * result.vector.values
-        mass = float(vec.values[np.isin(vec.indices, dangling,
-                                        assume_unique=True)].sum()) \
-            if len(dangling) and vec.nnz else 0.0
-        if mass:
-            dense += damping * mass * teleport
-        return dense, result.record
-
-    records: List[ExecutionRecord] = []
     # the unnormalized fixed point solves p = damping*M p + teleport and has
     # total mass 1/(1-damping) (the operator scales mass by damping and the
     # teleport injects 1 per step); rescale the normalized previous scores to
     # that mass so the warm guess sits near the fixed point, then run the
-    # standard delta loop seeded with the guess's residual r0:
+    # standard delta iteration seeded with the guess's residual r0:
     # p = p0 + sum_k (damping*M)^k r0
     scores = previous_scores * (1.0 / (1.0 - damping) / total)
     guess = SparseVector.from_dense(scores)
-    applied, record = spread_of(guess)
-    records.append(record)
-    residual = teleport + applied - scores
-    scores = scores + residual
+    applied = engine.multiply(guess, semiring=PLUS_TIMES)
+    residual = teleport + _spread(applied, guess, engine.matrix, teleport, damping) - scores
     active = np.flatnonzero(np.abs(residual) > tol)
     delta = SparseVector(n, active.astype(INDEX_DTYPE), residual[active],
                          sorted=True, check=False)
-
-    active_sizes: List[int] = []
-    iterations = 0
-    while delta.nnz and iterations < max_iterations:
-        iterations += 1
-        active_sizes.append(delta.nnz)
-        dense, record = spread_of(delta)
-        records.append(record)
-        scores += dense
-        active = np.flatnonzero(np.abs(dense) > tol)
-        delta = SparseVector(n, active.astype(INDEX_DTYPE), dense[active],
-                             sorted=True, check=False)
-
-    scores /= scores.sum()
-    return PageRankResult(scores=scores, num_iterations=iterations,
-                          active_sizes=active_sizes, records=records,
-                          engine=engine)
+    blocked, records = _iterate(engine, [teleport], damping=damping, tol=tol,
+                                max_iterations=max_iterations,
+                                scores=(scores + residual)[None], deltas=[delta])
+    return PageRankResult(scores=blocked.scores[0], num_iterations=blocked.num_iterations,
+                          active_sizes=blocked.active_sizes,
+                          records=[applied.record] + records[0], engine=engine)

@@ -26,9 +26,10 @@ from ..core.result import DetachableResult
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..graphs.graph import Graph
-from ..parallel.context import ExecutionContext, default_context
+from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import PLUS_TIMES
+from ._engine import adjacency
 from .pagerank import column_stochastic
 
 
@@ -77,15 +78,11 @@ def local_cluster(graph: Graph | CSCMatrix, seed: int,
                   max_rounds: int = 200,
                   max_cluster_size: Optional[int] = None) -> LocalClusterResult:
     """Find a low-conductance cluster around ``seed`` with ACL push + sweep cut."""
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("local clustering requires a square adjacency matrix")
+    matrix = adjacency(graph, "local clustering")
     n = matrix.ncols
     if not (0 <= seed < n):
         raise IndexError(f"seed {seed} out of range for {n} vertices")
-    ctx = ctx if ctx is not None else default_context()
-    transition = column_stochastic(matrix)
-    engine = SpMSpVEngine(transition, ctx, algorithm=algorithm)
+    engine = SpMSpVEngine(column_stochastic(matrix), ctx, algorithm=algorithm)
     degrees = np.maximum(matrix.column_counts().astype(np.float64), 1.0)
 
     ppr = np.zeros(n)

@@ -21,9 +21,10 @@ from ..core.result import DetachableResult
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..graphs.graph import Graph
-from ..parallel.context import ExecutionContext, default_context
+from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import MAX_SELECT2ND
+from ._engine import adjacency
 
 
 @dataclass
@@ -51,11 +52,8 @@ def maximal_independent_set(graph: Graph | CSCMatrix,
                             seed: int = 0,
                             max_iterations: Optional[int] = None) -> MISResult:
     """Compute a maximal independent set of an undirected graph (Luby's algorithm)."""
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("MIS requires a square adjacency matrix")
+    matrix = adjacency(graph, "MIS")
     n = matrix.ncols
-    ctx = ctx if ctx is not None else default_context()
     rng = np.random.default_rng(seed)
     max_iterations = max_iterations if max_iterations is not None else 4 * int(np.log2(n + 2)) + 8
     engine = SpMSpVEngine(matrix, ctx, algorithm=algorithm)

@@ -8,31 +8,32 @@ lets converged vertices drop out of the computation.
 We implement exactly that: the power iteration is run in *delta form*.  The
 vector multiplied at every step is the sparse vector of rank *changes* above
 the convergence tolerance; once a vertex's change falls below the tolerance
-it becomes inactive and stops contributing work.  A conventional dense power
-iteration is provided as the reference the tests compare against.
+it becomes inactive and stops contributing work.  :func:`pagerank`,
+:func:`pagerank_block` and
+:func:`~repro.algorithms.incremental.incremental_pagerank` share one delta
+iteration, which runs every step as one ``multiply_many`` batch (a single
+walk is a batch of one); a sharded run takes its scheme and backend from the
+context.  A conventional dense power iteration, with its own teleport
+vector, is provided as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .._typing import INDEX_DTYPE
-from ..core.column_sharded import ColumnShardedEngine, make_sharded_engine
 from ..core.engine import SpMSpVEngine, check_block_mode
-from ..core.result import DetachableResult
-from ..core.sharded import ShardedEngine
-
-#: any engine the iterations can run on
-AnyEngine = SpMSpVEngine | ShardedEngine | ColumnShardedEngine
+from ..core.result import DetachableResult, SpMSpVResult
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..graphs.graph import Graph
-from ..parallel.context import ExecutionContext, default_context
+from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import PLUS_TIMES
+from ._engine import adjacency, algorithm_engine
 
 
 def column_stochastic(matrix: CSCMatrix) -> CSCMatrix:
@@ -63,7 +64,7 @@ class PageRankResult(DetachableResult):
     #: number of active (still-changing) vertices per iteration
     active_sizes: List[int] = field(default_factory=list)
     records: List[ExecutionRecord] = field(default_factory=list)
-    engine: Optional[AnyEngine] = None
+    engine: Optional[SpMSpVEngine] = None
 
     def top(self, k: int = 10) -> List[tuple]:
         """The k highest-ranked vertices as (vertex, score) pairs."""
@@ -87,87 +88,6 @@ def _restrict_mask(n: int, restrict: Optional[np.ndarray]) -> Optional[SparseVec
     return SparseVector.full_like_indices(n, vertices, 1.0)
 
 
-def pagerank(graph: Graph | CSCMatrix,
-             ctx: Optional[ExecutionContext] = None, *,
-             algorithm: str = "bucket",
-             damping: float = 0.85,
-             tol: float = 1e-8,
-             max_iterations: int = 200,
-             personalization: Optional[np.ndarray] = None,
-             restrict: Optional[np.ndarray] = None,
-             shards: Optional[int] = None,
-             backend: Optional[str] = None,
-             shard_scheme: Optional[str] = None) -> PageRankResult:
-    """Compute PageRank scores with the sparse delta (data-driven) iteration.
-
-    The returned scores sum to 1.  ``personalization`` restricts the teleport
-    distribution to the given vertices (personalized PageRank), which also
-    makes the active set — and therefore every SpMSpV — much sparser.
-    ``restrict`` confines rank *spreading* to the given vertex subset (a
-    subgraph walk): every SpMSpV is masked with the subset, so mass headed
-    outside it is dropped — pair the restriction with a personalization
-    inside the subset for a fully confined walk.  ``shards`` routes the
-    iteration through a :class:`~repro.core.sharded.ShardedEngine` over that
-    many row strips (bit-identical scores); ``backend`` overrides the
-    context's sharded execution backend (``"emulated"`` | ``"process"``) and
-    ``shard_scheme`` the partitioning scheme (``"row"`` | ``"column"``,
-    defaulting to ``ctx.shard_scheme``).
-    """
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("PageRank requires a square adjacency matrix")
-    n = matrix.ncols
-    ctx = ctx if ctx is not None else default_context()
-    if backend is not None:
-        ctx = ctx.with_backend(backend)
-    transition = column_stochastic(matrix)
-    engine = (make_sharded_engine(transition, shards, ctx, algorithm=algorithm,
-                                  scheme=shard_scheme)
-              if shards is not None
-              else SpMSpVEngine(transition, ctx, algorithm=algorithm))
-    dangling = np.flatnonzero(np.diff(transition.indptr) == 0)
-    mask = _restrict_mask(n, restrict)
-
-    if personalization is None:
-        teleport = np.full(n, 1.0 / n)
-    else:
-        teleport = np.zeros(n)
-        teleport[np.asarray(personalization, dtype=INDEX_DTYPE)] = 1.0
-        teleport /= teleport.sum()
-
-    # rank starts at the teleport distribution; the initial "delta" is the whole vector
-    scores = teleport.copy()
-    delta = SparseVector.from_dense(teleport)
-    records: List[ExecutionRecord] = []
-    active_sizes: List[int] = []
-    iterations = 0
-
-    while delta.nnz and iterations < max_iterations:
-        iterations += 1
-        active_sizes.append(delta.nnz)
-        result = engine.multiply(delta, semiring=PLUS_TIMES, mask=mask)
-        records.append(result.record)
-        spread = result.vector
-        new_delta_dense = np.zeros(n)
-        if spread.nnz:
-            new_delta_dense[spread.indices] = damping * spread.values
-        # dangling vertices spread their delta uniformly through the teleport
-        # vector; O(nnz) membership sum — densifying the delta would cost O(n)
-        dangling_mass = float(delta.values[np.isin(
-            delta.indices, dangling, assume_unique=True)].sum()) \
-            if len(dangling) and delta.nnz else 0.0
-        if dangling_mass:
-            new_delta_dense += damping * dangling_mass * teleport
-        scores += new_delta_dense
-        active = np.flatnonzero(np.abs(new_delta_dense) > tol)
-        delta = SparseVector(n, active.astype(INDEX_DTYPE), new_delta_dense[active],
-                             sorted=True, check=False)
-
-    scores /= scores.sum()
-    return PageRankResult(scores=scores, num_iterations=iterations,
-                          active_sizes=active_sizes, records=records, engine=engine)
-
-
 @dataclass
 class BlockedPageRankResult(DetachableResult):
     """Outcome of a blocked (multi-personalization) PageRank computation."""
@@ -180,7 +100,7 @@ class BlockedPageRankResult(DetachableResult):
     iterations_per_source: List[int] = field(default_factory=list)
     #: total active (still-changing) vertices per iteration, over the block
     active_sizes: List[int] = field(default_factory=list)
-    engine: Optional[AnyEngine] = None
+    engine: Optional[SpMSpVEngine] = None
 
     @property
     def num_sources(self) -> int:
@@ -190,6 +110,40 @@ class BlockedPageRankResult(DetachableResult):
         """The k highest-ranked vertices of personalization ``i``."""
         order = np.argsort(self.scores[i])[::-1][:k]
         return [(int(v), float(self.scores[i, v])) for v in order]
+
+
+def pagerank(graph: Graph | CSCMatrix,
+             ctx: Optional[ExecutionContext] = None, *,
+             algorithm: str = "bucket",
+             damping: float = 0.85,
+             tol: float = 1e-8,
+             max_iterations: int = 200,
+             personalization: Optional[np.ndarray] = None,
+             restrict: Optional[np.ndarray] = None,
+             shards: Optional[int] = None) -> PageRankResult:
+    """Compute PageRank scores with the sparse delta (data-driven) iteration.
+
+    The returned scores sum to 1.  ``personalization`` restricts the teleport
+    distribution to the given vertices (personalized PageRank), which also
+    makes the active set — and therefore every SpMSpV — much sparser.
+    ``restrict`` confines rank *spreading* to the given vertex subset (a
+    subgraph walk): every SpMSpV is masked with the subset, so mass headed
+    outside it is dropped — pair the restriction with a personalization
+    inside the subset for a fully confined walk.  ``shards`` routes the
+    iteration through a sharded engine over that many strips, on
+    ``ctx.shard_scheme`` (``"row"`` | ``"column"``) and ``ctx.backend``
+    (bit-identical scores).
+    """
+    matrix = adjacency(graph, "PageRank")
+    engine = algorithm_engine(matrix, ctx, algorithm=algorithm, shards=shards,
+                              operator=column_stochastic)
+    blocked, records = _iterate(
+        engine, [_teleport(matrix.ncols, personalization)], damping=damping,
+        tol=tol, max_iterations=max_iterations,
+        mask=_restrict_mask(matrix.ncols, restrict))
+    return PageRankResult(scores=blocked.scores[0], num_iterations=blocked.num_iterations,
+                          active_sizes=blocked.active_sizes, records=records[0],
+                          engine=engine)
 
 
 def pagerank_block(graph: Graph | CSCMatrix,
@@ -202,9 +156,7 @@ def pagerank_block(graph: Graph | CSCMatrix,
                    block_mode: str = "looped",
                    restrict: Optional[np.ndarray] = None,
                    shards: Optional[int] = None,
-                   backend: Optional[str] = None,
-                   shard_scheme: Optional[str] = None,
-                   engine: Optional[AnyEngine] = None
+                   engine: Optional[SpMSpVEngine] = None
                    ) -> BlockedPageRankResult:
     """Run k personalized PageRank computations as one blocked job.
 
@@ -221,86 +173,106 @@ def pagerank_block(graph: Graph | CSCMatrix,
     rank spreading to a vertex subset exactly as in :func:`pagerank`; the
     per-vector masks it induces are folded into the fused kernel's scatter,
     so the batched restricted walk never merges dead (row, vector-id) pairs.
-    ``shards`` routes every blocked iteration through a
-    :class:`~repro.core.sharded.ShardedEngine` over that many row strips —
-    the fused block packs once and executes per strip, bit-identically.
-    ``backend`` overrides the context's sharded execution backend
-    (``"emulated"`` | ``"process"``) and ``shard_scheme`` the partitioning
-    scheme (``"row"`` | ``"column"``; the column scheme has only the looped
-    block path).  ``engine`` supplies a *persistent*
-    engine already holding the column-stochastic transition operator
-    (``column_stochastic(adjacency)``) — the serving layer's reuse path: no
-    per-call normalization or engine construction, and ``ctx``/``shards``/
-    ``backend``/``shard_scheme`` are ignored in favour of the engine's own
-    (``algorithm`` still selects the kernel of every iteration).
+    ``shards`` routes every blocked iteration through a sharded engine over
+    that many strips, on ``ctx.shard_scheme`` (``"row"`` | ``"column"``; the
+    column scheme has only the looped block path) and ``ctx.backend`` — the
+    fused block packs once and executes per strip, bit-identically.
+    ``engine`` supplies a *persistent* engine already holding the
+    column-stochastic transition operator (``column_stochastic(adjacency)``)
+    — the serving layer's reuse path: no per-call normalization or engine
+    construction, and ``ctx`` and ``shards`` are ignored in favour of the
+    engine's own (``algorithm`` still selects the kernel of every
+    iteration).
     """
     check_block_mode(block_mode)
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("PageRank requires a square adjacency matrix")
+    matrix = adjacency(graph, "PageRank")
+    engine = algorithm_engine(matrix, ctx, algorithm=algorithm, shards=shards,
+                              engine=engine, operator=column_stochastic)
     n = matrix.ncols
-    if engine is not None:
-        transition = engine.matrix
-        if transition.shape != matrix.shape:
-            raise ValueError(
-                f"engine holds a {transition.shape} matrix; graph is {matrix.shape}")
-    else:
-        ctx = ctx if ctx is not None else default_context()
-        if backend is not None:
-            ctx = ctx.with_backend(backend)
-        transition = column_stochastic(matrix)
-        engine = (make_sharded_engine(transition, shards, ctx,
-                                      algorithm=algorithm, scheme=shard_scheme)
-                  if shards is not None
-                  else SpMSpVEngine(transition, ctx, algorithm=algorithm))
-    dangling = np.flatnonzero(np.diff(transition.indptr) == 0)
-    mask = _restrict_mask(n, restrict)
+    return _iterate(engine, [_teleport(n, p) for p in personalizations],
+                    damping=damping, tol=tol, max_iterations=max_iterations,
+                    mask=_restrict_mask(n, restrict), algorithm=algorithm,
+                    block_mode=block_mode)[0]
 
-    k = len(personalizations)
-    teleports = []
-    for personalization in personalizations:
-        teleport = np.zeros(n)
-        teleport[np.asarray(personalization, dtype=INDEX_DTYPE)] = 1.0
-        teleport /= teleport.sum()
-        teleports.append(teleport)
 
-    scores = np.stack(teleports) if k else np.zeros((0, n))
-    deltas: List[SparseVector] = [SparseVector.from_dense(t) for t in teleports]
-    iterations_per_source = [0] * k
+def _teleport(n: int, personalization: Optional[np.ndarray]) -> np.ndarray:
+    """The teleport distribution: uniform, or uniform over the
+    ``personalization`` vertices."""
+    if personalization is None:
+        return np.full(n, 1.0 / n)
+    teleport = np.zeros(n)
+    teleport[np.asarray(personalization, dtype=INDEX_DTYPE)] = 1.0
+    return teleport / teleport.sum()
+
+
+def _spread(result: SpMSpVResult, x: SparseVector, transition: CSCMatrix,
+           teleport: np.ndarray, damping: float) -> np.ndarray:
+    """``damping`` times one step of the walk from ``x``, dense: ``result``
+    is ``transition @ x``, and the share of ``x`` on dangling vertices (the
+    empty columns) goes through the teleport vector."""
+    out = np.zeros(x.n)
+    if result.vector.nnz:
+        out[result.vector.indices] = damping * result.vector.values
+    # O(nnz(x)) probe of the column pointers; densifying x would cost O(n)
+    indptr = transition.indptr
+    mass = float(x.values[indptr[x.indices + 1] == indptr[x.indices]].sum())
+    if mass:
+        out += damping * mass * teleport
+    return out
+
+
+def _iterate(engine: SpMSpVEngine, teleports: List[np.ndarray], *,
+             damping: float, tol: float, max_iterations: int,
+             mask: Optional[SparseVector] = None,
+             algorithm: Optional[str] = None,
+             block_mode: str = "looped",
+             scores: Optional[np.ndarray] = None,
+             deltas: Optional[List[SparseVector]] = None
+             ) -> Tuple[BlockedPageRankResult, List[List[ExecutionRecord]]]:
+    """The delta iteration of every PageRank: one walk per teleport vector.
+
+    Walk ``i`` accumulates ``scores[i]`` from its first delta ``deltas[i]``;
+    both start at the teleport vector unless given (a warm restart).  Each
+    iteration runs the still-active deltas through one
+    :meth:`~repro.core.engine.SpMSpVEngine.multiply_many` (``algorithm=None``
+    is the engine's own kernel); a walk stops once no entry of its delta
+    exceeds ``tol``.  The dangling vertices are the empty columns of
+    ``engine.matrix``.  Returns the result, scores normalized to sum to 1,
+    and each walk's execution records, one per SpMSpV, in order.
+    """
+    n, transition = engine.ncols, engine.matrix
+    k = len(teleports)
+    if scores is None:
+        scores = np.stack(teleports) if k else np.zeros((0, n))
+        deltas = [SparseVector.from_dense(t) for t in teleports]
+    records: List[List[ExecutionRecord]] = [[] for _ in range(k)]
     active_sizes: List[int] = []
-    level = 0
+    iterations = 0
 
-    while any(d.nnz for d in deltas) and level < max_iterations:
-        level += 1
+    while iterations < max_iterations:
         active = [i for i in range(k) if deltas[i].nnz]
+        if not active:
+            break
+        iterations += 1
         active_sizes.append(sum(deltas[i].nnz for i in active))
         results = engine.multiply_many(
             [deltas[i] for i in active], semiring=PLUS_TIMES,
             masks=[mask] * len(active) if mask is not None else None,
             algorithm=algorithm, block_mode=block_mode)
         for i, result in zip(active, results):
-            iterations_per_source[i] += 1
-            spread = result.vector
-            new_delta_dense = np.zeros(n)
-            if spread.nnz:
-                new_delta_dense[spread.indices] = damping * spread.values
-            # same O(nnz) membership sum as `pagerank` (bit-identical paths)
-            dangling_mass = float(deltas[i].values[np.isin(
-                deltas[i].indices, dangling, assume_unique=True)].sum()) \
-                if len(dangling) and deltas[i].nnz else 0.0
-            if dangling_mass:
-                new_delta_dense += damping * dangling_mass * teleports[i]
-            scores[i] += new_delta_dense
-            active_idx = np.flatnonzero(np.abs(new_delta_dense) > tol)
-            deltas[i] = SparseVector(n, active_idx.astype(INDEX_DTYPE),
-                                     new_delta_dense[active_idx],
+            records[i].append(result.record)
+            new_delta = _spread(result, deltas[i], transition, teleports[i], damping)
+            scores[i] += new_delta
+            idx = np.flatnonzero(np.abs(new_delta) > tol)
+            deltas[i] = SparseVector(n, idx.astype(INDEX_DTYPE), new_delta[idx],
                                      sorted=True, check=False)
 
     for i in range(k):
         scores[i] /= scores[i].sum()
-    return BlockedPageRankResult(scores=scores, num_iterations=level,
-                                 iterations_per_source=iterations_per_source,
-                                 active_sizes=active_sizes, engine=engine)
+    result = BlockedPageRankResult(scores=scores, num_iterations=iterations,
+                                   iterations_per_source=[len(r) for r in records],
+                                   active_sizes=active_sizes, engine=engine)
+    return result, records
 
 
 def pagerank_dense_reference(graph: Graph | CSCMatrix, *, damping: float = 0.85,

@@ -22,9 +22,10 @@ from ..errors import ReproError
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..graphs.graph import Graph
-from ..parallel.context import ExecutionContext, default_context
+from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord
 from ..semiring import MIN_PLUS
+from ._engine import adjacency
 
 
 @dataclass
@@ -53,15 +54,10 @@ def sssp(graph: Graph | CSCMatrix, source: int,
     edge ``j -> i``); they must be non-negative for Bellman-Ford convergence
     within ``n - 1`` rounds (a negative weight raises :class:`ReproError`).
     """
-    matrix = graph.matrix if isinstance(graph, Graph) else graph
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("SSSP requires a square adjacency matrix")
+    matrix = adjacency(graph, "SSSP", [source])
     if matrix.nnz and matrix.data.min() < 0:
         raise ReproError("sssp requires non-negative edge weights")
     n = matrix.ncols
-    if not (0 <= source < n):
-        raise IndexError(f"source {source} out of range for {n} vertices")
-    ctx = ctx if ctx is not None else default_context()
     max_iterations = max_iterations if max_iterations is not None else n
     engine = SpMSpVEngine(matrix, ctx, algorithm=algorithm)
 

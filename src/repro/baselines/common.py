@@ -80,11 +80,6 @@ def strip_nonempty_columns(matrix: CSCMatrix, num_threads: int) -> np.ndarray:
     return counts
 
 
-def clear_caches() -> None:
-    """Drop all cached per-matrix data (exposed for tests)."""
-    _STRIP_NZC_CACHE.clear()
-
-
 def gather_cost_chunks(matrix: CSCMatrix, indices: np.ndarray, num_threads: int):
     """Column weights and contiguous per-thread chunks of a multi-column gather.
 
@@ -179,7 +174,3 @@ def per_strip_counts(rows: np.ndarray, boundaries: np.ndarray,
     return np.bincount(strips, minlength=num_threads).astype(INDEX_DTYPE)
 
 
-def build_output(m: int, uind: np.ndarray, values: np.ndarray, *,
-                 sorted_output: bool) -> SparseVector:
-    """Wrap merged (index, value) arrays into a SparseVector of length ``m``."""
-    return SparseVector(m, uind, values, sorted=sorted_output, check=False)

@@ -158,15 +158,15 @@ class ColumnShardedEngine(SpMSpVEngine):
             raise NotSupportedError(
                 f"column-split execution does not forward kernel-specific "
                 f"options (the merge runs parent-side); got {sorted(kwargs)}")
-        check_operands(self.matrix, x)
+        check_operands(self, x)
         # column strips all span the full row space: one map serves them all
-        bitmap = mask_bitmap(mask, self.matrix.nrows)
+        bitmap = mask_bitmap(mask, self.nrows)
         name = algorithm if algorithm is not None else self.algorithm
         get_algorithm(name)  # validate the kernel name before dispatching
         return {"x": x, "name": name, "semiring": semiring,
                 "mask": bitmap, "mask_complement": mask_complement,
                 "slices": slice_frontier(x, self.split.col_ranges),
-                "out_dtype": np.result_type(self.matrix.dtype, x.dtype),
+                "out_dtype": np.result_type(self.strips[0].dtype, x.dtype),
                 "x_sorted": x.sorted, "batch": _batch,
                 "t0": time.perf_counter()}
 
@@ -175,15 +175,15 @@ class ColumnShardedEngine(SpMSpVEngine):
         x = plan["x"]
         name = plan["name"]
         y, reduce_metrics = reduce_partials(
-            partials, semiring=plan["semiring"], nrows=self.matrix.nrows,
+            partials, semiring=plan["semiring"], nrows=self.nrows,
             x_sorted=plan["x_sorted"], out_dtype=plan["out_dtype"])
         record = merge_partial_records(
             [p.record for p in partials], algorithm=name,
             num_strips=self.num_shards, reduce_metrics=reduce_metrics,
             wall_time_s=time.perf_counter() - plan["t0"])
         df = record.info.get("df", 0)
-        record.info.update({"m": self.matrix.nrows, "n": self.matrix.ncols,
-                            "nnz_A": self.matrix.nnz, "f": x.nnz,
+        record.info.update({"m": self.nrows, "n": self.ncols,
+                            "nnz_A": self.nnz, "f": x.nnz,
                             "nnz_y": y.nnz, "shards": self.num_shards,
                             "early_mask": plan["mask"] is not None})
         self._log_call(name, x.nnz, x.n, record.wall_time_s * 1e3, plan["batch"])
@@ -235,7 +235,7 @@ class ColumnShardedEngine(SpMSpVEngine):
         engine for reporting."""
         return {"acquisitions": 0, "allocations": 0, "allocations_saved": 0,
                 "reuse_fraction": 0.0, "bucket_capacity": 0,
-                "spa_rows": self.matrix.nrows, "block_capacity": 0}
+                "spa_rows": self.nrows, "block_capacity": 0}
 
 
 def make_sharded_engine(matrix: CSCMatrix, shards: int,

@@ -27,7 +27,8 @@ once:
   once and routes it into one :class:`~repro.formats.delta.DeltaLog` per
   strip (``deltas``; the whole layout's log is ``deltas[0]``).  Reads
   overlay a per-strip patch correction until a strip crosses the
-  compaction break-even and is rebuilt alone.
+  compaction break-even and is rebuilt alone; ``matrix`` joins the strips
+  again on its next read.
 * **Lifecycle and reporting** — ``close``, ``health_stats``,
   ``delta_stats``, ``effective_matrix`` and one ``summary`` shape for
   every layout.
@@ -46,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..formats.coo import COOMatrix
 from ..formats.csc import CSCMatrix
 from ..formats.delta import (
     DeltaLog,
@@ -55,6 +55,7 @@ from ..formats.delta import (
     check_updates,
     splice_overlay,
 )
+from ..formats.partition import join_strips
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
 from ..parallel.backends import ExecutionBackend, idle_health
@@ -167,15 +168,15 @@ class SpMSpVEngine:
         from .dispatch import get_algorithm  # late: avoids import cycle
 
         get_algorithm(algorithm)  # an unknown default fails before any pool starts
-        self.matrix = matrix
+        self._matrix: Optional[CSCMatrix] = matrix
+        #: shape and nnz of ``matrix``, which calls read without a join
+        self.nrows, self.ncols = matrix.shape
+        self.nnz = matrix.nnz
         self.ctx = ctx if ctx is not None else default_context()
         self.algorithm = algorithm
         #: the base strips (CSC); for the whole layout, ``[matrix]``
         self.strips = strips
         self._lows = np.asarray(lows, dtype=np.int64)
-        #: (row, col) of each strip's first entry in the full matrix
-        self._offsets = [(int(lo), 0) if self._split_axis == 0 else (0, int(lo))
-                         for lo in lows]
         strip_nnz = np.array([strip.nnz for strip in strips], dtype=np.float64)
         mean_nnz = float(strip_nnz.mean())
         #: static max/mean stored-entry balance of the partition
@@ -220,7 +221,8 @@ class SpMSpVEngine:
         :meth:`_replace_strip`, and its delta resets.
         """
         with self._lock:
-            rows, cols, values = check_updates(self.matrix.shape, rows, cols, values)
+            rows, cols, values = check_updates((self.nrows, self.ncols),
+                                               rows, cols, values)
             compacted: List[int] = []
             for s, local_rows, local_cols, local_values in self._route(
                     rows, cols, values):
@@ -243,8 +245,9 @@ class SpMSpVEngine:
                                    side="right") - 1
         for s in np.unique(strip_of).tolist():
             sel = strip_of == s
-            row_lo, col_lo = self._offsets[s]
-            yield (s, rows[sel] - row_lo, cols[sel] - col_lo,
+            lo = self._lows[s]
+            yield (s, rows[sel] - (0 if self._split_axis else lo),
+                   cols[sel] - (lo if self._split_axis else 0),
                    None if values is None else values[sel])
 
     def _maybe_compact_locked(self, s: int) -> bool:
@@ -267,6 +270,8 @@ class SpMSpVEngine:
         strip = apply_delta(self.strips[s], self.deltas[s])
         self._replace_strip(s, strip)
         self.strips[s] = strip
+        self._matrix = None  # the strips are joined again on the next read
+        self.nnz = sum(strip.nnz for strip in self.strips)
         self.deltas[s] = DeltaLog(strip.shape)
         self._patches[s] = None
         self._row_nnz[s] = None
@@ -274,9 +279,18 @@ class SpMSpVEngine:
         return True
 
     def _replace_strip(self, s: int, strip: CSCMatrix) -> None:
-        """Where a compacted strip goes: the whole layout computes with it
-        directly; the sharded layouts push it to their backend."""
-        self.matrix = strip
+        """Where a compacted strip goes before it becomes ``strips[s]``: the
+        whole layout computes with ``strips[0]`` directly; the sharded
+        layouts push it to their backend."""
+
+    @property
+    def matrix(self) -> CSCMatrix:
+        """The matrix the base strips hold, pending deltas aside: a
+        compaction drops it, and the next read joins the strips in O(nnz)."""
+        with self._lock:
+            if self._matrix is None:
+                self._matrix = join_strips(self.strips, self._split_axis)
+            return self._matrix
 
     def compact(self, strip: Optional[int] = None) -> bool:
         """Fold pending deltas into their base strips now (only ``strip``
@@ -289,18 +303,9 @@ class SpMSpVEngine:
     def effective_matrix(self) -> CSCMatrix:
         """The full matrix this engine currently computes with (base ⊕ delta)."""
         with self._lock:
-            effective = [strip if delta.is_empty else apply_delta(strip, delta)
-                         for strip, delta in zip(self.strips, self.deltas)]
-            if len(effective) == 1:
-                return effective[0]
-            coos = [strip.to_coo() for strip in effective]
-            offsets = self._offsets
-            return CSCMatrix.from_coo(
-                COOMatrix(self.matrix.shape,
-                          np.concatenate([c.rows + r for c, (r, _) in zip(coos, offsets)]),
-                          np.concatenate([c.cols + k for c, (_, k) in zip(coos, offsets)]),
-                          np.concatenate([c.vals for c in coos]), check=False),
-                sum_duplicates=False)
+            return join_strips([strip if delta.is_empty else apply_delta(strip, delta)
+                                for strip, delta in zip(self.strips, self.deltas)],
+                               self._split_axis)
 
     def delta_stats(self) -> Dict[str, object]:
         with self._lock:
@@ -382,7 +387,7 @@ class SpMSpVEngine:
             fn = get_algorithm(name)
             if workspace is None:
                 workspace = self.workspace
-            result = fn(self.matrix, x, self.ctx, semiring=semiring,
+            result = fn(self.strips[0], x, self.ctx, semiring=semiring,
                         sorted_output=sorted_output, mask=mask,
                         mask_complement=mask_complement, workspace=workspace,
                         **kwargs)
@@ -503,7 +508,7 @@ class SpMSpVEngine:
             if block is None:
                 block = SparseVectorBlock.from_vectors(xs)
             results = spmspv_bucket_block(
-                self.matrix, block, self.ctx, semiring=semiring,
+                self.strips[0], block, self.ctx, semiring=semiring,
                 sorted_output=sorted_output, masks=masks,
                 mask_complement=mask_complement, workspace=self.workspace)
             if not self.deltas[0].is_empty:
@@ -594,8 +599,8 @@ class SpMSpVEngine:
         }
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"{type(self).__name__}(matrix={self.matrix.nrows}x"
-                f"{self.matrix.ncols}, shards={self.num_shards}, "
+        return (f"{type(self).__name__}(matrix={self.nrows}x"
+                f"{self.ncols}, shards={self.num_shards}, "
                 f"algorithm={self.algorithm!r}, calls={self.total_calls})")
 
 

@@ -137,7 +137,7 @@ class ShardedEngine(SpMSpVEngine):
         strip's early and late masking behave exactly like the full mask
         restricted to its rows.  Raises for a mask outside the row space.
         """
-        bitmap = mask_bitmap(mask, self.matrix.nrows)
+        bitmap = mask_bitmap(mask, self.nrows)
         if bitmap is None:
             return [None] * self.num_shards
         return [bitmap[lo:hi] for lo, hi in self.split.row_ranges]
@@ -152,11 +152,11 @@ class ShardedEngine(SpMSpVEngine):
                 idx_parts.append((v.indices + lo).astype(INDEX_DTYPE, copy=False))
                 val_parts.append(v.values)
         if not idx_parts:
-            return SparseVector(self.matrix.nrows, np.empty(0, dtype=INDEX_DTYPE),
+            return SparseVector(self.nrows, np.empty(0, dtype=INDEX_DTYPE),
                                 np.empty(0, dtype=vectors[0].dtype if vectors
                                          else np.float64),
                                 sorted=sorted_flag, check=False)
-        return SparseVector(self.matrix.nrows, np.concatenate(idx_parts),
+        return SparseVector(self.nrows, np.concatenate(idx_parts),
                             np.concatenate(val_parts), sorted=sorted_flag,
                             check=False)
 
@@ -255,7 +255,7 @@ class ShardedEngine(SpMSpVEngine):
         """
         from .dispatch import get_algorithm  # late: avoids import cycle
 
-        check_operands(self.matrix, x)
+        check_operands(self, x)
         mask_slices = self._slice_mask(mask)
         name = algorithm if algorithm is not None else self.algorithm
         fn = get_algorithm(name)  # validate the kernel name before dispatching
@@ -287,8 +287,8 @@ class ShardedEngine(SpMSpVEngine):
         record = self._merge_records(
             [o.record for o in outs], assignment,
             algorithm=f"sharded[{self.num_shards}]:{outs[0].record.algorithm}",
-            info={"m": self.matrix.nrows, "n": self.matrix.ncols,
-                  "nnz_A": self.matrix.nnz, "f": x.nnz,
+            info={"m": self.nrows, "n": self.ncols,
+                  "nnz_A": self.nnz, "f": x.nnz,
                   "df": sum(dfs), "nnz_y": y.nnz,
                   "shards": self.num_shards,
                   "shard_imbalance": assignment.imbalance(),
@@ -378,8 +378,8 @@ class ShardedEngine(SpMSpVEngine):
             record = self._merge_records(
                 [o.record for o in outs], assignment,
                 algorithm=f"sharded[{self.num_shards}]:{outs[0].record.algorithm}",
-                info={"m": self.matrix.nrows, "n": self.matrix.ncols,
-                      "nnz_A": self.matrix.nnz, "f": int(nnzs[i]),
+                info={"m": self.nrows, "n": self.ncols,
+                      "nnz_A": self.nnz, "f": int(nnzs[i]),
                       "df": df_i, "nnz_y": y.nnz, "fused": True,
                       "block_k": k, "shards": self.num_shards})
             record.wall_time_s = wall_share_s
@@ -411,7 +411,7 @@ class ShardedEngine(SpMSpVEngine):
             "allocations_saved": saved,
             "reuse_fraction": saved / acq if acq else 0.0,
             "bucket_capacity": sum(s["bucket_capacity"] for s in stats),
-            "spa_rows": self.matrix.nrows,
+            "spa_rows": self.nrows,
             "block_capacity": sum(s["block_capacity"] for s in stats),
         }
 

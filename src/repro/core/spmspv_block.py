@@ -283,9 +283,8 @@ def spmspv_bucket_block(matrix: CSCMatrix,
             bitmap_probes=int(round(pairs_per_chunk[tid] * probe_fraction)),
             multiplications=kept_chunk,
             bucket_writes=kept_chunk,
+            buffer_writes=kept_chunk,
         )
-        if ctx.private_buffer_size > 0:
-            metrics.buffer_writes += kept_chunk
         metrics.cache_line_misses = estimate_column_gather_misses(
             len(chunks[tid]), entries_per_chunk[tid], n, input_sorted=True)
         bucketing_phase.thread_metrics.append(metrics)

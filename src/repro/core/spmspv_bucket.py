@@ -256,8 +256,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
         metrics.multiplications = len(rows)
         metrics.bucket_writes = len(rows)
         # thread-private staging buffers turn part of the scatter into streaming writes
-        if ctx.private_buffer_size > 0:
-            metrics.buffer_writes += len(rows)
+        metrics.buffer_writes += len(rows)
         metrics.cache_line_misses = estimate_column_gather_misses(
             len(chunk), len(rows), n, input_sorted=x.sorted)
         return metrics
@@ -442,8 +441,7 @@ def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
         buck.matrix_nnz_reads = total_entries
         buck.multiplications = total_entries
         buck.bucket_writes = total_entries
-        if ctx.private_buffer_size > 0:
-            buck.buffer_writes += total_entries
+        buck.buffer_writes += total_entries
         buck.cache_line_misses = estimate_column_gather_misses(
             f, total_entries, n, input_sorted=x.sorted)
     else:

@@ -497,7 +497,8 @@ class BlockBuffers:
         """Grow/retype the backing arrays; returns True if a reallocation happened."""
         if needed > self.capacity or (dtype is not None
                                       and np.dtype(dtype) != self.values.dtype):
-            self.capacity = max(needed, self.capacity)
+            if needed > self.capacity:  # geometric: a rising need reallocates rarely
+                self.capacity = max(needed, 2 * self.capacity)
             self.rows = np.empty(self.capacity, dtype=INDEX_DTYPE)
             self.values = np.empty(self.capacity,
                                    dtype=dtype if dtype is not None else self.values.dtype)

@@ -92,6 +92,38 @@ def column_split(matrix: CSCMatrix, parts: int) -> ColumnSplit:
     return ColumnSplit(ranges, strips)
 
 
+def join_strips(strips: List[CSCMatrix], axis: int) -> CSCMatrix:
+    """The matrix :func:`row_split` (``axis=0``) or :func:`column_split`
+    (``axis=1``) cut into ``strips``, in O(nnz): column strips concatenate;
+    in every column, a row strip's entries go after those of the strips
+    above it."""
+    if len(strips) == 1:
+        return strips[0]
+    is_sorted = all(s.sorted_within_columns for s in strips)
+    data = np.concatenate([s.data for s in strips])
+    if axis == 1:
+        offsets = np.cumsum([0] + [s.nnz for s in strips[:-1]])
+        indptr = np.concatenate([[0]] + [s.indptr[1:] + off
+                                         for s, off in zip(strips, offsets)])
+        return CSCMatrix((strips[0].nrows, sum(s.ncols for s in strips)), indptr,
+                         np.concatenate([s.indices for s in strips]), data,
+                         sorted_within_columns=is_sorted, check=False)
+    lows = np.cumsum([0] + [s.nrows for s in strips[:-1]])
+    counts = np.array([np.diff(s.indptr) for s in strips])
+    indptr = np.zeros(strips[0].ncols + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts.sum(axis=0), out=indptr[1:])
+    # where strip p's part of column j starts in the joined column j
+    starts = indptr[:-1] + np.cumsum(counts, axis=0) - counts
+    dest = np.concatenate([np.arange(s.nnz) + np.repeat(start - s.indptr[:-1], count)
+                           for s, start, count in zip(strips, starts, counts)])
+    indices = np.empty(len(dest), dtype=INDEX_DTYPE)
+    indices[dest] = np.concatenate([s.indices + lo for s, lo in zip(strips, lows)])
+    joined = np.empty_like(data)
+    joined[dest] = data
+    return CSCMatrix((sum(s.nrows for s in strips), strips[0].ncols), indptr,
+                     indices, joined, sorted_within_columns=is_sorted, check=False)
+
+
 @dataclass(frozen=True)
 class GridPartition:
     """A 2-D ``pr × pc`` grid partition of a matrix."""

@@ -390,11 +390,14 @@ def _load_exception(dump, strip: int) -> BaseException:
     return _attach_strip_id(exc, strip, "process", remote_traceback=tb)
 
 
-def _send_obj(conn, obj) -> int:
-    """Pickle + send one control record; returns the exact pipe byte count."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    conn.send_bytes(payload)
-    return len(payload)
+def _dumps(obj) -> bytes:
+    """One control record as the bytes a pipe carries."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _send_obj(conn, obj) -> None:
+    """Pickle + send one control record."""
+    conn.send_bytes(_dumps(obj))
 
 
 def _payload_nbytes(descs) -> int:
@@ -1128,7 +1131,7 @@ class ProcessBackend(ExecutionBackend):
         self._strips[strip] = matrix
         w = strip % self.num_workers
         key = (strip, version)
-        if self._workers[w] is not None and self._send(w, ("update_strip", spec)):
+        if self._workers[w] is not None and self._send(w, _dumps(("update_strip", spec))):
             while key not in self._strip_acks:
                 conn = self._conns[w]
                 if conn is None:
@@ -1187,8 +1190,9 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # comm plane: packing, granting, pumping
     # ------------------------------------------------------------------ #
-    def _send(self, w: int, msg) -> bool:
-        """Send one control record to worker ``w``; never raises.
+    def _send(self, w: int, payload: bytes) -> bool:
+        """Send one control record, pickled by :func:`_dumps`, to worker
+        ``w``; never raises.
 
         A send that fails (worker already dead, pipe gone) marks the worker
         dead, which attributes every strip it still owed to the affected
@@ -1201,11 +1205,11 @@ class ProcessBackend(ExecutionBackend):
             self._mark_dead(w)
             return False
         try:
-            nbytes = _send_obj(conn, msg)
+            conn.send_bytes(payload)
         except (BrokenPipeError, OSError):
             self._mark_dead(w)
             return False
-        self._comm["pipe_bytes_out"] += nbytes
+        self._comm["pipe_bytes_out"] += len(payload)
         self._comm["pipe_msgs_out"] += 1
         return True
 
@@ -1296,7 +1300,7 @@ class ProcessBackend(ExecutionBackend):
                     region = arena.reserve(needed)
                     token.out_regions[strip] = region
                     refs[strip] = arena.ref(region)
-                if self._send(w, ("flush", call_id, refs)):
+                if self._send(w, _dumps(("flush", call_id, refs))):
                     token.flushing.add(w)
             else:
                 token.outstanding.pop(w, None)
@@ -1415,13 +1419,13 @@ class ProcessBackend(ExecutionBackend):
                 self._out_arenas[s].release(old)
             out_refs[s] = self._grant(token, s)
             token.attempts[s] = token.attempts.get(s, 0) + 1
-        msg = (token.op, token.call_id, strips,
-               {s: self._strip_versions[s] for s in strips}, token.shared,
-               token.in_ref, {s: token.strip_specs[s] for s in strips},
-               out_refs)
+        payload = _dumps((token.op, token.call_id, strips,
+                          {s: self._strip_versions[s] for s in strips},
+                          token.shared, token.in_ref,
+                          {s: token.strip_specs[s] for s in strips}, out_refs))
         token.pending.add(w)
         token.outstanding.setdefault(w, set()).update(strips)
-        self._send(w, msg)
+        self._send(w, payload)
 
     def _recover(self, token: _Inflight) -> None:
         """Resolve the call's lost strips: retry, degrade, or raise."""
@@ -1548,19 +1552,25 @@ class ProcessBackend(ExecutionBackend):
             return token
         from ..core.workspace import pack_arrays  # late: avoids import cycle
 
-        strip_arg = _STRIP_ARG[op]
-        packing = _Packing()
-        token.shared = {name: _encode(value, packing)
-                        for name, value in args.items() if name != strip_arg}
-        token.strip_specs = [_encode(value, packing)
-                             for value in args[strip_arg]]
-        token.input_region = self._input_arena.reserve(packing.nbytes)
-        pack_arrays(self._input_arena.view(token.input_region), packing.arrays)
-        token.in_ref = self._input_arena.ref(token.input_region)
-        self._comm["slab_bytes_in"] += packing.nbytes
-        for w in range(self.num_workers):
-            if self.assignment[w]:
-                self._dispatch(token, w, self.assignment[w])
+        try:
+            strip_arg = _STRIP_ARG[op]
+            packing = _Packing()
+            token.shared = {name: _encode(value, packing)
+                            for name, value in args.items() if name != strip_arg}
+            token.strip_specs = [_encode(value, packing)
+                                 for value in args[strip_arg]]
+            token.input_region = self._input_arena.reserve(packing.nbytes)
+            pack_arrays(self._input_arena.view(token.input_region), packing.arrays)
+            token.in_ref = self._input_arena.ref(token.input_region)
+            self._comm["slab_bytes_in"] += packing.nbytes
+            for w in range(self.num_workers):
+                if self.assignment[w]:
+                    self._dispatch(token, w, self.assignment[w])
+        except BaseException:
+            # finalized like an abandoned call: the regions of strips already
+            # sent are released once their late replies drain
+            self._finalize(token)
+            raise
         return token
 
     def gather(self, token: _Inflight) -> List[List]:

@@ -19,7 +19,10 @@ its parallel environment:
   implements one call method,
   :meth:`~repro.parallel.backends.ExecutionBackend.run`; see
   :mod:`repro.parallel.backends`.  ``backend_workers`` caps the process
-  pool's size (0 = one worker per strip, up to the machine's core count).
+  pool's size (0 = one worker per strip, up to the machine's core count),
+* ``shard_scheme`` — ``'row'`` or ``'column'`` strips; the algorithm entry
+  points (``bfs``, ``pagerank``, ...) take a ``shards=`` run's scheme and
+  backend from the context alone.
 """
 
 from __future__ import annotations
@@ -71,16 +74,13 @@ class ExecutionContext:
     scheduling: str = "dynamic"
     platform: Platform = field(default_factory=lambda: EDISON)
     sorted_vectors: bool = True
-    #: size (entries) of the thread-private staging buffer used for cache-friendly
-    #: bucket insertion (§III-A, "Cache efficiency"); 0 disables the buffer.
-    private_buffer_size: int = 512
     #: execution backend for sharded engines ('emulated' | 'process' | any
     #: name registered with :func:`repro.parallel.backends.register_backend`)
     backend: str = "emulated"
     #: worker-process cap for the process backend; 0 = min(shards, cpu_count)
     backend_workers: int = 0
-    #: default matrix-partitioning scheme for sharded engines built through
-    #: the algorithm entry points (``bfs``/``pagerank``/...): ``'row'`` (1-D
+    #: matrix-partitioning scheme of the sharded engines built through the
+    #: algorithm entry points (``bfs``/``pagerank``/...): ``'row'`` (1-D
     #: horizontal strips, no reduction, every strip scans the whole frontier),
     #: ``'column'`` (1-D vertical DCSC strips, each reading only its private
     #: frontier slice, merged in a reduction phase — the paper's

@@ -26,6 +26,7 @@ worker assignment is exercised even on single-core machines.
 
 import gc
 import os
+import pickle
 import signal
 import time
 
@@ -611,33 +612,32 @@ def test_algorithms_match_across_backends():
 
     matrix = erdos_renyi(120, 4.0, seed=33)
     ctx = default_context(num_threads=2, backend="emulated")
+    pool = ctx.with_backend("process")
 
     ref = bfs(matrix, 0, ctx, shards=3)
-    out = bfs(matrix, 0, ctx, shards=3, backend="process")
+    out = bfs(matrix, 0, pool, shards=3)
     assert np.array_equal(ref.levels, out.levels)
     assert np.array_equal(ref.parents, out.parents)
     out.engine.close()
 
     ref_ms = bfs_multi_source(matrix, [0, 5, 11], ctx, shards=3,
                               block_mode="fused")
-    out_ms = bfs_multi_source(matrix, [0, 5, 11], ctx, shards=3,
-                              block_mode="fused", backend="process")
+    out_ms = bfs_multi_source(matrix, [0, 5, 11], pool, shards=3,
+                              block_mode="fused")
     assert np.array_equal(ref_ms.levels, out_ms.levels)
     assert np.array_equal(ref_ms.parents, out_ms.parents)
     assert ref_ms.iterations_per_source == out_ms.iterations_per_source
     out_ms.engine.close()
 
     ref_pr = pagerank(matrix, ctx, shards=2, restrict=np.arange(80))
-    out_pr = pagerank(matrix, ctx, shards=2, restrict=np.arange(80),
-                      backend="process")
+    out_pr = pagerank(matrix, pool, shards=2, restrict=np.arange(80))
     assert np.array_equal(ref_pr.scores, out_pr.scores)
     assert ref_pr.num_iterations == out_pr.num_iterations
     out_pr.engine.close()
 
     seeds = [np.arange(3), np.arange(40, 44)]
     ref_pb = pagerank_block(matrix, seeds, ctx, shards=2, block_mode="fused")
-    out_pb = pagerank_block(matrix, seeds, ctx, shards=2, block_mode="fused",
-                            backend="process")
+    out_pb = pagerank_block(matrix, seeds, pool, shards=2, block_mode="fused")
     assert np.array_equal(ref_pb.scores, out_pb.scores)
     assert ref_pb.iterations_per_source == out_pb.iterations_per_source
     out_pb.engine.close()
@@ -766,3 +766,79 @@ def test_unpicklable_worker_exceptions_degrade_to_backend_error():
         proc.close()
         dispatch._REGISTRY.pop("_test_raise_unpicklable", None)
         dispatch._REGISTRY.pop("_test_raise_unloadable", None)
+
+
+class _Unpicklable:
+    """A kernel argument the pool cannot ship: pickling it raises."""
+
+    def __reduce__(self):
+        raise pickle.PicklingError("stays in the parent")
+
+
+def _kernel_tagged(matrix, x, ctx=None, *, tag=None, **kwargs):
+    from repro.core.dispatch import get_algorithm
+
+    return get_algorithm("bucket")(matrix, x, ctx, **kwargs)
+
+
+def test_call_failing_before_dispatch_is_released():
+    """A call whose kernel kwargs do not pickle raises in the parent before
+    any worker sees it.  It must leave nothing registered: no call in
+    flight, every slab region back, and a later compaction goes through."""
+    from repro.core import dispatch
+    from repro.core.dispatch import register_algorithm
+    from repro.graphs.generators import erdos_renyi
+
+    dispatch.get_algorithm("bucket")  # populate the lazy registry first
+    register_algorithm("_test_tagged", _kernel_tagged, overwrite=True)
+    matrix = erdos_renyi(60, 4.0, seed=1)
+    x = SparseVector.full_like_indices(60, np.arange(0, 60, 7), 1.0)
+    try:
+        with ShardedEngine(matrix, 2,
+                           default_context(backend="process", backend_workers=2),
+                           algorithm="bucket") as engine:
+            with pytest.raises(pickle.PicklingError):
+                engine.multiply(x, algorithm="_test_tagged", tag=_Unpicklable())
+            assert engine.backend.comm_stats()["inflight"] == 0
+            assert all(a.outstanding == 0 for a in engine.backend._arenas)
+            engine.apply_updates([0], [1], [2.0])
+            assert engine.compact()
+            ref = make_sharded_engine(engine.effective_matrix(), 2,
+                                      default_context(backend="emulated"))
+            assert_bit_identical(ref.multiply(x, sorted_output=True).vector,
+                                 engine.multiply(x, sorted_output=True).vector,
+                                 "after compaction")
+    finally:
+        dispatch._REGISTRY.pop("_test_tagged", None)
+
+
+def test_call_interrupted_after_send_keeps_its_regions_until_the_reply():
+    """An interrupt that lands once a call message is on the pipe abandons
+    the call: the worker still reads its input region and writes its output
+    region, so both stay held until its late reply drains."""
+    from repro.graphs.generators import erdos_renyi
+
+    matrix = erdos_renyi(60, 4.0, seed=1)
+    x = SparseVector.full_like_indices(60, np.arange(0, 60, 7), 1.0)
+    with ShardedEngine(matrix, 2,
+                       default_context(backend="process", backend_workers=2),
+                       algorithm="bucket") as engine:
+        backend = engine.backend
+        send = backend._send
+
+        def send_then_interrupt(w, payload):
+            send(w, payload)
+            del backend._send  # interrupt only the first send
+            raise KeyboardInterrupt
+
+        backend._send = send_then_interrupt
+        with pytest.raises(KeyboardInterrupt):
+            engine.multiply(x)
+        assert backend.comm_stats()["inflight"] == 1
+        assert any(a.outstanding for a in backend._arenas)
+        ref = make_sharded_engine(matrix, 2, default_context(backend="emulated"))
+        assert_bit_identical(ref.multiply(x, sorted_output=True).vector,
+                             engine.multiply(x, sorted_output=True).vector,
+                             "after the interrupted call")
+        assert backend.comm_stats()["inflight"] == 0
+        assert all(a.outstanding == 0 for a in backend._arenas)

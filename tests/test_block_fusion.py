@@ -464,6 +464,19 @@ def test_workspace_sort_keys_allocated_lazily_and_reused():
     assert engine.workspace.block.sort_keys is keys
 
 
+def test_block_buffers_grow_geometrically():
+    """A slowly rising pair count reallocates the block buffers rarely: 101
+    acquisitions of 1,000 to 1,100 pairs allocate at most twice."""
+    from repro.core.workspace import SpMSpVWorkspace
+
+    workspace = SpMSpVWorkspace(100)
+    for needed in range(1000, 1101):
+        workspace.acquire_block(needed)
+    assert workspace.acquisitions == 101
+    assert workspace.allocations <= 2
+    assert workspace.block.capacity >= 1100
+
+
 # --------------------------------------------------------------------------- #
 # restricted (masked) PageRank through the block path
 # --------------------------------------------------------------------------- #

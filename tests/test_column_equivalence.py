@@ -269,29 +269,30 @@ def test_make_sharded_engine_resolves_scheme(monkeypatch):
 
 def test_bfs_with_column_scheme_matches_unsharded():
     graph = random_csc(40, 40, 0.12, seed=8)
+    column = default_context(shard_scheme="column")
     ref = bfs(graph, 0)
-    col = bfs(graph, 0, shards=3, shard_scheme="column")
+    col = bfs(graph, 0, column, shards=3)
     assert isinstance(col.engine, ColumnShardedEngine)
     assert np.array_equal(ref.levels, col.levels)
     assert np.array_equal(ref.parents, col.parents)
     multi_ref = bfs_multi_source(graph, [0, 5, 11], block_mode="looped")
-    multi_col = bfs_multi_source(graph, [0, 5, 11], shards=3,
-                                 shard_scheme="column")
+    multi_col = bfs_multi_source(graph, [0, 5, 11], column, shards=3)
     assert np.array_equal(multi_ref.levels, multi_col.levels)
     assert np.array_equal(multi_ref.parents, multi_col.parents)
 
 
 def test_pagerank_with_column_scheme_matches_unsharded():
     graph = random_csc(35, 35, 0.15, seed=9)
+    column = default_context(shard_scheme="column")
     ref = pagerank(graph, tol=1e-9)
-    col = pagerank(graph, tol=1e-9, shards=3, shard_scheme="column")
+    col = pagerank(graph, column, tol=1e-9, shards=3)
     assert isinstance(col.engine, ColumnShardedEngine)
     assert ref.num_iterations == col.num_iterations
     assert ref.scores.tobytes() == col.scores.tobytes()
     blk_ref = pagerank_block(graph, [np.array([0, 3]), np.array([7])],
                              tol=1e-9, block_mode="looped")
-    blk_col = pagerank_block(graph, [np.array([0, 3]), np.array([7])],
-                             tol=1e-9, shards=3, shard_scheme="column")
+    blk_col = pagerank_block(graph, [np.array([0, 3]), np.array([7])], column,
+                             tol=1e-9, shards=3)
     assert blk_ref.scores.tobytes() == blk_col.scores.tobytes()
 
 

@@ -157,6 +157,34 @@ def test_malformed_updates_raise_format_error_on_every_layout(layout):
         assert matrices_equal(engine.effective_matrix(), matrix)
 
 
+@pytest.mark.parametrize("layout", ["whole", "row", "column"])
+def test_matrix_follows_compaction_on_every_layout(layout):
+    """After compactions, ``engine.matrix`` holds the compacted strips on
+    every layout, and the next call's record reports its nnz."""
+    from repro.graphs.generators import erdos_renyi
+
+    matrix = erdos_renyi(40, 4.0, seed=3)
+    ctx = default_context(backend="emulated")
+    engine = (SpMSpVEngine(matrix, ctx) if layout == "whole"
+              else make_sharded_engine(matrix, 2, ctx, scheme=layout))
+    rng = np.random.default_rng(0)
+    expected = matrix.to_dense()
+    with engine:
+        for _ in range(300):
+            rows, cols = rng.integers(0, 40, size=1), rng.integers(0, 40, size=1)
+            engine.apply_updates(rows, cols, [1.0])
+            expected[rows, cols] = 1.0
+        assert engine.compactions > 0
+        result = engine.multiply(SparseVector.full_like_indices(40, np.arange(40), 1.0))
+        stored = sum(strip.nnz for strip in engine.strips)
+        assert engine.matrix.nnz == stored
+        assert result.record.info["nnz_A"] == stored
+        engine.compact()  # fold what is still pending into the strips
+        assert engine.matrix.nnz == engine.nnz == np.count_nonzero(expected)
+        assert engine.matrix.sorted_within_columns
+        assert np.array_equal(engine.matrix.to_dense(), expected)
+
+
 # --------------------------------------------------------------------------- #
 # compaction locality
 # --------------------------------------------------------------------------- #

@@ -133,7 +133,7 @@ def test_bfs_visited_map_does_the_reference_work_per_level(scale_free_graph, lay
         result = bfs(matrix, source, CTX)
         engine = SpMSpVEngine(matrix, CTX, algorithm="bucket")
     else:
-        result = bfs(matrix, source, CTX, shards=3, shard_scheme=layout)
+        result = bfs(matrix, source, CTX.with_shard_scheme(layout), shards=3)
         engine = make_sharded_engine(matrix, 3, CTX, algorithm="bucket",
                                      scheme=layout)
     with engine:
