@@ -103,7 +103,7 @@ def format_workspace_stats(workspace: "SpMSpVWorkspace", *,
     stats = workspace.stats()
     rows = [[key, stats[key]] for key in
             ("acquisitions", "allocations", "allocations_saved",
-             "reuse_fraction", "bucket_capacity", "spa_rows")]
+             "reuse_fraction", "bucket_capacity", "block_capacity")]
     return format_table(["workspace metric", "value"], rows,
                         title=title if title is not None
                         else "Workspace reuse (the §III-A memory-allocation optimization)")

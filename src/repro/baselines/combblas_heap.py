@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .._typing import INDEX_DTYPE
+from ..core.buckets import merge_rows
 from ..core.result import SpMSpVResult
 from ..core.vector_ops import Mask, finalize_output
 from ..core.workspace import SpMSpVWorkspace
@@ -32,7 +33,6 @@ from ..semiring import PLUS_TIMES, Semiring
 from .common import (
     check_operands,
     gather_selected,
-    merge_entries,
     per_strip_counts,
     strip_boundaries,
     strip_nonempty_columns,
@@ -49,6 +49,8 @@ def spmspv_combblas_heap(matrix: CSCMatrix, x: SparseVector,
     """Row-split, heap-merge SpMSpV (CombBLAS style)."""
     ctx = ctx if ctx is not None else default_context()
     check_operands(matrix, x)
+    if workspace is not None:
+        workspace.check_rows(matrix.nrows)
     if sorted_output is None:
         sorted_output = x.sorted and ctx.sorted_vectors
 
@@ -61,8 +63,8 @@ def spmspv_combblas_heap(matrix: CSCMatrix, x: SparseVector,
 
     rows, scaled = gather_selected(matrix, x, semiring)
     # the heap merge produces row-sorted output naturally
-    uind, values = merge_entries(rows, scaled, semiring, m=m,
-                                 sort_output=True, workspace=workspace)
+    uind, values = merge_rows(rows, scaled, semiring, m,
+                              sorted_output=True)[:2]
     record.info["workspace_reused"] = workspace is not None
 
     boundaries = strip_boundaries(m, t)

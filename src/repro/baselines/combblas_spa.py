@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .._typing import INDEX_DTYPE
+from ..core.buckets import merge_rows
 from ..core.result import SpMSpVResult
 from ..core.spa import SparseAccumulator
 from ..core.vector_ops import Mask, finalize_output
@@ -41,7 +42,6 @@ from ..semiring import PLUS_TIMES, Semiring
 from .common import (
     check_operands,
     gather_selected,
-    merge_entries,
     per_strip_counts,
     strip_boundaries,
     strip_nonempty_columns,
@@ -58,6 +58,8 @@ def spmspv_combblas_spa(matrix: CSCMatrix, x: SparseVector,
     """Row-split, private-SPA SpMSpV (CombBLAS style)."""
     ctx = ctx if ctx is not None else default_context()
     check_operands(matrix, x)
+    if workspace is not None:
+        workspace.check_rows(matrix.nrows)
     if sorted_output is None:
         sorted_output = x.sorted and ctx.sorted_vectors
 
@@ -69,8 +71,8 @@ def spmspv_combblas_spa(matrix: CSCMatrix, x: SparseVector,
                              info={"m": m, "n": matrix.ncols, "f": f})
 
     rows, scaled = gather_selected(matrix, x, semiring)
-    uind, values = merge_entries(rows, scaled, semiring, m=m,
-                                 sort_output=sorted_output, workspace=workspace)
+    uind, values = merge_rows(rows, scaled, semiring, m,
+                              sorted_output=sorted_output)[:2]
     record.info["workspace_reused"] = workspace is not None
 
     boundaries = strip_boundaries(m, t)

@@ -14,6 +14,11 @@ Two quantities depend only on ``(matrix, t)`` and are therefore cached:
 * the row-strip boundaries, and
 * the number of non-empty columns per strip (``nzc_strip``), which drives the
   O(nzc) term of the matrix-driven GraphMat baseline.
+
+Every baseline combines its gathered entries with the row merge the bucket
+kernel uses (:func:`~repro.core.buckets.merge_rows`), so they differ only in
+the work they are charged (their SPA, heap and sort costs are counted
+analytically) and accept ``workspace=`` without writing to it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 from .._typing import INDEX_DTYPE
 from ..core.vector_ops import check_operands  # noqa: F401  (shared re-export)
-from ..core.workspace import SpMSpVWorkspace, as_workspace, merge_by_row  # noqa: F401
 from ..formats.csc import CSCMatrix
 from ..formats.partition import split_ranges
 from ..formats.sparse_vector import SparseVector
@@ -136,33 +140,6 @@ def gather_selected(matrix: CSCMatrix, x: SparseVector, semiring: Semiring):
         return rows, np.empty(0, dtype=np.result_type(matrix.dtype, x.dtype))
     scaled = semiring.multiply(vals, x.values[src])
     return rows, np.asarray(scaled)
-
-
-def merge_entries(rows: np.ndarray, values: np.ndarray, semiring: Semiring, *,
-                  m: int, sort_output: bool = True,
-                  workspace: Optional[SpMSpVWorkspace] = None,
-                  publish: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-merge gathered entries, through the workspace's dense scratch if given.
-
-    This is the shared ``workspace=`` plumbing of all row-split baselines:
-    with a workspace the merge runs through its persistent
-    :class:`~repro.core.workspace.DenseScratch` — the dense accumulator that
-    models the strip-private SPA CombBLAS/GraphMat merge through, allocated
-    once per matrix; without one it falls back to :func:`merge_by_row`.  The
-    two paths are bit-identical.  ``publish`` additionally writes the merged
-    values into (and reads them back from) the dense buffer — O(nnz_y)
-    extra traffic that changes no bit and no work metric (the baselines'
-    SPA cost is accounted analytically), so it is **off** for the
-    engine-internal calls every kernel makes and opt-in for callers that
-    want the dense state observable.
-    """
-    workspace = as_workspace(workspace)
-    if workspace is None:
-        return merge_by_row(rows, values, semiring, sort_output=sort_output)
-    workspace.check_rows(m)
-    scratch = workspace.acquire_scratch(values.dtype if len(values) else None)
-    return scratch.merge(rows, values, semiring, sort_output=sort_output,
-                         publish=publish)
 
 
 def per_strip_counts(rows: np.ndarray, boundaries: np.ndarray,

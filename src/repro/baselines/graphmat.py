@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.buckets import merge_rows
 from ..core.result import SpMSpVResult
 from ..core.spa import SparseAccumulator
 from ..core.vector_ops import Mask, finalize_output
@@ -37,7 +38,6 @@ from ..semiring import PLUS_TIMES, Semiring
 from .common import (
     check_operands,
     gather_selected,
-    merge_entries,
     per_strip_counts,
     strip_boundaries,
     strip_nonempty_columns,
@@ -54,6 +54,8 @@ def spmspv_graphmat(matrix: CSCMatrix, x: SparseVector,
     """Matrix-driven (GraphMat-style) SpMSpV."""
     ctx = ctx if ctx is not None else default_context()
     check_operands(matrix, x)
+    if workspace is not None:
+        workspace.check_rows(matrix.nrows)
     if sorted_output is None:
         sorted_output = x.sorted and ctx.sorted_vectors
 
@@ -67,8 +69,8 @@ def spmspv_graphmat(matrix: CSCMatrix, x: SparseVector,
     # The numerical result is the same as any vector-driven computation; the
     # *work* differs: every thread walks all non-empty columns of its strip.
     rows, scaled = gather_selected(matrix, x, semiring)
-    uind, values = merge_entries(rows, scaled, semiring, m=m,
-                                 sort_output=sorted_output, workspace=workspace)
+    uind, values = merge_rows(rows, scaled, semiring, m,
+                              sorted_output=sorted_output)[:2]
     record.info["workspace_reused"] = workspace is not None
 
     boundaries = strip_boundaries(m, t)

@@ -24,7 +24,6 @@ from .._typing import INDEX_DTYPE
 from ..core.result import SpMSpVResult
 from ..core.spa import SparseAccumulator
 from ..core.vector_ops import check_operands, finalize_output
-from ..core.workspace import SpMSpVWorkspace, as_workspace
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
@@ -61,8 +60,7 @@ def spmspv_scipy(matrix: CSCMatrix, x: SparseVector) -> SparseVector:
 
 def spmspv_sequential_spa(matrix: CSCMatrix, x: SparseVector, *,
                           semiring: Semiring = PLUS_TIMES,
-                          sorted_output: Optional[bool] = None,
-                          workspace: Optional[SpMSpVWorkspace] = None) -> SpMSpVResult:
+                          sorted_output: Optional[bool] = None) -> SpMSpVResult:
     """Work-optimal sequential SpMSpV: vector-driven with a partially initialized SPA.
 
     Complexity O(d·f): touches only the nonzeros of the selected columns and
@@ -77,14 +75,9 @@ def spmspv_sequential_spa(matrix: CSCMatrix, x: SparseVector, *,
                              info={"m": m, "n": matrix.ncols, "f": x.nnz})
 
     rows, scaled = gather_selected(matrix, x, semiring)
-    workspace = as_workspace(workspace)
-    if workspace is not None:
-        workspace.check_rows(m)
-        spa = workspace.acquire_spa(semiring, dtype=np.result_type(matrix.dtype, x.dtype))
-    else:
-        spa = SparseAccumulator(m, semiring=semiring,
-                                dtype=np.result_type(matrix.dtype, x.dtype))
-        spa.reset(semiring)
+    spa = SparseAccumulator(m, semiring=semiring,
+                            dtype=np.result_type(matrix.dtype, x.dtype))
+    spa.reset(semiring)
     fresh, combines = spa.accumulate(rows, scaled)
     uind, values = spa.extract(sort=sorted_output)
 

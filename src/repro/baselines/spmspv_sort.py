@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .._typing import INDEX_DTYPE
+from ..core.buckets import merge_rows
 from ..core.result import SpMSpVResult
 from ..core.vector_ops import Mask, finalize_output
 from ..core.workspace import SpMSpVWorkspace
@@ -33,7 +34,6 @@ from .common import (
     check_operands,
     gather_cost_chunks,
     gather_selected,
-    merge_entries,
     priced_gather_phase,
 )
 
@@ -48,6 +48,8 @@ def spmspv_sort(matrix: CSCMatrix, x: SparseVector,
     """Concatenate-sort-prune SpMSpV (GPU-style baseline)."""
     ctx = ctx if ctx is not None else default_context()
     check_operands(matrix, x)
+    if workspace is not None:
+        workspace.check_rows(matrix.nrows)
     if sorted_output is None:
         sorted_output = True  # the sort-based algorithm always produces sorted output
 
@@ -68,8 +70,8 @@ def spmspv_sort(matrix: CSCMatrix, x: SparseVector,
 
     # sort + prune phase
     sort_phase = PhaseRecord(name="sort_prune", parallel=True)
-    uind, values = merge_entries(rows, scaled, semiring, m=m,
-                                 sort_output=True, workspace=workspace)
+    uind, values = merge_rows(rows, scaled, semiring, m,
+                              sorted_output=True)[:2]
     record.info["workspace_reused"] = workspace is not None
     log_total = max(1.0, np.log2(max(total, 2)))
     outputs_total = len(uind)

@@ -31,7 +31,7 @@ from .vector_ops import (
     reduce_vector,
     where_values,
 )
-from .workspace import BlockBuffers, DenseScratch, SharedSlab, SpMSpVWorkspace
+from .workspace import BlockBuffers, SharedSlab, SpMSpVWorkspace
 
 __all__ = [
     "BlockBuffers",
@@ -40,7 +40,6 @@ __all__ = [
     "BucketStore",
     "ColumnPartial",
     "ColumnShardedEngine",
-    "DenseScratch",
     "EngineCall",
     "EngineGroup",
     "ShardedEngine",

@@ -1,4 +1,4 @@
-"""Buckets and the ESTIMATE-BUCKETS preprocessing step (Algorithm 2).
+"""Buckets, the ESTIMATE-BUCKETS step (Algorithm 2) and the row merge (Step 2).
 
 Step 1 of the SpMSpV-bucket algorithm stores every scaled matrix entry
 ``(i, x(j)·A(i,j))`` in the bucket responsible for row ``i``
@@ -10,17 +10,24 @@ region inside each bucket, making Step 1 lock-free.
 
 :class:`BucketStore` is preallocated once (its capacity is bounded by
 ``nnz(A)``, §III-A "Memory allocation") and reused across multiplications.
+
+Step 2 merges each bucket's entries by row.  :func:`merge_rows` is that merge
+for every kernel in the package, and :func:`merge_work` its per-thread work
+counts, derived from the segment sizes the merge reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._typing import INDEX_DTYPE, as_index_array
 from ..errors import ReproError
+from ..machine.cache import estimate_scatter_misses
+from ..parallel.metrics import WorkMetrics
+from ..semiring import Semiring
 
 
 def bucket_of_rows(rows: np.ndarray, num_buckets: int, num_rows: int) -> np.ndarray:
@@ -80,6 +87,95 @@ def bucket_row_ranges(num_buckets: int, num_rows: int) -> List[Tuple[int, int]]:
         hi = -(-(k + 1) * num_rows // num_buckets)     # ceil((k+1)*m/nb)
         ranges.append((lo, hi))
     return ranges
+
+
+def merge_rows(rows: np.ndarray, values: np.ndarray, semiring: Semiring,
+               num_rows: int, *,
+               sorted_output: bool = True, num_buckets: int = 1,
+               staging: Optional[np.ndarray] = None):
+    """Step 2 of Algorithm 1: combine a gathered (row, value) stream by row.
+
+    One stable row sort (:func:`stable_row_argsort`) groups equal rows and
+    keeps each row's addends in stream order, and one ``semiring.reduceat``
+    reduces every run.  A run's value depends only on its addends and their
+    order (``np.add.reduceat`` adds a run's first addend to the pairwise sum
+    of the rest, so the order matters in the last bits), and every kernel
+    merges through here: two kernels that feed the same stream get the same
+    bits.  Buckets are ascending row ranges, so the sorted stream is already
+    bucket-major and each bucket a contiguous segment of it.
+
+    Returns ``(uind, merged, sizes, uniques)``: the unique rows and their
+    values in output order (rows ascending; with ``sorted_output`` false,
+    buckets ascending and each bucket's rows in first-touch order, the
+    unsorted variant's order), and each of the ``num_buckets`` buckets'
+    entry and unique-row counts for :func:`merge_work`.  ``staging`` is
+    passed on to :func:`stable_row_argsort`.
+    """
+    p = len(rows)
+    if p == 0:
+        empty = np.zeros(num_buckets, dtype=INDEX_DTYPE)
+        return rows, values, empty, empty
+    order = stable_row_argsort(rows, num_rows, staging=staging)
+    sr = rows[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sr)) + 1))
+    uind = sr[starts]
+    merged = semiring.reduceat(values[order], starts)
+    if num_buckets == 1:
+        sizes, uniques = np.array([p]), np.array([len(uind)])
+    else:
+        bounds = np.array([lo for lo, _hi in bucket_row_ranges(num_buckets, num_rows)]
+                          + [num_rows], dtype=INDEX_DTYPE)
+        sizes = np.diff(np.searchsorted(sr, bounds))
+        uniques = np.diff(np.searchsorted(uind, bounds))
+    if not sorted_output:
+        # rank unique rows by (bucket, position of their first addend)
+        first = order[starts]
+        if num_buckets > 1:
+            first = bucket_of_rows(uind, num_buckets, num_rows) * (p + 1) + first
+        perm = np.argsort(first, kind="stable")
+        uind, merged = uind[perm], merged[perm]
+    return uind, merged, sizes, uniques
+
+
+def merge_work(sizes: Sequence[int], uniques: Sequence[int],
+               items_per_thread: Sequence[Sequence[int]], *,
+               sorted_output, num_rows: int, num_buckets: int,
+               cache_kb: float) -> List[WorkMetrics]:
+    """Each thread's Step-2 work, from the segments it merges.
+
+    Segment ``s`` (one bucket, or one bucket of one vector of a block)
+    holds ``sizes[s]`` entries over ``uniques[s]`` distinct rows;
+    ``items_per_thread`` is the schedule's assignment of segments to
+    threads, and ``sorted_output`` one flag or one flag per segment.  A
+    segment costs one SPA stamp and one SPA visit per entry (Algorithm 1,
+    lines 11-18), one addition per entry that meets its row again, one
+    append per unique row, a radix sort of its unique rows when the output
+    is sorted (§III-B: a linear integer sort, two moves per element), and
+    the scattered SPA writes into the bucket's ⌈m/nb⌉-row span, which is
+    what keeps the merge cache resident (§III).
+    """
+    sizes = np.asarray(sizes).tolist()
+    uniques = np.asarray(uniques).tolist()
+    flags = (list(sorted_output) if isinstance(sorted_output, (list, np.ndarray))
+             else [sorted_output] * len(sizes))
+    span_rows = max(1, -(-num_rows // num_buckets))
+    threads = []
+    for items in items_per_thread:
+        work = WorkMetrics()
+        for s in items:
+            size, uniq = sizes[s], uniques[s]
+            if size == 0:
+                continue
+            work.spa_inits += size
+            work.spa_updates += size
+            work.additions += size - uniq
+            work.buffer_writes += uniq
+            if flags[s]:
+                work.sort_elements += 2 * uniq
+            work.cache_line_misses += estimate_scatter_misses(
+                2 * size, span_rows, cache_kb)
+        threads.append(work)
+    return threads
 
 
 @dataclass
@@ -151,13 +247,17 @@ class BucketStore:
         self.offsets: BucketOffsets | None = None
         self.filled = 0
 
-    def ensure_capacity(self, needed: int, dtype=None) -> None:
-        """Grow the backing arrays if a multiplication needs more room."""
-        if needed > self.capacity or (dtype is not None and dtype != self.values.dtype):
-            self.capacity = max(needed, self.capacity)
+    def ensure_capacity(self, needed: int, dtype=None) -> bool:
+        """Grow/retype the backing arrays; returns True if a reallocation happened."""
+        if needed > self.capacity or (dtype is not None
+                                      and np.dtype(dtype) != self.values.dtype):
+            if needed > self.capacity:  # geometric: a rising need reallocates rarely
+                self.capacity = max(needed, 2 * self.capacity)
             self.rows = np.empty(self.capacity, dtype=INDEX_DTYPE)
             self.values = np.empty(self.capacity,
                                    dtype=dtype if dtype is not None else self.values.dtype)
+            return True
+        return False
 
     def attach_offsets(self, offsets: BucketOffsets, dtype=None) -> None:
         """Bind the ESTIMATE-BUCKETS result for the upcoming multiplication."""

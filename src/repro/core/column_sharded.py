@@ -229,13 +229,13 @@ class ColumnShardedEngine(SpMSpVEngine):
     def workspace_stats(self) -> Dict[str, float]:
         """Workspace reuse statistics — all zero for the column scheme.
 
-        The partial path has no SPA/bucket/heap merge on the strips (the
-        merge runs parent-side in the reduction), so no strip workspace is
-        ever acquired; the keys stay shape-compatible with the row-split
-        engine for reporting."""
+        The partial path has no merge on the strips (the merge runs
+        parent-side in the reduction), so no strip workspace is ever
+        acquired; the keys stay shape-compatible with the row-split engine
+        for reporting."""
         return {"acquisitions": 0, "allocations": 0, "allocations_saved": 0,
                 "reuse_fraction": 0.0, "bucket_capacity": 0,
-                "spa_rows": self.nrows, "block_capacity": 0}
+                "block_capacity": 0}
 
 
 def make_sharded_engine(matrix: CSCMatrix, shards: int,

@@ -63,8 +63,8 @@ class DetachableResult:
     """Mixin for algorithm results that carry their :class:`SpMSpVEngine`.
 
     Every iterative algorithm returns a result holding the engine that ran
-    it, for reporting — which pins the engine's O(nrows) workspace buffers
-    (SPA, dense scratch, block buffers) for as long as the result lives.
+    it, for reporting — which pins the engine's workspace buffers (bucket
+    store, block buffers) for as long as the result lives.
     Workloads that retain many results over huge graphs call
     :meth:`detach`: the engine is replaced by its :meth:`summary()
     <repro.core.engine.SpMSpVEngine.summary>` dict (kept in

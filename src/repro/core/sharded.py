@@ -411,7 +411,6 @@ class ShardedEngine(SpMSpVEngine):
             "allocations_saved": saved,
             "reuse_fraction": saved / acq if acq else 0.0,
             "bucket_capacity": sum(s["bucket_capacity"] for s in stats),
-            "spa_rows": self.nrows,
             "block_capacity": sum(s["block_capacity"] for s in stats),
         }
 

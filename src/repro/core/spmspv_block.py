@@ -20,21 +20,16 @@ whole :class:`~repro.formats.vector_block.SparseVectorBlock` is executed with
   batched workloads (multi-source BFS frontiers, restricted PageRank) do
   O(surviving pairs) merge work;
 * **one segmented merge** — pairs are already partitioned by vector (each
-  vector's slice is contiguous), and each slice is merged with one stable
-  row sort + run reduction.  Because buckets are ascending row ranges, the
-  row sort *is* the bucket partition: the per-bucket segments fall out as
-  contiguous runs located with binary searches, each priced independently
-  and scheduled onto threads with the §III-A dynamic policy.  Compared with
-  one global sort of the composite key ``vector-id · m + row``, the
-  segmented merge sorts k short key streams of range ``m`` instead of one
-  long stream of range ``k·m`` — no composite key construction, no
-  div/mod decode, smaller sort keys, cache-resident segments.  Every
-  ``(vector, row)`` run still contains exactly the entries the per-vector
-  kernel would merge, in the same order, so the semiring reduction is
-  **bit-identical** to k independent ``multiply`` calls (including unsorted
-  inputs, first-touch unsorted output, and early-masked calls);
-* **one output pass** — each vector's unique rows are permuted into its
-  per-bucket output order and wrapped into k output vectors.
+  vector's slice is contiguous, in that vector's own gather order), and
+  each slice goes through the row merge every kernel uses
+  (:func:`~repro.core.buckets.merge_rows`), so each vector's output is
+  **bit-identical** to its own ``multiply`` call (including unsorted
+  inputs, first-touch unsorted output, and early-masked calls).  The merge
+  reports each (vector, bucket) segment's size; the segments are priced
+  independently (:func:`~repro.core.buckets.merge_work`) and scheduled onto
+  threads with the §III-A dynamic policy;
+* **one output pass** — each vector's merged rows, already in its output
+  order, are wrapped into k output vectors.
 
 The four phases are priced like the per-vector bucket kernel — estimate /
 bucketing / spa_merge / output, with the pair counts of Algorithm 1 applied
@@ -55,14 +50,13 @@ from .._typing import INDEX_DTYPE
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..machine.cache import estimate_column_gather_misses, estimate_scatter_misses
+from ..machine.cache import estimate_column_gather_misses
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
 from ..parallel.scheduler import schedule
 from ..semiring import PLUS_TIMES, Semiring
-from .buckets import bucket_of_rows, bucket_row_ranges, stable_row_argsort
+from .buckets import merge_rows, merge_work
 from .result import SpMSpVResult
-from .spmspv_bucket import _radix_sort_ops
 from .vector_ops import Mask, check_mask, check_operands, finalize_output, mask_bitmap, mask_keep
 from .workspace import BlockBuffers, SpMSpVWorkspace
 
@@ -75,46 +69,6 @@ def _scaled_threads(totals: WorkMetrics, num_threads: int, share: float
     the cost model prices replicated objects once.
     """
     return [totals.scale(share / num_threads)] * num_threads
-
-
-def _merge_vector_slice(rows: np.ndarray, vals: np.ndarray, semiring: Semiring,
-                        *, sort_keys: Optional[np.ndarray], sorted_output: bool,
-                        nb: int, m: int):
-    """Merge one vector's contiguous pair slice: stable row sort + run reduction.
-
-    Buckets are ascending row ranges, so the stable row sort (a staged
-    15-bit-digit radix via :func:`~repro.core.buckets.stable_row_argsort`,
-    not a comparison sort) simultaneously partitions the slice into its nb
-    bucket segments *and* row-sorts each segment — exactly the result of the
-    per-vector kernel's stable bucket scatter followed by per-bucket stable
-    row sorts, hence the bit-identical addend order.  Returns
-    ``(uind, merged, seg_sizes, seg_uniques)`` with the unique rows in the
-    vector's output order (buckets ascending; rows ascending inside a bucket
-    for sorted output, first touch otherwise).
-    """
-    order = stable_row_argsort(rows, m, staging=sort_keys)
-    sr = rows[order]
-    sv = vals[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sr)) + 1))
-    uind = sr[starts]
-    merged = semiring.reduceat(sv, starts)
-    # per-bucket segment sizes / unique counts via binary search on the
-    # sorted rows (no data movement: segmentation is free once rows are sorted)
-    bounds = np.array([lo for lo, _hi in bucket_row_ranges(nb, m)] + [m],
-                      dtype=INDEX_DTYPE)
-    seg_sizes = np.diff(np.searchsorted(sr, bounds))
-    seg_uniques = np.diff(np.searchsorted(uind, bounds))
-    if not sorted_output:
-        # first-touch order inside each bucket, exactly as the per-vector
-        # kernel's unsorted variant: rank unique rows by the position of
-        # their first occurrence in the vector's original pair stream
-        first_pos = order[starts]
-        bucket_u = bucket_of_rows(uind, nb, m)
-        big = np.int64(max(len(rows), 1) + 1)
-        comp = bucket_u.astype(np.int64) * big + first_pos.astype(np.int64)
-        perm = np.argsort(comp, kind="stable")
-        uind, merged = uind[perm], merged[perm]
-    return uind, merged, seg_sizes, seg_uniques
 
 
 def spmspv_bucket_block(matrix: CSCMatrix,
@@ -150,9 +104,8 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     if masks is not None:
         for m_i in masks:
             check_mask(m_i, matrix.nrows)
-    ws = workspace if isinstance(workspace, SpMSpVWorkspace) else None
-    if ws is not None:
-        ws.check_rows(matrix.nrows)
+    if workspace is not None:
+        workspace.check_rows(matrix.nrows)
 
     t_start = time.perf_counter()
     m, n = matrix.shape
@@ -210,9 +163,9 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     # pairs dropped by an early mask never enter the buffers, so the buffers
     # are sized by the unmasked upper bound and filled to the surviving count
     use_small_keys = m <= (1 << 30)
-    if ws is not None:
-        buffers = ws.acquire_block(max(total_pairs, 1), dtype=out_dtype,
-                                   sort_keys=use_small_keys)
+    if workspace is not None:
+        buffers = workspace.acquire_block(max(total_pairs, 1), dtype=out_dtype,
+                                          sort_keys=use_small_keys)
     else:
         buffers = BlockBuffers(max(total_pairs, 1), dtype=out_dtype,
                                sort_keys=use_small_keys)
@@ -293,48 +246,30 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     # one segmented merge per (vector, bucket)
     # ------------------------------------------------------------------ #
     merge_phase = PhaseRecord(name="spa_merge", parallel=True)
-    # the merge working set is one bucket's row span per (bucket, vector) slice
-    bucket_span_rows = max(1, -(-m // nb))
     uind_per_vec: List[np.ndarray] = [np.empty(0, dtype=INDEX_DTYPE)] * k
     uval_per_vec: List[np.ndarray] = [np.empty(0, dtype=out_dtype)] * k
-
-    if total_kept:
-        seg_sizes_all: List[int] = []
-        seg_uniques_all: List[int] = []
-        seg_sorted_all: List[bool] = []
-        for i in range(k):
-            lo, hi = int(seg_offsets[i]), int(seg_offsets[i + 1])
-            if hi == lo:
-                continue
-            uind, merged, seg_sizes, seg_uniques = _merge_vector_slice(
-                exp_rows[lo:hi], exp_vals[lo:hi], semiring,
-                sort_keys=buffers.sort_keys if use_small_keys else None,
-                sorted_output=out_sorted[i], nb=nb, m=m)
-            uind_per_vec[i] = uind
-            uval_per_vec[i] = merged
-            nonempty = seg_sizes > 0
-            seg_sizes_all.extend(seg_sizes[nonempty].tolist())
-            seg_uniques_all.extend(seg_uniques[nonempty].tolist())
-            seg_sorted_all.extend([out_sorted[i]] * int(nonempty.sum()))
-        # the (vector, bucket) segments are independent merges: schedule them
-        # onto the threads like the per-vector kernel schedules its buckets
-        assignment = schedule(seg_sizes_all, t, ctx.scheduling)
-        for tid in range(t):
-            metrics = WorkMetrics()
-            for s in assignment.items_per_thread[tid]:
-                size_s, uniq_s = seg_sizes_all[s], seg_uniques_all[s]
-                metrics.spa_inits += size_s
-                metrics.spa_updates += size_s
-                metrics.additions += size_s - uniq_s
-                metrics.buffer_writes += uniq_s
-                if seg_sorted_all[s]:
-                    metrics.sort_elements += _radix_sort_ops(uniq_s)
-                metrics.cache_line_misses += estimate_scatter_misses(
-                    2 * size_s, bucket_span_rows, ctx.platform.l2_kb)
-            merge_phase.thread_metrics.append(metrics)
-    else:
-        # an empty block merges nothing
-        merge_phase.thread_metrics = _scaled_threads(WorkMetrics(), t, 1.0)
+    seg_sizes: List[int] = []
+    seg_uniques: List[int] = []
+    seg_sorted: List[bool] = []
+    for i in range(k):
+        lo, hi = int(seg_offsets[i]), int(seg_offsets[i + 1])
+        if hi == lo:
+            continue
+        uind_per_vec[i], uval_per_vec[i], sizes, uniques = merge_rows(
+            exp_rows[lo:hi], exp_vals[lo:hi], semiring, m,
+            sorted_output=out_sorted[i], num_buckets=nb,
+            staging=buffers.sort_keys)
+        nonempty = sizes > 0
+        seg_sizes.extend(sizes[nonempty].tolist())
+        seg_uniques.extend(uniques[nonempty].tolist())
+        seg_sorted.extend([out_sorted[i]] * int(nonempty.sum()))
+    # the (vector, bucket) segments are independent merges: schedule them
+    # onto the threads like the per-vector kernel schedules its buckets
+    assignment = schedule(seg_sizes, t, ctx.scheduling)
+    merge_phase.thread_metrics = merge_work(
+        seg_sizes, seg_uniques, assignment.items_per_thread,
+        sorted_output=seg_sorted, num_rows=m, num_buckets=nb,
+        cache_kb=ctx.platform.l2_kb)
     nnz_out = sum(len(uind) for uind in uind_per_vec)
 
     output_phase = PhaseRecord(name="output", parallel=True)
@@ -367,7 +302,7 @@ def spmspv_bucket_block(matrix: CSCMatrix,
                   "df": int(kept_per_vec[i]), "nnz_y": y.nnz, "fused": True,
                   "block_k": k, "block_union": u, "block_pairs": total_kept,
                   "early_mask": early_i,
-                  "workspace_reused": ws is not None})
+                  "workspace_reused": workspace is not None})
         s = float(share[i])
         for name, totals, barriers in phase_totals:
             scaled_phase = PhaseRecord(name=name, parallel=True, barriers=barriers)

@@ -12,9 +12,11 @@ with :class:`~repro.parallel.metrics.WorkMetrics`:
    corresponding ``x`` values with the semiring's MULTIPLY, and scattered
    into ``nb = 4·t`` row-range buckets.
 2. **spa_merge** (Step 2) — buckets are dynamically scheduled onto threads;
-   each bucket is merged independently with a partially-initialized sparse
-   accumulator, collecting the bucket's unique row indices (optionally
-   sorted).
+   each bucket's entries are combined by row
+   (:func:`~repro.core.buckets.merge_rows`, the one row merge of every
+   kernel), collecting the bucket's unique row indices (optionally sorted),
+   and the SPA work of Algorithm 1 is counted from the bucket sizes
+   (:func:`~repro.core.buckets.merge_work`).
 3. **output** (Step 3) — a prefix sum over per-bucket unique counts assigns
    each bucket its offset in ``y``; values are fetched from the SPA.
 
@@ -36,19 +38,13 @@ import numpy as np
 from .._typing import INDEX_DTYPE
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
-from ..machine.cache import estimate_column_gather_misses, estimate_scatter_misses
+from ..machine.cache import estimate_column_gather_misses
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
 from ..parallel.partitioner import partition_by_weight
 from ..parallel.scheduler import schedule
 from ..semiring import PLUS_TIMES, Semiring
-from .buckets import (
-    BucketStore,
-    bucket_of_rows,
-    bucket_row_ranges,
-    compute_offsets,
-    stable_row_argsort,
-)
+from .buckets import BucketStore, bucket_of_rows, compute_offsets, merge_rows, merge_work
 from .result import SpMSpVResult
 from .vector_ops import (
     Mask,
@@ -59,17 +55,6 @@ from .vector_ops import (
     mask_keep,
 )
 from .workspace import SpMSpVWorkspace
-
-
-def _radix_sort_ops(n: int) -> int:
-    """Element moves of radix-sorting n integers.
-
-    §III-B notes that only the short per-bucket unique-index lists need to be
-    sorted and that "each thread can run a sequential integer sorting function
-    ... such as the radix sort", so the cost is linear with a small constant
-    rather than n·lg n.
-    """
-    return 2 * n
 
 
 def _masked_gather(matrix: CSCMatrix, cols: np.ndarray,
@@ -101,7 +86,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
                   mask: Optional[Mask] = None,
                   mask_complement: bool = False,
                   early_mask: bool = True,
-                  workspace: Optional[BucketStore | SpMSpVWorkspace] = None,
+                  workspace: Optional[SpMSpVWorkspace] = None,
                   single_pass: Optional[bool] = None) -> SpMSpVResult:
     """Multiply a CSC matrix by a sparse vector with the SpMSpV-bucket algorithm.
 
@@ -136,25 +121,21 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
         masking drops whole rows, the output is **bit-identical** to the
         finalize-time path (``early_mask=False``, the pre-fold behavior).
     workspace:
-        Optional preallocated storage reused across calls (the §III-A
-        "Memory allocation" optimization): either a full
-        :class:`~repro.core.workspace.SpMSpVWorkspace` (bucket store *and*
-        SPA are reused) or, for backward compatibility, a bare
-        :class:`BucketStore`.
+        Optional :class:`~repro.core.workspace.SpMSpVWorkspace` whose bucket
+        store the multi-threaded path fills instead of allocating one per
+        call (the §III-A "Memory allocation" optimization).  The
+        single-pass path writes no buffer of its own.
     single_pass:
         With the default None, single-threaded contexts take the fused
         single-pass path: the per-thread partitioning and the lock-free
         bucket-store scatter are skipped (one thread has nothing to
-        coordinate) and the whole gathered stream is merged with one stable
-        row sort whose per-bucket segments are located by binary search.
-        Because the gathered stream is already in the input vector's column
-        order and buckets are ascending row ranges, the single-pass merge
-        reduces each row's addends in exactly the order the generic path
-        does, so outputs — and the reported work metrics — are
-        **bit-identical**; only the Python-level call count changes.  This is
-        what makes per-strip calls of the sharded engine cheap.  Pass False
-        to force the generic path (the equivalence tests do); True on a
-        multi-threaded context raises ``ValueError``.
+        coordinate) and the whole gathered stream goes through one row
+        merge, which sees each row's addends in the order the generic path's
+        per-bucket merges do, so outputs — and the reported work metrics —
+        are **bit-identical**; only the Python-level call count changes.
+        This is what makes per-strip calls of the sharded engine cheap.
+        Pass False to force the generic path (the equivalence tests do);
+        True on a multi-threaded context raises ``ValueError``.
 
     Returns
     -------
@@ -163,9 +144,8 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
     ctx = ctx if ctx is not None else default_context()
     check_operands(matrix, x)
     check_mask(mask, matrix.nrows)
-    ws = workspace if isinstance(workspace, SpMSpVWorkspace) else None
-    if ws is not None:
-        ws.check_rows(matrix.nrows)
+    if workspace is not None:
+        workspace.check_rows(matrix.nrows)
     if sorted_output is None:
         sorted_output = x.sorted and ctx.sorted_vectors
     bitmap = mask_bitmap(mask, matrix.nrows) if early_mask else None
@@ -177,7 +157,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
         return _spmspv_bucket_single(matrix, x, ctx, semiring=semiring,
                                      sorted_output=sorted_output, mask=mask,
                                      mask_complement=mask_complement,
-                                     bitmap=bitmap, ws=ws, workspace=workspace)
+                                     bitmap=bitmap, workspace=workspace)
 
     t_start = time.perf_counter()
     m, n = matrix.shape
@@ -227,12 +207,10 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
     record.info["df"] = total_entries
 
     out_dtype = np.result_type(matrix.dtype, x.dtype)
-    if ws is not None:
-        store = ws.acquire_buckets(total_entries, dtype=out_dtype)
-    elif workspace is not None:  # bare BucketStore (legacy spelling)
-        store = workspace
+    if workspace is not None:
+        store = workspace.acquire_buckets(total_entries, dtype=out_dtype)
     else:
-        store = BucketStore(max(total_entries, 1))
+        store = BucketStore(max(total_entries, 1), dtype=out_dtype)
     store.attach_offsets(offsets, dtype=out_dtype)
     record.info["workspace_reused"] = workspace is not None
 
@@ -270,61 +248,20 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
     merge_phase = PhaseRecord(name="spa_merge", parallel=True)
     bucket_sizes = offsets.bucket_sizes()
     assignment = schedule(bucket_sizes.tolist(), t, ctx.scheduling)
-    # each bucket's SPA slice spans ~m/nb rows; that is the working set of the merge
-    bucket_span_rows = max(1, -(-m // nb))
-
-    # The SPA of Algorithm 1 is modeled by the spa_* metrics below; the
-    # vectorized merge reduces each bucket directly, so no O(m) accumulator
-    # is materialized on either the fresh or the workspace path.
-    uind_per_bucket: List[np.ndarray] = [np.empty(0, dtype=INDEX_DTYPE)] * nb
-    uval_per_bucket: List[np.ndarray] = [np.empty(0)] * nb
-
-    def _merge(tid: int) -> WorkMetrics:
-        metrics = WorkMetrics()
-        for k in assignment.items_per_thread[tid]:
-            rows_k, vals_k = store.bucket_entries(k)
-            size_k = len(rows_k)
-            if size_k == 0:
-                continue
-            # SPA partial initialization + merge, vectorized per bucket:
-            # sort the bucket entries by row and reduce runs with the semiring ADD.
-            order = np.argsort(rows_k, kind="stable")
-            sr = rows_k[order]
-            sv = vals_k[order]
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(sr)) + 1))
-            uind = sr[starts]
-            merged = semiring.reduceat(sv, starts)
-            if sorted_output:
-                # `uind` is already sorted as a by-product of the row sort; the
-                # paper radix-sorts the typically-short unique-index list, so
-                # that (linear cost) is what we charge for.
-                metrics.sort_elements += _radix_sort_ops(len(uind))
-            else:
-                # restore first-touch order to mimic the unsorted variant's output:
-                # order[starts] is the original position of each row's first occurrence
-                perm = np.argsort(order[starts], kind="stable")
-                uind = uind[perm]
-                merged = merged[perm]
-            uind_per_bucket[k] = uind
-            uval_per_bucket[k] = merged
-            metrics.spa_inits += size_k          # lines 11-12: stamp every entry's slot
-            metrics.spa_updates += size_k        # lines 13-18: one visit per entry
-            metrics.additions += size_k - len(uind)
-            metrics.buffer_writes += len(uind)   # appending to uind_k
-            # the merge scatters only into the bucket's own SPA slice, which is
-            # what keeps it cache resident (the point of bucketing, §III)
-            metrics.cache_line_misses += estimate_scatter_misses(
-                2 * size_k, bucket_span_rows, ctx.platform.l2_kb)
-        return metrics
-
-    merge_phase.thread_metrics = [_merge(tid) for tid in range(t)]
+    # each bucket is merged on its own, as the thread it is scheduled on would
+    per_bucket = [merge_rows(*store.bucket_entries(k), semiring, m,
+                             sorted_output=sorted_output)[:2] for k in range(nb)]
+    uind_counts = np.array([len(uind) for uind, _ in per_bucket], dtype=INDEX_DTYPE)
+    merge_phase.thread_metrics = merge_work(
+        bucket_sizes, uind_counts, assignment.items_per_thread,
+        sorted_output=sorted_output, num_rows=m, num_buckets=nb,
+        cache_kb=ctx.platform.l2_kb)
     record.add_phase(merge_phase)
 
     # ------------------------------------------------------------------ #
     # Phase 3: output construction (Step 3 of Algorithm 1)
     # ------------------------------------------------------------------ #
     output_phase = PhaseRecord(name="output", parallel=True)
-    uind_counts = np.array([len(u) for u in uind_per_bucket], dtype=INDEX_DTYPE)
     y_offsets = np.zeros(nb + 1, dtype=INDEX_DTYPE)
     np.cumsum(uind_counts, out=y_offsets[1:])
     nnz_y = int(y_offsets[-1])
@@ -341,8 +278,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
             if cnt == 0:
                 continue
             lo = int(y_offsets[k])
-            y_indices[lo:lo + cnt] = uind_per_bucket[k]
-            y_values[lo:lo + cnt] = uval_per_bucket[k]
+            y_indices[lo:lo + cnt], y_values[lo:lo + cnt] = per_bucket[k]
             metrics.output_writes += cnt
             metrics.cache_line_misses += cnt  # non-consecutive SPA reads (§IV-F)
         return metrics
@@ -370,7 +306,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
 def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
                           ctx: ExecutionContext, *, semiring: Semiring,
                           sorted_output: bool, mask: Optional[Mask],
-                          mask_complement: bool, bitmap, ws, workspace
+                          mask_complement: bool, bitmap, workspace
                           ) -> SpMSpVResult:
     """The ``single_pass`` body of :func:`spmspv_bucket` (t == 1, validated).
 
@@ -384,16 +320,13 @@ def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
     * the gathered stream is already the concatenation of the selected
       columns in ``x``'s storage order — exactly the stream the bucket store
       would hold, bucket-grouped;
-    * one **stable** row sort of that stream groups equal rows while keeping
-      each row's addends in gather order, so ``semiring.reduceat`` sees the
-      same addend sequences as the generic path's per-bucket merges
-      (bit-identical values), and — buckets being ascending row ranges — the
-      sorted unique rows are the generic path's bucket-major concatenation;
-    * the per-bucket segment sizes fall out of two ``searchsorted`` calls,
-      from which the per-bucket work metrics are reproduced number for
-      number; for unsorted output the first-touch order within each bucket
-      is restored from the sort permutation exactly as the fused block
-      kernel does.
+    * :func:`~repro.core.buckets.merge_rows` over that whole stream sees
+      each row's addends in the order the generic path's per-bucket merges
+      see them, and reports the per-bucket segment sizes from which
+      :func:`~repro.core.buckets.merge_work` reproduces the per-bucket work
+      metrics number for number.
+
+    The bucket store stays untouched: one thread has nothing to scatter.
     """
     t_start = time.perf_counter()
     m, n = matrix.shape
@@ -423,10 +356,6 @@ def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
 
     total_entries = len(rows)
     record.info["df"] = total_entries
-    if ws is not None:
-        ws.acquire_buckets(total_entries, dtype=out_dtype)
-    elif workspace is not None:  # bare BucketStore (legacy spelling)
-        workspace.ensure_capacity(total_entries, dtype=out_dtype)
     record.info["workspace_reused"] = workspace is not None
 
     # Phase 1: bucketing — scale the gathered entries (no scatter needed)
@@ -449,45 +378,13 @@ def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
     bucketing_phase.thread_metrics = [buck]
     record.add_phase(bucketing_phase)
 
-    # Phase 2: one stable row sort + run reduction over the whole stream
+    # Phase 2: one row merge over the whole stream, priced bucket by bucket
     merge_phase = PhaseRecord(name="spa_merge", parallel=True)
-    mm = WorkMetrics()
-    bucket_span_rows = max(1, -(-m // nb))
-    if total_entries:
-        order = stable_row_argsort(rows, m)
-        sr = rows[order]
-        sv = scaled[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(sr)) + 1))
-        uind = sr[starts]
-        merged = semiring.reduceat(sv, starts)
-        bounds = np.array([lo for lo, _hi in bucket_row_ranges(nb, m)] + [m],
-                          dtype=INDEX_DTYPE)
-        seg_sizes = np.diff(np.searchsorted(sr, bounds))
-        seg_uniques = np.diff(np.searchsorted(uind, bounds))
-        for size_k, uniq_k in zip(seg_sizes.tolist(), seg_uniques.tolist()):
-            if size_k == 0:
-                continue
-            mm.spa_inits += size_k
-            mm.spa_updates += size_k
-            mm.additions += size_k - uniq_k
-            mm.buffer_writes += uniq_k
-            if sorted_output:
-                mm.sort_elements += _radix_sort_ops(uniq_k)
-            mm.cache_line_misses += estimate_scatter_misses(
-                2 * size_k, bucket_span_rows, ctx.platform.l2_kb)
-        if not sorted_output:
-            # first-touch order within each bucket, buckets ascending: rank
-            # unique rows by (bucket, first occurrence in the gather stream)
-            first_pos = order[starts]
-            bucket_u = bucket_of_rows(uind, nb, m)
-            big = np.int64(max(total_entries, 1) + 1)
-            comp = bucket_u.astype(np.int64) * big + first_pos.astype(np.int64)
-            perm = np.argsort(comp, kind="stable")
-            uind, merged = uind[perm], merged[perm]
-    else:
-        uind = np.empty(0, dtype=INDEX_DTYPE)
-        merged = np.empty(0, dtype=out_dtype)
-    merge_phase.thread_metrics = [mm]
+    uind, merged, sizes, uniques = merge_rows(
+        rows, scaled, semiring, m, sorted_output=sorted_output, num_buckets=nb)
+    merge_phase.thread_metrics = merge_work(
+        sizes, uniques, [range(nb)], sorted_output=sorted_output,
+        num_rows=m, num_buckets=nb, cache_kb=ctx.platform.l2_kb)
     record.add_phase(merge_phase)
 
     # Phase 3: output — uind/merged already are the concatenated output

@@ -14,16 +14,15 @@ the two halves of that scheme as pure functions:
   **unreduced** ``(rows, values, gpos)`` stream — ``gpos`` is each addend's
   position in the *global* frontier's storage order.
 * :func:`reduce_partials` — the reduction phase: concatenate the strip
-  streams, order them exactly as the monolithic kernel's single gather
-  stream would be ordered, and run one ``semiring.reduceat`` per row run.
+  streams in the order of the monolithic kernel's single gather stream and
+  combine them with the row merge every kernel uses
+  (:func:`~repro.core.buckets.merge_rows`).
 
 Shipping unreduced streams is what makes the scheme bit-identical to the
-monolithic engine: the monolithic kernels reduce each row's addends with a
-sequential left fold in frontier-storage order, and floating-point addition
-does not associate.  Had each strip pre-reduced its own addends, the parent
-would have to re-reduce partial sums — a different association, and a
-different answer in the last ulp.  Instead every row's addends are folded
-once, parent-side, in the same order as the monolithic stream.
+monolithic engine: the merge reduces each row's addends in stream order, so
+the same stream gives the same bits.  Had each strip pre-reduced its own
+addends, the parent would have to re-reduce partial sums — a different
+association of a floating-point sum, and a different answer in the last ulp.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from ..formats.sparse_vector import SparseVector
 from ..parallel.context import ExecutionContext
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
 from ..semiring import Semiring
-from .buckets import stable_row_argsort
+from .buckets import merge_rows, stable_row_argsort
 from .vector_ops import finalize_output, mask_keep
 
 __all__ = ["ColumnPartial", "column_partial", "reduce_partials",
@@ -177,14 +176,12 @@ def reduce_partials(partials: Sequence[ColumnPartial], *,
                     out_dtype) -> Tuple[SparseVector, WorkMetrics]:
     """The reduction phase: merge strip streams into the output vector.
 
-    The concatenated streams are reordered to exactly the monolithic
-    kernel's addend order — stably by row when the frontier is sorted (strip
-    streams then concatenate in ascending global-position order, which a
-    stable sort preserves within rows), or by ``(row, gpos)`` lexsort when
-    it is not (the pairs are unique, so the order is deterministic and
-    matches the monolithic gather stream position for position).  One
-    ``semiring.reduceat`` per row run then folds every row's addends left to
-    right, exactly once — the fold the monolithic kernels perform.
+    The merge must see each row's addends in the monolithic kernel's order,
+    ascending global frontier position (``gpos``).  A sorted frontier's
+    strips cover ascending column ranges, so their concatenated streams
+    already hold every row's addends in that order; an unsorted frontier's
+    streams are stably sorted by ``gpos`` first.  The row merge then reduces
+    every row's addends in that order, exactly once.
 
     Returns the finalized output (identities pruned; masking already
     happened strip-side) and the reduction phase's work metrics:
@@ -200,20 +197,17 @@ def reduce_partials(partials: Sequence[ColumnPartial], *,
         return finalize_output(empty, semiring), metrics
     rows = np.concatenate([p.rows for p in streams])
     vals = np.concatenate([p.vals for p in streams]).astype(out_dtype, copy=False)
-    gpos = np.concatenate([p.gpos for p in streams])
-    if x_sorted:
-        order = stable_row_argsort(rows, nrows)
-    else:
-        order = np.lexsort((gpos, rows))
-    sr, sv = rows[order], vals[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sr)) + 1))
-    merged = np.asarray(semiring.reduceat(sv, starts)).astype(out_dtype, copy=False)
-    total = len(sr)
-    uniq = len(starts)
+    if not x_sorted:
+        by_pos = np.argsort(np.concatenate([p.gpos for p in streams]), kind="stable")
+        rows, vals = rows[by_pos], vals[by_pos]
+    uind, merged = merge_rows(rows, vals, semiring, nrows)[:2]
+    total = len(rows)
+    uniq = len(uind)
     metrics.sort_elements = total
     metrics.additions = total - uniq
     metrics.output_writes = uniq
-    y = SparseVector(nrows, sr[starts].astype(INDEX_DTYPE), merged,
+    y = SparseVector(nrows, uind.astype(INDEX_DTYPE),
+                     np.asarray(merged).astype(out_dtype, copy=False),
                      sorted=True, check=False)
     return finalize_output(y, semiring), metrics
 

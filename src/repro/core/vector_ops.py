@@ -16,6 +16,7 @@ from .._typing import INDEX_DTYPE
 from ..errors import DimensionError, DimensionMismatchError
 from ..formats.sparse_vector import SparseVector
 from ..semiring import PLUS_TIMES, Semiring
+from .buckets import merge_rows
 
 
 #: an output mask: a :class:`SparseVector` whose stored indices are the
@@ -40,11 +41,7 @@ def ewise_add(a: SparseVector, b: SparseVector, *, semiring: Semiring = PLUS_TIM
     indices = np.concatenate([a.indices, b.indices])
     values = np.concatenate([a.values.astype(np.result_type(a.dtype, b.dtype)),
                              b.values.astype(np.result_type(a.dtype, b.dtype))])
-    order = np.argsort(indices, kind="stable")
-    si, sv = indices[order], values[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(si)) + 1))
-    uidx = si[starts]
-    combined = semiring.reduceat(sv, starts)
+    uidx, combined = merge_rows(indices, values, semiring, a.n)[:2]
     return SparseVector(a.n, uidx, combined, sorted=True, check=False)
 
 

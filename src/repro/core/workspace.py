@@ -1,21 +1,25 @@
 """Persistent per-matrix workspaces: the §III-A "Memory allocation" optimization.
 
-The paper preallocates the bucket storage and the SPA once and reuses them
-across the hundreds of SpMSpV calls an iterative graph algorithm performs
-("all memory needed ... allocated at the beginning ... reused"), instead of
-paying an allocation per multiplication.  :class:`SpMSpVWorkspace` bundles
-every reusable buffer the package's kernels need:
+The paper preallocates the bucket storage once and reuses it across the
+hundreds of SpMSpV calls an iterative graph algorithm performs ("all memory
+needed ... allocated at the beginning ... reused"), instead of paying an
+allocation per multiplication.  :class:`SpMSpVWorkspace` holds the buffers
+a kernel writes, and only those:
 
 * a :class:`~repro.core.buckets.BucketStore` for the bucket algorithm's
-  scaled-entry scatter (Step 1 of Algorithm 1),
-* a :class:`~repro.core.spa.SparseAccumulator` with O(1) epoch reset,
-* a :class:`DenseScratch` — the dense accumulation buffer the CombBLAS and
-  GraphMat style baselines merge through.
+  scaled-entry scatter (Step 1 of Algorithm 1), which the kernel fills at
+  ``num_threads > 1``;
+* the fused block kernel's :class:`BlockBuffers`, built on its first call.
 
-A workspace is bound to a row dimension ``m`` (the matrix it serves); value
-buffers regrow or change dtype lazily, and every acquisition / reallocation
-is counted so :mod:`repro.analysis.reporting` can report how much allocation
-traffic the reuse saved.
+Every kernel merges its gathered entries through
+:func:`~repro.core.buckets.merge_rows`, which needs no dense accumulator, so
+the one-thread bucket pass, the column split and the baselines write no
+workspace buffer at all.
+
+A workspace is bound to a row dimension ``m`` (the matrix it serves); its
+buffers regrow geometrically or change dtype lazily, and every acquisition
+/ reallocation is counted so :mod:`repro.analysis.reporting` can report how
+much allocation traffic the reuse saved.
 """
 
 from __future__ import annotations
@@ -27,88 +31,7 @@ import numpy as np
 
 from .._typing import INDEX_DTYPE
 from ..errors import BackendError, DimensionMismatchError
-from ..semiring import PLUS_TIMES, Semiring
 from .buckets import BucketStore
-from .spa import SparseAccumulator
-
-
-def merge_by_row(rows: np.ndarray, values: np.ndarray, semiring: Semiring,
-                 *, sort_output: bool = True) -> Tuple[np.ndarray, np.ndarray]:
-    """Combine entries that share a row id with the semiring ADD.
-
-    Output is row-sorted, or in first-touch order when ``sort_output`` is
-    false.  This is the canonical merge every vector-driven baseline uses
-    (re-exported by :mod:`repro.baselines.common`); :class:`DenseScratch`
-    publishes its result through a persistent buffer without recomputing it,
-    which is what keeps the two paths bit-identical.
-    """
-    if len(rows) == 0:
-        return rows, values
-    order = np.argsort(rows, kind="stable")
-    sr, sv = rows[order], values[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sr)) + 1))
-    uind = sr[starts]
-    merged = semiring.reduceat(sv, starts)
-    if not sort_output:
-        perm = np.argsort(order[starts], kind="stable")
-        uind, merged = uind[perm], merged[perm]
-    return uind, merged
-
-
-class DenseScratch:
-    """A persistent dense accumulation buffer over the row space ``0..m-1``.
-
-    This is the workspace the row-split baselines merge through: gathered
-    (row, value) pairs are scattered into a dense array initialized with the
-    semiring's additive identity at exactly the touched slots (partial
-    initialization), then the touched slots are read back out.  The buffer is
-    allocated once and reused; only the touched slots are re-initialized per
-    call, so reuse costs O(touched), not O(m).
-    """
-
-    __slots__ = ("m", "values",)
-
-    def __init__(self, m: int, dtype=np.float64):
-        self.m = int(m)
-        self.values = np.empty(self.m, dtype=dtype)
-
-    @property
-    def dtype(self):
-        return self.values.dtype
-
-    def ensure_dtype(self, dtype) -> bool:
-        """Reallocate for a new value dtype; returns True if a reallocation happened."""
-        if dtype is not None and self.values.dtype != np.dtype(dtype):
-            self.values = np.empty(self.m, dtype=dtype)
-            return True
-        return False
-
-    def merge(self, rows: np.ndarray, values: np.ndarray, semiring: Semiring, *,
-              sort_output: bool = True, publish: bool = False
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Combine entries sharing a row id with the semiring ADD, via the scratch.
-
-        The reduction is :func:`merge_by_row` itself (not a scatter
-        ``ufunc.at`` loop, whose sequential rounding differs from
-        ``reduceat``'s pairwise summation), so the workspace path is
-        bit-identical to the fresh path by construction.  With ``publish``
-        the merged values are additionally published into (and gathered back
-        from) the persistent dense buffer — the baselines' strip-private SPA
-        made observable.  The publish/gather is O(nnz_y) work on top of the
-        merge and changes no output bit and no work metric (the baselines'
-        SPA accounting is analytic, not instrumented), so it is opt-in:
-        engine-internal calls skip it, callers that want to inspect the
-        dense state (or model its memory traffic in wall time) ask for it.
-        """
-        if len(rows) == 0:
-            return rows, values
-        self.ensure_dtype(np.asarray(values).dtype)
-        uind, merged = merge_by_row(rows, values, semiring, sort_output=sort_output)
-        if not publish:
-            return uind, merged
-        uind = uind.astype(INDEX_DTYPE, copy=False)
-        self.values[uind] = merged
-        return uind, self.values[uind].copy()
 
 
 class SharedSlab:
@@ -512,24 +435,21 @@ class BlockBuffers:
 
 
 class SpMSpVWorkspace:
-    """Every reusable buffer an SpMSpV kernel needs, preallocated once per matrix.
+    """The buffers SpMSpV kernels write, preallocated once per matrix.
 
     Pass a workspace to any kernel's ``workspace=`` parameter — or, more
     conveniently, run through an :class:`~repro.core.engine.SpMSpVEngine`,
     which owns one workspace and threads it through every call.
     """
 
-    def __init__(self, nrows: int, *, capacity: int = 1, dtype=np.float64,
-                 semiring: Semiring = PLUS_TIMES):
+    def __init__(self, nrows: int, *, capacity: int = 1, dtype=np.float64):
         self.nrows = int(nrows)
         self.bucket_store = BucketStore(max(int(capacity), 1), dtype=dtype)
-        self.spa = SparseAccumulator(self.nrows, semiring=semiring, dtype=dtype)
-        self.scratch = DenseScratch(self.nrows, dtype=dtype)
         #: block-expansion buffers, created lazily on the first fused block call
         #: so single-vector workloads never pay for them
         self.block: Optional[BlockBuffers] = None
         #: buffer (re)allocations an acquisition triggered (growth, retyping,
-        #: the lazy block buffers); the buffers built above are not counted
+        #: the lazy block buffers); the bucket store built above is not counted
         self.allocations = 0
         #: kernel calls served from already-allocated buffers
         self.acquisitions = 0
@@ -543,29 +463,9 @@ class SpMSpVWorkspace:
     def acquire_buckets(self, needed: int, dtype=None) -> BucketStore:
         """The bucket store, grown/retyped if this multiplication needs it."""
         self.acquisitions += 1
-        store = self.bucket_store
-        if needed > store.capacity or (dtype is not None
-                                       and np.dtype(dtype) != store.values.dtype):
+        if self.bucket_store.ensure_capacity(needed, dtype=dtype):
             self.allocations += 1
-        store.ensure_capacity(needed, dtype=dtype)
-        return store
-
-    def acquire_spa(self, semiring: Semiring, dtype=None) -> SparseAccumulator:
-        """The shared SPA, logically cleared (O(1) epoch bump) for a new call."""
-        self.acquisitions += 1
-        if dtype is not None and self.spa.values.dtype != np.dtype(dtype):
-            # stamp/epoch survive: slots are re-initialized on first touch anyway
-            self.spa.values = np.zeros(self.nrows, dtype=dtype)
-            self.allocations += 1
-        self.spa.reset(semiring)
-        return self.spa
-
-    def acquire_scratch(self, dtype=None) -> DenseScratch:
-        """The dense merge scratch, retyped if the value dtype changed."""
-        self.acquisitions += 1
-        if self.scratch.ensure_dtype(dtype):
-            self.allocations += 1
-        return self.scratch
+        return self.bucket_store
 
     def acquire_block(self, needed: int, dtype=None, *,
                       sort_keys: bool = False) -> BlockBuffers:
@@ -590,26 +490,9 @@ class SpMSpVWorkspace:
             "allocations_saved": saved,
             "reuse_fraction": saved / self.acquisitions if self.acquisitions else 0.0,
             "bucket_capacity": self.bucket_store.capacity,
-            "spa_rows": self.spa.m,
             "block_capacity": self.block.capacity if self.block is not None else 0,
         }
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"SpMSpVWorkspace(nrows={self.nrows}, "
                 f"acquisitions={self.acquisitions}, allocations={self.allocations})")
-
-
-def as_workspace(workspace) -> Optional["SpMSpVWorkspace"]:
-    """Normalize a kernel's ``workspace=`` argument.
-
-    Kernels historically accepted a bare :class:`BucketStore`; that spelling
-    keeps working (it is wrapped into nothing — the caller-owned store is used
-    directly), while richer callers pass a full :class:`SpMSpVWorkspace`.
-    Returns the workspace if one was given, else None.
-    """
-    if workspace is None or isinstance(workspace, SpMSpVWorkspace):
-        return workspace
-    if isinstance(workspace, BucketStore):
-        return None  # bare store: handled by the bucket kernel directly
-    raise TypeError(
-        f"workspace must be an SpMSpVWorkspace or BucketStore, got {type(workspace)!r}")

@@ -86,11 +86,6 @@ from ..formats.vector_block import SparseVectorBlock
 from ..semiring import Semiring, get_semiring
 from .context import ExecutionContext, RetryPolicy
 
-#: lazily-built template of :meth:`repro.core.workspace.SpMSpVWorkspace.stats`
-#: for a workspace no kernel has touched yet (derived from the real class so
-#: it cannot drift from the implementation)
-_FRESH_STATS_TEMPLATE: Optional[Dict[str, float]] = None
-
 #: env knobs for the comm plane's initial shared-memory footprint (bytes);
 #: tests shrink these to force the overflow/regrow paths deterministically
 _INPUT_SLAB_ENV = "REPRO_BACKEND_INPUT_SLAB"
@@ -115,15 +110,6 @@ POOL_MIN_WORK = 1 << 16
 #: the argument of each strip operation that holds one entry per strip
 _STRIP_ARG = {"multiply": "mask_slices", "block": "strip_masks",
               "partial": "slices"}
-
-
-def _fresh_stats(spa_rows: int) -> Dict[str, float]:
-    """Stats reported for a strip whose worker has not executed a call yet."""
-    global _FRESH_STATS_TEMPLATE
-    if _FRESH_STATS_TEMPLATE is None:
-        from ..core.workspace import SpMSpVWorkspace  # late: avoids import cycle
-        _FRESH_STATS_TEMPLATE = SpMSpVWorkspace(0).stats()
-    return dict(_FRESH_STATS_TEMPLATE, spa_rows=spa_rows)
 
 
 def idle_health() -> Dict[str, object]:
@@ -921,7 +907,6 @@ class ProcessBackend(ExecutionBackend):
                 "arrays": arrays, "format": self._strip_format,
                 "dtype": np.dtype(dtype).str, "version": 0,
             })
-        self._spa_rows = [strip.nrows for strip in strips]
         #: strip -> worker assignment (round-robin; fixed for the pool's life)
         self.assignment = [[s for s in range(self.num_strips)
                             if s % self.num_workers == w]
@@ -1598,13 +1583,9 @@ class ProcessBackend(ExecutionBackend):
     run_partial = ExecutionBackend.run_partial
 
     def workspace_stats(self):
-        out = []
-        for s in range(self.num_strips):
-            stats = self._stats.get(s)
-            if stats is None:
-                stats = _fresh_stats(self._spa_rows[s])
-            out.append(stats)
-        return out
+        # a strip no call has reached reads as the parent's untouched workspace
+        return [self._stats.get(s) or self._workspaces[s].stats()
+                for s in range(self.num_strips)]
 
     def comm_stats(self) -> Dict[str, float]:
         """Comm-plane accounting: pipe vs. slab traffic, growth, calls in flight.

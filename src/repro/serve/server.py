@@ -282,8 +282,7 @@ class QueryServer:
         stats["latency_p50_s"] = _percentile(latencies, 0.50)
         stats["latency_p99_s"] = _percentile(latencies, 0.99)
         stats["health"] = {name: engine.health_stats()
-                           for name, engine in engines
-                           if hasattr(engine, "health_stats")}
+                           for name, engine in engines}
         return stats
 
     def close(self, *, drain: bool = True) -> None:
@@ -307,8 +306,7 @@ class QueryServer:
         if self._pump is not None:
             self._pump.join(timeout=5.0)
         for engine in self._pagerank_engines.values():
-            if hasattr(engine, "close"):
-                engine.close()
+            engine.close()
         self._pagerank_engines.clear()
         self.group.close()
 
@@ -472,7 +470,7 @@ class QueryServer:
                                   compacted=bool(info["compacted"])))
         with self._lock:
             stale = self._pagerank_engines.pop(graph, None)
-        if stale is not None and hasattr(stale, "close"):
+        if stale is not None:
             stale.close()
         return acks
 
@@ -480,11 +478,8 @@ class QueryServer:
         with self._lock:
             engine = self._pagerank_engines.get(graph)
             if engine is None:
-                source = self.group.engine(graph)
-                base = (source.effective_matrix()
-                        if hasattr(source, "effective_matrix")
-                        else self._matrices[graph])
-                transition = column_stochastic(base)
+                transition = column_stochastic(
+                    self.group.engine(graph).effective_matrix())
                 engine = (ShardedEngine(transition, self._shards, self.ctx,
                                         algorithm=self.algorithm)
                           if self._shards is not None

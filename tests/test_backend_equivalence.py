@@ -579,28 +579,27 @@ def test_garbage_collected_engine_releases_shared_memory():
 
 def test_workspace_stats_reflect_remote_reuse():
     matrix = random_csc(40, 40, 0.2, seed=82)
-    x = SparseVector.full_like_indices(40, np.arange(10), 1.0)
-    # graphmat reuses its strip scratch and bucket its bucket store across
-    # these 4 calls; only (re)allocations a call triggers count against reuse
-    for algorithm in ("graphmat", "bucket"):
-        engine = ShardedEngine(matrix, 2,
-                               default_context(backend="process",
-                                               backend_workers=1),
-                               algorithm=algorithm)
-        try:
-            before = engine.workspace_stats()
-            assert before["acquisitions"] == 0  # fresh-workspace placeholder
-            assert before["allocations"] == 0
-            for _ in range(4):
-                engine.multiply(x)
-            after = engine.workspace_stats()
-            assert after["acquisitions"] > 0
-            assert after["allocations_saved"] > 0, algorithm  # genuine reuse
-            assert after["spa_rows"] == matrix.nrows
-            summary = engine.summary()
-            assert summary["shards"] == 2 and summary["calls"] == 4
-        finally:
-            engine.close()
+    xs = [SparseVector.full_like_indices(40, np.arange(lo, lo + 10), 1.0)
+          for lo in (0, 5)]
+    # the workers' block buffers serve these 4 fused batches; only
+    # (re)allocations a call triggers count against reuse
+    engine = ShardedEngine(matrix, 2,
+                           default_context(backend="process", backend_workers=1),
+                           algorithm="bucket")
+    try:
+        before = engine.workspace_stats()
+        assert before["acquisitions"] == 0  # fresh-workspace placeholder
+        assert before["allocations"] == 0
+        for _ in range(4):
+            engine.multiply_many(xs, block_mode="fused")
+        after = engine.workspace_stats()
+        assert after["acquisitions"] > 0
+        assert after["allocations_saved"] > 0  # genuine reuse
+        assert after["block_capacity"] > 0
+        summary = engine.summary()
+        assert summary["shards"] == 2 and summary["calls"] == 8
+    finally:
+        engine.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -386,7 +386,8 @@ def test_detach_releases_engine_and_compacts_records():
     assert result.detach() is result
     assert result.engine is None
     assert result.engine_summary["calls"] == len(result.records)
-    assert result.engine_summary["workspace"]["spa_rows"] == workspace.spa.m
+    assert result.engine_summary["workspace"]["bucket_capacity"] == \
+        workspace.bucket_store.capacity
     # records are compacted to totals: per-thread lists gone, work preserved
     for record, before in zip(result.records, total_before):
         assert all(not p.thread_metrics for p in record.phases)

@@ -3,8 +3,9 @@
 Covers the contract of :class:`repro.core.engine.SpMSpVEngine`:
 
 * persistent workspaces — iterative runs perform zero per-iteration
-  ``BucketStore``/SPA allocations and reuse the *same* workspace objects,
-  with results bit-identical to fresh-allocation runs;
+  ``BucketStore`` allocations and reuse the *same* workspace objects, with
+  results bit-identical to fresh-allocation runs; a one-thread bucket run
+  acquires no workspace buffer at all;
 * kernel choice — every engine runs the kernel it is given (``"bucket"``
   by default, also as a frontier densifies), ``"auto"`` is an unknown
   kernel name, and the per-call history carries measured wall time;
@@ -20,7 +21,6 @@ import pytest
 
 from repro.algorithms import bfs, bfs_multi_source, pagerank, pagerank_dense_reference
 from repro.analysis import format_engine_history, format_workspace_stats, summarize_engine
-from repro.baselines.common import merge_by_row, merge_entries
 from repro.core import (
     ColumnShardedEngine,
     EngineGroup,
@@ -38,7 +38,7 @@ from repro.core.dispatch import available_algorithms
 from repro.core.spa import SparseAccumulator
 from repro.errors import DimensionMismatchError, NotSupportedError
 from repro.formats import SparseVector
-from repro.graphs import erdos_renyi
+from repro.graphs import erdos_renyi, grid_2d
 from repro.parallel import default_context
 from repro.semiring import MIN_PLUS, MIN_SELECT2ND, PLUS_TIMES, Semiring
 
@@ -62,13 +62,10 @@ def densifying_frontiers(n, sizes, seed=0):
 def test_engine_reuses_the_same_workspace_objects():
     matrix = random_csc(60, 60, 0.1, seed=1)
     engine = SpMSpVEngine(matrix, default_context(num_threads=3), algorithm="bucket")
-    store, spa, scratch = (engine.workspace.bucket_store, engine.workspace.spa,
-                           engine.workspace.scratch)
+    store = engine.workspace.bucket_store
     for seed in range(6):
         engine.multiply(random_sparse_vector(60, 12, seed=seed))
     assert engine.workspace.bucket_store is store
-    assert engine.workspace.spa is spa
-    assert engine.workspace.scratch is scratch
     assert engine.workspace.stats()["acquisitions"] >= 6  # bucket store per call
 
 
@@ -90,9 +87,10 @@ def test_iterative_bfs_performs_no_per_iteration_allocations(monkeypatch):
     monkeypatch.setattr(SparseAccumulator, "__init__", counting_spa)
     result = bfs(matrix, 0, default_context(num_threads=4), algorithm="bucket")
     assert result.num_iterations >= 3, "graph too easy: BFS must iterate"
-    # one BucketStore and one SPA at engine construction, zero per iteration
+    # one BucketStore at engine construction, zero per iteration; no kernel
+    # merges through an SPA, so the workspace builds none
     assert counts["bucket_store"] == 1
-    assert counts["spa"] == 1
+    assert counts["spa"] == 0
     assert all(r.info.get("workspace_reused") for r in result.records)
 
 
@@ -143,41 +141,6 @@ def test_bfs_and_pagerank_through_engine_match_fresh_allocation_loops():
     assert pr.engine is not None and len(pr.engine.history) == pr.num_iterations
 
 
-def test_dense_scratch_merge_matches_merge_by_row():
-    rng = np.random.default_rng(7)
-    rows = rng.integers(0, 30, size=64)
-    values = rng.random(64) + 0.1
-    workspace = SpMSpVWorkspace(30)
-    for semiring in (PLUS_TIMES, MIN_PLUS):
-        for sort_output in (True, False):
-            expect_ind, expect_val = merge_by_row(rows, values, semiring,
-                                                  sort_output=sort_output)
-            got_ind, got_val = merge_entries(rows, values, semiring, m=30,
-                                             sort_output=sort_output,
-                                             workspace=workspace)
-            assert np.array_equal(expect_ind, got_ind)
-            assert np.array_equal(expect_val, got_val)
-
-
-def test_dense_scratch_publish_is_opt_in_and_changes_no_bit():
-    """The O(nnz_y) publish/gather through the dense buffer is opt-in: the
-    default path leaves the persistent buffer untouched, the ``publish=True``
-    path writes the merged values into it — and both return identical bits."""
-    rng = np.random.default_rng(11)
-    rows = rng.integers(0, 24, size=50)
-    values = rng.random(50) + 0.1
-    workspace = SpMSpVWorkspace(24)
-    scratch = workspace.acquire_scratch(values.dtype)
-    before = scratch.values.copy()
-    ind, val = merge_entries(rows, values, PLUS_TIMES, m=24, workspace=workspace)
-    # engine-internal default: no publish, the dense buffer is untouched
-    assert np.array_equal(scratch.values, before, equal_nan=True)
-    pub_ind, pub_val = merge_entries(rows, values, PLUS_TIMES, m=24,
-                                     workspace=workspace, publish=True)
-    assert np.array_equal(ind, pub_ind) and np.array_equal(val, pub_val)
-    assert np.array_equal(scratch.values[pub_ind], pub_val)  # SPA observable
-
-
 @pytest.mark.parametrize("algorithm", ["combblas_spa", "combblas_heap",
                                        "graphmat", "sort"])
 def test_baseline_work_metrics_unchanged_by_publish_removal(algorithm):
@@ -200,12 +163,32 @@ def test_baseline_work_metrics_unchanged_by_publish_removal(algorithm):
             [t.as_dict() for t in out_phase.thread_metrics]
 
 
+def test_one_thread_bfs_acquires_no_workspace_buffer():
+    """The single pass merges the gathered stream directly: a one-thread
+    BFS fills no bucket store, so its workspace serves no acquisition."""
+    result = bfs(grid_2d(100, 100), 0)
+    stats = result.engine.workspace_stats()
+    assert stats["acquisitions"] == 0
+    assert stats["allocations"] == 0
+
+
+def test_rising_bucket_store_need_reallocates_rarely():
+    """The bucket store grows geometrically: a 199-level grid BFS at four
+    threads, whose gathered entries rise level after level, reallocates it
+    a handful of times (growing to each new maximum would take 99)."""
+    result = bfs(grid_2d(100, 100), 0, default_context(num_threads=4))
+    stats = result.engine.workspace_stats()
+    assert stats["acquisitions"] == result.num_iterations
+    assert stats["allocations"] <= 10
+
+
 def test_workspace_rejects_wrong_matrix_dimension():
     workspace = SpMSpVWorkspace(10)
     matrix = random_csc(20, 20, 0.2, seed=5)
     x = random_sparse_vector(20, 4, seed=5)
-    with pytest.raises(DimensionMismatchError):
-        get_algorithm("bucket")(matrix, x, workspace=workspace)
+    for algorithm in ALGORITHMS:
+        with pytest.raises(DimensionMismatchError):
+            get_algorithm(algorithm)(matrix, x, workspace=workspace)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,11 @@
 """Tests for semirings, the sparse accumulator, and the bucket machinery."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BucketStore,
@@ -10,6 +14,7 @@ from repro.core import (
     bucket_row_ranges,
     compute_offsets,
 )
+from repro.core.buckets import merge_rows
 from repro.errors import ReproError
 from repro.semiring import (
     MAX_SELECT2ND,
@@ -205,3 +210,68 @@ def test_bucket_store_grows_capacity():
     counts = np.array([[5]])
     store.attach_offsets(compute_offsets(counts))
     assert store.capacity >= 5
+
+
+# --------------------------------------------------------------------------- #
+# the row merge every kernel shares
+# --------------------------------------------------------------------------- #
+@st.composite
+def merge_streams(draw):
+    """A gathered (row, value) stream: rows from a small pool, so rows repeat,
+    over row counts that take each path of ``stable_row_argsort`` (one 15-bit
+    digit, two digits above 32,768 rows, the plain sort above 2**30)."""
+    num_rows = draw(st.sampled_from([1, 9, 300, 40_000, 70_000, (1 << 30) + 5]))
+    pool = draw(st.lists(st.integers(0, num_rows - 1), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=60))
+    values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                           min_size=len(rows), max_size=len(rows)))
+    return num_rows, rows, values
+
+
+def _rows_in_output_order(rows, values, num_rows, *, sorted_output, num_buckets):
+    """Pure-Python oracle: each row's addends in stream order, the rows
+    ascending or (unsorted) buckets ascending with rows in first-touch order,
+    and each bucket's entry and unique-row counts."""
+    addends = {}
+    for row, value in zip(rows, values):
+        addends.setdefault(row, []).append(value)
+    bucket = {row: row * num_buckets // num_rows for row in addends}
+    order = sorted(addends) if sorted_output else sorted(addends, key=bucket.get)
+    sizes, uniques = [0] * num_buckets, [0] * num_buckets
+    for row, group in addends.items():
+        sizes[bucket[row]] += len(group)
+        uniques[bucket[row]] += 1
+    return order, [addends[row] for row in order], sizes, uniques
+
+
+@pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, MIN_SELECT2ND],
+                         ids=lambda sr: sr.name)
+@given(stream=merge_streams(), sorted_output=st.booleans(),
+       num_buckets=st.integers(1, 8))
+@settings(deadline=None, max_examples=60)
+def test_merge_rows_matches_a_row_by_row_oracle(semiring, stream, sorted_output,
+                                                num_buckets):
+    """``merge_rows`` groups a stream's rows, keeps each row's addends in
+    stream order and lays the rows out as the unsorted variant would.
+
+    Each row is reduced alone by the oracle.  ``np.add.reduceat`` adds a
+    run's first addend to the pairwise sum of the rest, which is not a left
+    fold, so a plus-times row is compared with the same reduction over its
+    addends in stream order (a misordered row differs in the last bits); a
+    min row, exact in any order, is also compared with the left fold.
+    """
+    num_rows, rows, values = stream
+    uind, merged, sizes, uniques = merge_rows(
+        np.array(rows, dtype=np.int64), np.array(values, dtype=np.float64),
+        semiring, num_rows, sorted_output=sorted_output, num_buckets=num_buckets)
+    order, groups, exp_sizes, exp_uniques = _rows_in_output_order(
+        rows, values, num_rows, sorted_output=sorted_output,
+        num_buckets=num_buckets)
+    assert uind.tolist() == order
+    expected = [semiring.reduceat(np.array(g), np.array([0]))[0] for g in groups]
+    assert np.array_equal(merged, np.array(expected, dtype=np.float64))
+    if semiring.add is np.minimum:
+        folded = [functools.reduce(semiring.add, g) for g in groups]
+        assert np.array_equal(merged, np.array(folded, dtype=np.float64))
+    assert sizes.tolist() == exp_sizes
+    assert uniques.tolist() == exp_uniques

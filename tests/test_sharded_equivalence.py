@@ -352,7 +352,8 @@ def test_sharded_engine_reports_like_the_monolithic_engine():
     assert "bucket" in format_engine_history(engine)
     summary = engine.summary()
     assert summary["shards"] == 2 and summary["calls"] == 1
-    assert summary["workspace"]["acquisitions"] > 0
+    # one-thread strips take the single pass, which fills no bucket store
+    assert summary["workspace"]["acquisitions"] == 0
     assert 0.0 <= summary["workspace"]["reuse_fraction"] <= 1.0
     assert summary["nnz_balance"] >= 1.0
 

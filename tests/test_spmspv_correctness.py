@@ -237,16 +237,3 @@ def test_sequential_spa_matches_and_is_serial():
     assert result.vector.equals(oracle)
     assert result.record.num_threads == 1
     assert result.record.phases[0].parallel is False
-
-
-def test_workspace_reuse_gives_same_result():
-    from repro.core import BucketStore
-
-    matrix = random_csc(40, 40, 0.15, seed=50)
-    workspace = BucketStore(1)
-    ctx = default_context(num_threads=4)
-    for seed in range(5):
-        x = random_sparse_vector(40, 10, seed=seed)
-        oracle = spmspv_scipy(matrix, x)
-        result = spmspv_bucket(matrix, x, ctx, workspace=workspace)
-        assert result.vector.equals(oracle)
