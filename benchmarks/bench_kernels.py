@@ -2,16 +2,21 @@
 
 These are not paper figures; they track the performance of this Python
 implementation itself (format conversions, gathers, SPA accumulation, the
-four SpMSpV kernels, and one BFS) so regressions in the library are visible.
+row merge of Step 2, the four SpMSpV kernels, and one BFS) so regressions in
+the library are visible.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.algorithms import bfs
 from repro.core import SparseAccumulator, spmspv
+from repro.core.buckets import SPA_ROWS_PER_ENTRY, merge_rows
 from repro.formats import CSCMatrix, DCSCMatrix
 from repro.parallel import default_context
+from repro.semiring import MIN_SELECT2ND, PLUS_TIMES
 
 from bench_common import ALGORITHMS, good_source, random_frontier, scale_free_graph
 
@@ -46,6 +51,64 @@ def test_spa_accumulate_kernel(benchmark):
         spa.accumulate(rows, vals)
 
     benchmark(run)
+
+
+@functools.lru_cache(maxsize=None)
+def bfs_level_stream(scale: int = 15):
+    """The largest level of a BFS from the best-connected vertex, as the
+    bucket kernel's merge receives it: every gathered edge into an unvisited
+    row, in gather order, carrying its parent id (the MIN_SELECT2ND stream)."""
+    graph = scale_free_graph(scale)
+    matrix = graph.matrix
+    visited = np.zeros(matrix.nrows, dtype=bool)
+    frontier = np.array([good_source(graph)])
+    visited[frontier] = True
+    largest = (np.empty(0, dtype=np.int64), np.empty(0))
+    while len(frontier):
+        rows, _vals, src = matrix.gather_columns(frontier)
+        live = ~visited[rows]
+        rows, parents = rows[live], frontier[src[live]].astype(np.float64)
+        if len(rows) > len(largest[0]):
+            largest = (rows, parents)
+        frontier = np.unique(rows)
+        visited[frontier] = True
+    return matrix.nrows, largest[0], largest[1]
+
+
+def check_against_left_fold(rows, values, semiring, uind, merged, sample=200):
+    """A sample of merged rows equals its addends folded left to right in
+    stream order, bit for bit (a pure-Python SPA)."""
+    picked = np.random.default_rng(0).choice(len(uind), size=min(sample, len(uind)),
+                                             replace=False)
+    for r in picked:
+        addends = values[rows == uind[r]].tolist()
+        folded = functools.reduce(lambda a, b: semiring.add(a, b), addends)
+        assert np.float64(folded).tobytes() == merged[r].tobytes()
+
+
+@pytest.mark.benchmark(group="merge")
+def test_merge_rows_dense(benchmark):
+    """Step 2 of a BFS-shaped level over 32,768 rows: the SPA spans the row space."""
+    num_rows, rows, parents = bfs_level_stream()
+    assert num_rows == 32_768 and num_rows <= SPA_ROWS_PER_ENTRY * len(rows)
+    uind, merged, _sizes, _uniques = benchmark(
+        lambda: merge_rows(rows, parents, MIN_SELECT2ND, num_rows, num_buckets=4))
+    check_against_left_fold(rows, parents, MIN_SELECT2ND, uind, merged)
+
+
+@pytest.mark.benchmark(group="merge")
+def test_merge_rows_hypersparse(benchmark):
+    """Step 2 of a served 64-column plus-times read on ljournal-like@14: the
+    row space dwarfs the stream, so its rows are renumbered first."""
+    graph = scale_free_graph(14)
+    x = random_frontier(graph, 64, seed=74)
+    rows, vals, src = graph.matrix.gather_columns(x.indices)
+    scaled = PLUS_TIMES.multiply(vals, x.values[src])
+    num_rows = graph.num_vertices
+    assert num_rows > SPA_ROWS_PER_ENTRY * len(rows)
+    uind, merged, _sizes, _uniques = benchmark(
+        lambda: merge_rows(rows, scaled, PLUS_TIMES, num_rows, num_buckets=4))
+    check_against_left_fold(rows, scaled, PLUS_TIMES, uind, merged)
 
 
 @pytest.mark.benchmark(group="spmspv-wall")

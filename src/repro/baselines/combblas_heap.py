@@ -65,7 +65,7 @@ def spmspv_combblas_heap(matrix: CSCMatrix, x: SparseVector,
     # the heap merge produces row-sorted output naturally
     uind, values = merge_rows(rows, scaled, semiring, m,
                               sorted_output=True)[:2]
-    record.info["workspace_reused"] = workspace is not None
+    record.info["workspace_reused"] = False  # writes no workspace buffer
 
     boundaries = strip_boundaries(m, t)
     entries_per_strip = per_strip_counts(rows, boundaries, t)

@@ -73,7 +73,7 @@ def spmspv_combblas_spa(matrix: CSCMatrix, x: SparseVector,
     rows, scaled = gather_selected(matrix, x, semiring)
     uind, values = merge_rows(rows, scaled, semiring, m,
                               sorted_output=sorted_output)[:2]
-    record.info["workspace_reused"] = workspace is not None
+    record.info["workspace_reused"] = False  # writes no workspace buffer
 
     boundaries = strip_boundaries(m, t)
     entries_per_strip = per_strip_counts(rows, boundaries, t)

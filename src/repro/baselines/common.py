@@ -16,9 +16,11 @@ Two quantities depend only on ``(matrix, t)`` and are therefore cached:
   O(nzc) term of the matrix-driven GraphMat baseline.
 
 Every baseline combines its gathered entries with the row merge the bucket
-kernel uses (:func:`~repro.core.buckets.merge_rows`), so they differ only in
-the work they are charged (their SPA, heap and sort costs are counted
-analytically) and accept ``workspace=`` without writing to it.
+kernel uses (:func:`~repro.core.buckets.merge_rows`, a per-call SPA that
+folds each row's addends in stream order), so they differ only in the work
+they are charged (their SPA, heap and sort costs are counted analytically)
+and accept ``workspace=`` without writing to it (their records report
+``workspace_reused`` False).
 """
 
 from __future__ import annotations

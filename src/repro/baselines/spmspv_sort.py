@@ -72,7 +72,7 @@ def spmspv_sort(matrix: CSCMatrix, x: SparseVector,
     sort_phase = PhaseRecord(name="sort_prune", parallel=True)
     uind, values = merge_rows(rows, scaled, semiring, m,
                               sorted_output=True)[:2]
-    record.info["workspace_reused"] = workspace is not None
+    record.info["workspace_reused"] = False  # writes no workspace buffer
     log_total = max(1.0, np.log2(max(total, 2)))
     outputs_total = len(uind)
     for tid in range(t):

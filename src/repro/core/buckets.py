@@ -11,13 +11,17 @@ region inside each bucket, making Step 1 lock-free.
 :class:`BucketStore` is preallocated once (its capacity is bounded by
 ``nnz(A)``, §III-A "Memory allocation") and reused across multiplications.
 
-Step 2 merges each bucket's entries by row.  :func:`merge_rows` is that merge
-for every kernel in the package, and :func:`merge_work` its per-thread work
-counts, derived from the segment sizes the merge reports.
+Step 2 merges each bucket's entries by row through a sparse accumulator
+(SPA): each row's addends are folded into its slot in stream order, in time
+linear in the entries, and only the unique rows are ordered.
+:func:`merge_rows` is that merge for every kernel in the package, with a
+per-call SPA, and :func:`merge_work` its per-thread work counts, derived from
+the segment sizes the merge reports.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -89,47 +93,133 @@ def bucket_row_ranges(num_buckets: int, num_rows: int) -> List[Tuple[int, int]]:
     return ranges
 
 
+#: :func:`merge_rows` accumulates into a SPA over the whole row space while
+#: the row space is at most this many times the stream length; a sparser
+#: (hypersparse) stream is renumbered densely first, so that its SPA spans
+#: only the rows it touches
+SPA_ROWS_PER_ENTRY = 2
+
+
+@functools.lru_cache(maxsize=None)
+def _spa_seed(add: np.ufunc, identity, dtype: np.dtype):
+    """The value a SPA slot of ``dtype`` starts from, or None if there is none.
+
+    A slot may start from the semiring's identity only where folding an
+    addend into it gives that addend bit for bit: ``add`` must map two
+    ``dtype`` operands to ``dtype`` (``np.logical_or`` on floats does not)
+    and ``dtype`` must hold the identity exactly (an integer holds no
+    ``inf``; a bool holds no ``-inf``).  A floating-point plus starts from
+    ``-0.0``, IEEE 754's exact additive identity (``0.0 + -0.0`` is
+    ``+0.0``).  Without a seed, each slot starts from its first addend.
+    """
+    probe = np.zeros(1, dtype=dtype)
+    if add(probe, probe).dtype != dtype:
+        return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        seed = np.array(identity).astype(dtype)
+    if seed != identity:
+        return None
+    if add is np.add and dtype.kind in "fc":
+        return -probe[0]
+    return seed[()]
+
+
+def _first_addends(slots: np.ndarray, space: int) -> np.ndarray:
+    """Stream position of each slot's first addend (``len(slots)`` if none)."""
+    first = np.full(space, len(slots), dtype=np.intp)
+    np.minimum.at(first, slots, np.arange(len(slots)))
+    return first
+
+
+@functools.lru_cache(maxsize=256)
+def _bucket_bounds(num_buckets: int, num_rows: int) -> np.ndarray:
+    """Each bucket's first row, then ``num_rows`` (read-only, shared)."""
+    bounds = np.array([lo for lo, _hi in bucket_row_ranges(num_buckets, num_rows)]
+                      + [num_rows], dtype=INDEX_DTYPE)
+    bounds.flags.writeable = False
+    return bounds
+
+
 def merge_rows(rows: np.ndarray, values: np.ndarray, semiring: Semiring,
                num_rows: int, *,
                sorted_output: bool = True, num_buckets: int = 1,
                staging: Optional[np.ndarray] = None):
     """Step 2 of Algorithm 1: combine a gathered (row, value) stream by row.
 
-    One stable row sort (:func:`stable_row_argsort`) groups equal rows and
-    keeps each row's addends in stream order, and one ``semiring.reduceat``
-    reduces every run.  A run's value depends only on its addends and their
-    order (``np.add.reduceat`` adds a run's first addend to the pairwise sum
-    of the rest, so the order matters in the last bits), and every kernel
-    merges through here: two kernels that feed the same stream get the same
-    bits.  Buckets are ascending row ranges, so the sorted stream is already
-    bucket-major and each bucket a contiguous segment of it.
+    The merge is a SPA built per call (Algorithm 1, lines 11-18): each row's
+    value is the left fold of its addends in stream order, starting from its
+    first addend (``semiring.accumulate_at`` into slots seeded by
+    :func:`_spa_seed`, or by each slot's first addend where the dtype holds
+    no exact seed).  That is what
+    :func:`~repro.core.spmspv_bucket.spmspv_bucket_reference` computes, and
+    every kernel merges through here, so two kernels that feed the same
+    stream get the same bits.  While ``num_rows`` is at most
+    :data:`SPA_ROWS_PER_ENTRY` times the stream length the SPA spans the row
+    space, and one ``np.bincount`` yields the unique rows already ascending;
+    a hypersparse stream is renumbered densely by one stable row sort
+    (:func:`stable_row_argsort`, which ``staging`` is passed on to) and
+    accumulated over its unique rows only.  Buckets are ascending row
+    ranges, so each bucket is a contiguous run of the unique rows.
 
     Returns ``(uind, merged, sizes, uniques)``: the unique rows and their
-    values in output order (rows ascending; with ``sorted_output`` false,
-    buckets ascending and each bucket's rows in first-touch order, the
-    unsorted variant's order), and each of the ``num_buckets`` buckets'
-    entry and unique-row counts for :func:`merge_work`.  ``staging`` is
-    passed on to :func:`stable_row_argsort`.
+    values (of ``values``' dtype) in output order (rows ascending; with
+    ``sorted_output`` false, buckets ascending and each bucket's rows in
+    first-touch order, the unsorted variant's order), and each of the
+    ``num_buckets`` buckets' entry and unique-row counts for
+    :func:`merge_work`.
     """
     p = len(rows)
     if p == 0:
         empty = np.zeros(num_buckets, dtype=INDEX_DTYPE)
         return rows, values, empty, empty
-    order = stable_row_argsort(rows, num_rows, staging=staging)
-    sr = rows[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sr)) + 1))
-    uind = sr[starts]
-    merged = semiring.reduceat(values[order], starts)
-    if num_buckets == 1:
+    seed = _spa_seed(semiring.add, semiring.add_identity, values.dtype)
+    bounds = _bucket_bounds(num_buckets, num_rows) if num_buckets > 1 else None
+    # slots[k] is the SPA slot of addend vals[k]; heads the position in vals
+    # of each touched slot's first addend, listed in the order of `touched`;
+    # before[b] the entries in rows below bounds[b]
+    if num_rows <= SPA_ROWS_PER_ENTRY * p:
+        # the SPA spans the row space: every row is its own slot
+        counts = np.bincount(rows, minlength=num_rows)
+        uind = np.flatnonzero(counts)
+        slots, vals, touched, space = rows, values, uind, uind[-1] + 1
+        first = heads = (_first_addends(rows, num_rows)[uind]
+                         if seed is None or not sorted_output else None)
+        if bounds is not None:
+            before = np.zeros(num_rows + 1, dtype=INDEX_DTYPE)
+            np.cumsum(counts, out=before[1:])
+            before = before[bounds]
+    else:
+        # hypersparse: renumber the rows densely in stable row order, which
+        # keeps each row's addends in stream order
+        order = stable_row_argsort(rows, num_rows, staging=staging)
+        sr = rows[order]
+        head = np.empty(p, dtype=bool)
+        head[0] = True
+        np.not_equal(sr[1:], sr[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        uind = sr[heads]
+        slots = head.cumsum()
+        slots -= 1
+        vals, touched, space, first = values[order], slice(None), len(uind), order[heads]
+        if bounds is not None:
+            before = np.searchsorted(sr, bounds)
+    if seed is not None:
+        spa = np.full(space, seed, dtype=values.dtype)
+        semiring.accumulate_at(spa, slots, vals)
+    else:
+        spa = np.empty(space, dtype=values.dtype)
+        spa[touched] = vals[heads]
+        rest = np.ones(p, dtype=bool)
+        rest[heads] = False
+        semiring.accumulate_at(spa, slots[rest], vals[rest])
+    merged = spa[touched]
+    if bounds is None:
         sizes, uniques = np.array([p]), np.array([len(uind)])
     else:
-        bounds = np.array([lo for lo, _hi in bucket_row_ranges(num_buckets, num_rows)]
-                          + [num_rows], dtype=INDEX_DTYPE)
-        sizes = np.diff(np.searchsorted(sr, bounds))
-        uniques = np.diff(np.searchsorted(uind, bounds))
+        cuts = np.searchsorted(uind, bounds)
+        sizes, uniques = before[1:] - before[:-1], cuts[1:] - cuts[:-1]
     if not sorted_output:
         # rank unique rows by (bucket, position of their first addend)
-        first = order[starts]
         if num_buckets > 1:
             first = bucket_of_rows(uind, num_buckets, num_rows) * (p + 1) + first
         perm = np.argsort(first, kind="stable")

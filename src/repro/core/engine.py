@@ -14,9 +14,9 @@ once:
   owns one :class:`~repro.core.workspace.SpMSpVWorkspace` (the bucket store
   the bucket kernel fills at ``num_threads > 1`` and the fused kernel's
   block buffers; every kernel merges through
-  :func:`~repro.core.buckets.merge_rows`, which needs no SPA) and threads it
-  through every kernel call, so an iterative algorithm allocates no buffer
-  per iteration.
+  :func:`~repro.core.buckets.merge_rows`, whose SPA is built per call) and
+  threads it through every kernel call, so an iterative algorithm allocates
+  no buffer per iteration.
 * **One kernel per engine** — every call runs the registered kernel it is
   given (the engine default is the paper's bucket algorithm, overridable
   per call) and records the call's measured wall time in the call log.

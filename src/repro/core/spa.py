@@ -14,6 +14,12 @@ increment — no O(m) clearing — which is exactly the property the
 work-efficiency argument needs, while the dense arrays themselves are
 allocated once and reused across multiplications (the paper's "Memory
 allocation" optimization of §III-A).
+
+This persistent SPA serves the sequential algorithm of Table II and the
+baselines' literal references.  The kernels' Step 2 is a per-call SPA,
+:func:`~repro.core.buckets.merge_rows`, and :meth:`SparseAccumulator.accumulate`
+combines a batch's duplicates through that same merge, so both fold a row's
+addends in stream order.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 from .._typing import INDEX_DTYPE, as_index_array, as_value_array
 from ..errors import DimensionMismatchError
 from ..semiring import PLUS_TIMES, Semiring
+from .buckets import merge_rows
 
 
 class SparseAccumulator:
@@ -62,10 +69,11 @@ class SparseAccumulator:
     def accumulate(self, indices: np.ndarray, values: np.ndarray) -> Tuple[int, int]:
         """Accumulate ``values`` into the given slots with the semiring's ADD.
 
-        Duplicates inside the batch are combined first (sort + segmented
-        reduce), then fresh slots are assigned and already-initialized slots
-        are combined with the existing value — the vectorized equivalent of
-        lines 13-18 of Algorithm 1.
+        Duplicates inside the batch are combined first, left to right in
+        batch order (:func:`~repro.core.buckets.merge_rows`), then fresh
+        slots are assigned and already-initialized slots are combined with
+        the existing value — the vectorized equivalent of lines 13-18 of
+        Algorithm 1.
 
         Returns ``(num_fresh, num_combines)``: how many slots were seen for the
         first time this epoch and how many ADD applications were performed.
@@ -79,13 +87,9 @@ class SparseAccumulator:
         if indices.max() >= self.m or indices.min() < 0:
             raise IndexError("SPA index out of range")
 
-        order = np.argsort(indices, kind="stable")
-        si = indices[order]
-        sv = values[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(si)) + 1))
-        uidx = si[starts]
-        combined = self.semiring.reduceat(sv.astype(self.values.dtype, copy=False), starts)
-        in_batch_combines = len(si) - len(uidx)
+        uidx, combined = merge_rows(indices, values.astype(self.values.dtype, copy=False),
+                                    self.semiring, self.m)[:2]
+        in_batch_combines = len(indices) - len(uidx)
 
         fresh_mask = self.stamp[uidx] != self.epoch
         fresh = uidx[fresh_mask]

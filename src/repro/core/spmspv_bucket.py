@@ -12,10 +12,10 @@ with :class:`~repro.parallel.metrics.WorkMetrics`:
    corresponding ``x`` values with the semiring's MULTIPLY, and scattered
    into ``nb = 4·t`` row-range buckets.
 2. **spa_merge** (Step 2) — buckets are dynamically scheduled onto threads;
-   each bucket's entries are combined by row
-   (:func:`~repro.core.buckets.merge_rows`, the one row merge of every
-   kernel), collecting the bucket's unique row indices (optionally sorted),
-   and the SPA work of Algorithm 1 is counted from the bucket sizes
+   each bucket's entries are folded by row into a SPA built per call, in
+   stream order (:func:`~repro.core.buckets.merge_rows`, the one row merge
+   of every kernel), collecting the bucket's unique row indices (optionally
+   sorted), and the SPA work of Algorithm 1 is counted from the bucket sizes
    (:func:`~repro.core.buckets.merge_work`).
 3. **output** (Step 3) — a prefix sum over per-bucket unique counts assigns
    each bucket its offset in ``y``; values are fetched from the SPA.
@@ -157,7 +157,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
         return _spmspv_bucket_single(matrix, x, ctx, semiring=semiring,
                                      sorted_output=sorted_output, mask=mask,
                                      mask_complement=mask_complement,
-                                     bitmap=bitmap, workspace=workspace)
+                                     bitmap=bitmap)
 
     t_start = time.perf_counter()
     m, n = matrix.shape
@@ -306,7 +306,7 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
 def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
                           ctx: ExecutionContext, *, semiring: Semiring,
                           sorted_output: bool, mask: Optional[Mask],
-                          mask_complement: bool, bitmap, workspace
+                          mask_complement: bool, bitmap
                           ) -> SpMSpVResult:
     """The ``single_pass`` body of :func:`spmspv_bucket` (t == 1, validated).
 
@@ -320,13 +320,15 @@ def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
     * the gathered stream is already the concatenation of the selected
       columns in ``x``'s storage order — exactly the stream the bucket store
       would hold, bucket-grouped;
-    * :func:`~repro.core.buckets.merge_rows` over that whole stream sees
+    * :func:`~repro.core.buckets.merge_rows` over that whole stream folds
       each row's addends in the order the generic path's per-bucket merges
-      see them, and reports the per-bucket segment sizes from which
+      fold them (the SPA of Algorithm 1, lines 11-18, built per call), and
+      reports the per-bucket segment sizes from which
       :func:`~repro.core.buckets.merge_work` reproduces the per-bucket work
       metrics number for number.
 
-    The bucket store stays untouched: one thread has nothing to scatter.
+    No workspace buffer is written, and the record says so
+    (``workspace_reused`` is False): one thread has nothing to scatter.
     """
     t_start = time.perf_counter()
     m, n = matrix.shape
@@ -356,7 +358,7 @@ def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
 
     total_entries = len(rows)
     record.info["df"] = total_entries
-    record.info["workspace_reused"] = workspace is not None
+    record.info["workspace_reused"] = False  # one thread has nothing to scatter
 
     # Phase 1: bucketing — scale the gathered entries (no scatter needed)
     bucketing_phase = PhaseRecord(name="bucketing", parallel=True)

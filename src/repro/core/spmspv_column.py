@@ -16,11 +16,11 @@ the two halves of that scheme as pure functions:
 * :func:`reduce_partials` — the reduction phase: concatenate the strip
   streams in the order of the monolithic kernel's single gather stream and
   combine them with the row merge every kernel uses
-  (:func:`~repro.core.buckets.merge_rows`).
+  (:func:`~repro.core.buckets.merge_rows`, a per-call SPA).
 
 Shipping unreduced streams is what makes the scheme bit-identical to the
-monolithic engine: the merge reduces each row's addends in stream order, so
-the same stream gives the same bits.  Had each strip pre-reduced its own
+monolithic engine: the merge folds each row's addends left to right in
+stream order, so the same stream gives the same bits.  Had each strip pre-reduced its own
 addends, the parent would have to re-reduce partial sums — a different
 association of a floating-point sum, and a different answer in the last ulp.
 """
@@ -180,8 +180,8 @@ def reduce_partials(partials: Sequence[ColumnPartial], *,
     ascending global frontier position (``gpos``).  A sorted frontier's
     strips cover ascending column ranges, so their concatenated streams
     already hold every row's addends in that order; an unsorted frontier's
-    streams are stably sorted by ``gpos`` first.  The row merge then reduces
-    every row's addends in that order, exactly once.
+    streams are stably sorted by ``gpos`` first.  The row merge then folds
+    every row's addends into a per-call SPA in that order, exactly once.
 
     Returns the finalized output (identities pruned; masking already
     happened strip-side) and the reduction phase's work metrics:

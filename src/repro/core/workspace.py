@@ -12,9 +12,9 @@ a kernel writes, and only those:
 * the fused block kernel's :class:`BlockBuffers`, built on its first call.
 
 Every kernel merges its gathered entries through
-:func:`~repro.core.buckets.merge_rows`, which needs no dense accumulator, so
-the one-thread bucket pass, the column split and the baselines write no
-workspace buffer at all.
+:func:`~repro.core.buckets.merge_rows`, whose sparse accumulator is built per
+call and is not a workspace buffer, so the one-thread bucket pass, the column
+split and the baselines write no workspace buffer at all.
 
 A workspace is bound to a row dimension ``m`` (the matrix it serves); its
 buffers regrow geometrically or change dtype lazily, and every acquisition

@@ -5,7 +5,7 @@ frozen at engine build time (the process backend even copies the CSC arrays
 into shared memory once).  :class:`DeltaLog` records edge updates — insert,
 reweight, delete — against an immutable base matrix.  It keeps only the
 resolved edge set (one latest-wins entry per touched edge), merging each
-batch in as it lands, so a write costs O(entries + batch) and reading the
+batch in as it lands, so a write sorts only its batch and reading the
 resolved set costs nothing.  :func:`build_patch` turns the log into a
 *patch matrix* that lets SpMSpV run as
 
@@ -87,19 +87,28 @@ def check_updates(shape, rows, cols, values=None
     return rows, cols, values
 
 
+def _grown(old: np.ndarray, kept: np.ndarray, fresh: np.ndarray, new) -> np.ndarray:
+    """A new array holding ``old`` at the ``kept`` slots and ``new`` at ``fresh``."""
+    out = np.empty(len(kept), dtype=old.dtype)
+    out[kept] = old
+    out[fresh] = new
+    return out
+
+
 class DeltaLog:
     """An append-only log of edge updates against a fixed matrix shape.
 
     The log keeps only its resolved edge set: one ``(row, col, value,
     deleted)`` entry per distinct touched edge, sorted by ``(row, col)``,
-    latest-wins.  Each append merges its batch into those sorted entries
-    (concatenate, then a stable sort that runs in about linear time on the
-    sorted prefix), so a write costs O(entries + batch) and
-    :meth:`resolved` costs nothing.  ``len()`` still counts the raw events
-    appended since the last :meth:`clear`.
+    latest-wins, beside the entries' sorted ``row·ncols + col`` keys.  An
+    append resolves its batch alone (a stable sort of the batch), binary
+    searches it into the keys, overwrites the edges it hits and inserts the
+    rest, so a write sorts O(batch) and copies the entries once; arrays an
+    earlier :meth:`resolved` returned are never written.  ``len()`` still
+    counts the raw events appended since the last :meth:`clear`.
     """
 
-    __slots__ = ("shape", "_count", "_resolved")
+    __slots__ = ("shape", "_count", "_resolved", "_keys")
 
     def __init__(self, shape):
         m, n = int(shape[0]), int(shape[1])
@@ -118,20 +127,41 @@ class DeltaLog:
         if count == 0:
             return 0
         deleted = vals is None
-        old_rows, old_cols, old_vals, old_dels = self._resolved
-        rows = np.concatenate([old_rows, rows])
-        cols = np.concatenate([old_cols, cols])
-        vals = np.concatenate([old_vals, np.zeros(count) if deleted else vals])
-        dels = np.concatenate([old_dels, np.full(count, deleted)])
-        # stable: within one edge the later event sorts last, and wins
-        keys = rows.astype(np.int64) * self.shape[1] + cols
+        if deleted:
+            vals = np.zeros(count)
+        # the batch latest-wins: stable, so within one edge the later event
+        # sorts last, and wins
+        keys = rows * self.shape[1] + cols
         order = np.argsort(keys, kind="stable")
         ks = keys[order]
-        last = np.empty(len(ks), dtype=bool)
+        last = np.empty(count, dtype=bool)
         last[-1] = True
         np.not_equal(ks[1:], ks[:-1], out=last[:-1])
-        pick = order[last]
-        self._resolved = (rows[pick], cols[pick], vals[pick], dels[pick])
+        keys, pick = ks[last], order[last]
+        # a new edge goes to its sorted position and an edge already resolved
+        # is overwritten, in new arrays, so no array an earlier resolved()
+        # returned changes
+        old_keys = self._keys
+        old_rows, old_cols, old_vals, old_dels = self._resolved
+        pos = np.searchsorted(old_keys, keys)
+        hit = np.zeros(len(keys), dtype=bool)
+        if len(old_keys):
+            hit = old_keys[np.minimum(pos, len(old_keys) - 1)] == keys
+        miss = ~hit
+        at, new = pos[miss], pick[miss]
+        fresh = at + np.arange(len(at))   # the new edges' slots once grown
+        kept = np.ones(len(old_keys) + len(at), dtype=bool)
+        kept[fresh] = False
+        self._keys = _grown(old_keys, kept, fresh, keys[miss])
+        new_vals = _grown(old_vals, kept, fresh, vals[new])
+        new_dels = _grown(old_dels, kept, fresh, deleted)
+        if len(at) < len(keys):
+            # each hit moves past the new edges inserted before it
+            dest = pos[hit] + np.searchsorted(at, pos[hit], side="right")
+            new_vals[dest] = vals[pick[hit]]
+            new_dels[dest] = deleted
+        self._resolved = (_grown(old_rows, kept, fresh, rows[new]),
+                          _grown(old_cols, kept, fresh, cols[new]), new_vals, new_dels)
         self._count += count
         return count
 
@@ -147,6 +177,7 @@ class DeltaLog:
         empty_idx = np.empty(0, dtype=INDEX_DTYPE)
         self._resolved = (empty_idx, empty_idx.copy(),
                           np.empty(0, dtype=np.float64), np.empty(0, dtype=bool))
+        self._keys = empty_idx.copy()
         self._count = 0
 
     # ------------------------------------------------------------------ #

@@ -6,8 +6,8 @@ SSSP, PageRank, SVM/SMO) each run the multiplication over a different
 semiring.  A semiring bundles
 
 * ``add``   — the reduction used when several matrix entries land on the
-  same output row (a binary NumPy ufunc so that kernels can use
-  ``ufunc.reduceat`` / ``ufunc.at`` for vectorized, per-bucket merging),
+  same output row (a binary NumPy ufunc so that the kernels' SPA merge can
+  fold a whole stream with ``ufunc.at``),
 * ``add_identity`` — the identity element of ``add``,
 * ``mul``   — the elementwise combination of a matrix entry ``A(i, j)`` with
   the vector entry ``x(j)``.

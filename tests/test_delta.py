@@ -210,6 +210,60 @@ def test_resolved_and_apply_delta_match_a_dict_replay(batches):
     assert rebuilt.nnz == len(expected)
 
 
+def _resolve_by_sorting_everything(events, ncols):
+    """The earlier ``DeltaLog`` merge, as an oracle: concatenate every event
+    ever logged, stable-sort by ``row·ncols + col`` and keep each edge's last."""
+    rows = np.array([r for r, _c, _v, _d in events], dtype=np.int64)
+    cols = np.array([c for _r, c, _v, _d in events], dtype=np.int64)
+    vals = np.array([v for _r, _c, v, _d in events], dtype=np.float64)
+    dels = np.array([d for _r, _c, _v, d in events], dtype=bool)
+    keys = rows * ncols + cols
+    order = np.argsort(keys, kind="stable")
+    last = np.append(keys[order][1:] != keys[order][:-1], True)
+    pick = order[last]
+    return rows[pick], cols[pick], vals[pick], dels[pick]
+
+
+#: a history of batches over a 40x30 matrix: each event is an insert, a
+#: reweight or a delete of an edge drawn from a small pool, so edges repeat
+#: within one batch and across batches
+HISTORIES = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.tuples(st.sampled_from([(r, c) for r in (0, 7, 13, 39)
+                                                  for c in (0, 5, 29)])
+                                 | st.tuples(st.integers(0, 39), st.integers(0, 29)),
+                                 st.floats(-4.0, 4.0, allow_nan=False)),
+                       min_size=1, max_size=20)),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(HISTORIES)
+def test_merge_insert_resolves_as_sorting_every_event(history):
+    """Each append sorts only its batch and merges it into the resolved
+    entries; after every batch the four arrays equal, bit for bit, what
+    sorting the whole history gives, and no array an earlier ``resolved()``
+    returned has changed."""
+    delta = DeltaLog((40, 30))
+    events, snapshots = [], []
+    for deleting, batch in history:
+        rows = [r for (r, _c), _v in batch]
+        cols = [c for (_r, c), _v in batch]
+        if deleting:
+            delta.delete_edges(rows, cols)
+            events += [(r, c, 0.0, True) for r, c in zip(rows, cols)]
+        else:
+            delta.set_edges(rows, cols, [v for _e, v in batch])
+            events += [(r, c, v, False) for (r, c), v in batch]
+        got = delta.resolved()
+        for array, expected in zip(got, _resolve_by_sorting_everything(events, 30)):
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
+        snapshots.append((got, [a.copy() for a in got]))
+    for arrays, copies in snapshots:
+        assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+
+
 def test_stats_reports_shape_of_pending_work():
     delta = DeltaLog((10, 10))
     delta.set_edges([1, 2, 1], [1, 2, 1], [1.0, 2.0, 3.0])

@@ -172,6 +172,22 @@ def test_one_thread_bfs_acquires_no_workspace_buffer():
     assert stats["allocations"] == 0
 
 
+def test_no_record_claims_reuse_of_an_untouched_workspace():
+    """``workspace_reused`` means a buffer was acquired: the one-thread bucket
+    pass and the baselines write none, so their records must not claim it."""
+    result = bfs(grid_2d(100, 100), 0)
+    assert result.engine.workspace_stats()["acquisitions"] == 0
+    assert result.records and not any(r.info["workspace_reused"]
+                                       for r in result.records)
+    matrix = random_csc(40, 40, 0.15, seed=9)
+    for algorithm in ALGORITHMS:
+        engine = SpMSpVEngine(matrix, default_context(num_threads=2),
+                              algorithm=algorithm)
+        record = engine.multiply(random_sparse_vector(40, 8, seed=9)).record
+        assert record.info["workspace_reused"] == (algorithm == "bucket")
+        assert engine.workspace_stats()["acquisitions"] == (algorithm == "bucket")
+
+
 def test_rising_bucket_store_need_reallocates_rarely():
     """The bucket store grows geometrically: a 199-level grid BFS at four
     threads, whose gathered entries rise level after level, reallocates it

@@ -1,9 +1,12 @@
 """The cross-kernel equivalence matrix: every kernel, bit-identical.
 
 All five production SpMSpV kernels compute the product from the same gathered
-entry stream (columns in the input vector's storage order) and reduce each
-row's addends with the same stable row-grouped ``semiring.reduceat``, so
-their outputs are **bit-identical** — not merely numerically close — across
+entry stream (columns in the input vector's storage order) and fold each
+row's addends left to right in stream order through the same per-call sparse
+accumulator (``repro.core.buckets.merge_rows``), which is the order of the
+literal Algorithm 1 (``spmspv_bucket_reference``) and of the sequential SPA
+algorithm, so their outputs are **bit-identical** — not merely numerically
+close — across
 
     randomized graphs x all 5 kernels x all semirings
         x {no mask, mask, complement mask, row map} x sorted/unsorted inputs.
@@ -32,8 +35,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import spmspv_dict
-from repro.core import SpMSpVEngine, spmspv_bucket, spmspv_bucket_block
+from repro.baselines import spmspv_dict, spmspv_sequential_spa
+from repro.core import (SpMSpVEngine, spmspv_bucket, spmspv_bucket_block,
+                        spmspv_bucket_reference)
+from repro.formats import CSCMatrix
 from repro.core.dispatch import get_algorithm
 from repro.errors import DimensionError
 from repro.formats import SparseVector
@@ -165,6 +170,65 @@ def test_fused_block_variants_bit_identical(semiring, mask_mode, problem):
             mask_complement=kw["mask_complement"], early_mask=early)
         for ref, out in zip(refs, fused):
             assert_bit_identical(ref.vector, out.vector, f"fused early={early}")
+
+
+def assert_same_bits(a: SparseVector, b: SparseVector, label: str) -> None:
+    """Indices equal and values equal bit for bit as stored (so -0.0 != 0.0)."""
+    assert np.array_equal(a.indices, b.indices), f"{label}: indices differ"
+    assert a.values.dtype == b.values.dtype, f"{label}: dtypes differ"
+    assert a.values.tobytes() == b.values.tobytes(), f"{label}: value bits differ"
+
+
+@pytest.mark.parametrize("semiring", ALL_SEMIRINGS, ids=lambda s: s.name)
+@given(problem=problems(), sorted_output=st.booleans())
+@settings(**SETTINGS)
+def test_bucket_kernel_is_the_literal_algorithm_bit_for_bit(semiring, problem,
+                                                           sorted_output):
+    """The vectorized kernel stores exactly what the line-by-line transcription
+    of Algorithms 1 and 2 stores: each row's SPA value is its addends folded
+    left to right in bucket stream order (a pairwise plus-times sum would
+    differ in the last bits)."""
+    matrix, x, _mask, threads = problem
+    ctx = default_context(num_threads=threads)
+    result = spmspv_bucket(matrix, x, ctx, semiring=semiring,
+                           sorted_output=sorted_output)
+    literal = spmspv_bucket_reference(matrix, x, ctx.num_buckets, semiring=semiring,
+                                      sorted_output=sorted_output)
+    assert_same_bits(literal, result.vector, "bucket vs literal")
+
+
+@given(problems())
+@settings(**SETTINGS)
+def test_sequential_spa_is_the_bucket_kernel_bit_for_bit(problem):
+    """The work-optimal sequential algorithm's persistent SPA combines a
+    batch through the kernels' merge, so it folds in the same order."""
+    matrix, x, _mask, threads = problem
+    bucket = spmspv_bucket(matrix, x, default_context(num_threads=threads),
+                           sorted_output=True)
+    sequential = spmspv_sequential_spa(matrix, x, sorted_output=True)
+    assert_same_bits(bucket.vector, sequential.vector, "sequential SPA")
+
+
+@pytest.mark.parametrize("semiring", ALL_SEMIRINGS, ids=lambda s: s.name)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_integer_operands_keep_their_values_under_every_semiring(semiring, kernel):
+    """An int64 matrix and vector: no dtype holds ``inf``, so a min or max
+    SPA slot must start from its row's first addend, never from the identity
+    cast to an integer (INT64_MIN)."""
+    rng = np.random.default_rng(5)
+    dense = random_csc(40, 36, 0.2, seed=5).to_dense()
+    matrix = CSCMatrix.from_dense(np.where(dense != 0, rng.integers(1, 10, dense.shape), 0))
+    idx = np.sort(rng.choice(36, size=14, replace=False))
+    x = SparseVector(36, idx, rng.integers(1, 10, 14), check=False)
+    assert matrix.dtype == np.int64 and x.dtype == np.int64
+    oracle = spmspv_dict(matrix, x, semiring=semiring)
+    for threads in (1, 3):
+        y = get_algorithm(kernel)(matrix, x, default_context(num_threads=threads),
+                                  semiring=semiring).vector
+        assert np.array_equal(y.indices, oracle.indices)
+        assert np.array_equal(y.values, oracle.values)
+        assert y.values.dtype == (bool if semiring is OR_AND and kernel != "bucket"
+                                  else np.int64)
 
 
 @given(problems())

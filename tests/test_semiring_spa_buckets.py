@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -14,10 +14,12 @@ from repro.core import (
     bucket_row_ranges,
     compute_offsets,
 )
+from repro.core import buckets
 from repro.core.buckets import merge_rows
 from repro.errors import ReproError
 from repro.semiring import (
     MAX_SELECT2ND,
+    MAX_TIMES,
     MIN_PLUS,
     MIN_SELECT2ND,
     OR_AND,
@@ -248,17 +250,20 @@ def _rows_in_output_order(rows, values, num_rows, *, sorted_output, num_buckets)
                          ids=lambda sr: sr.name)
 @given(stream=merge_streams(), sorted_output=st.booleans(),
        num_buckets=st.integers(1, 8))
+# the left fold and np.add.reduceat (first addend plus the pairwise sum of
+# the rest) round these plus-times rows differently: 0.6000000000000001 vs 0.6
+@example(stream=(9, [5, 5, 5], [0.1, 0.2, 0.3]), sorted_output=True, num_buckets=1)
+@example(stream=(1, [0, 0, 0, 0], [97153.0, 1e6, 999999.4703372817, 0.2]),
+         sorted_output=False, num_buckets=3)
 @settings(deadline=None, max_examples=60)
 def test_merge_rows_matches_a_row_by_row_oracle(semiring, stream, sorted_output,
                                                 num_buckets):
-    """``merge_rows`` groups a stream's rows, keeps each row's addends in
-    stream order and lays the rows out as the unsorted variant would.
+    """``merge_rows`` groups a stream's rows, folds each row's addends left
+    to right in stream order (Algorithm 1's SPA order) and lays the rows out
+    as the unsorted variant would.
 
-    Each row is reduced alone by the oracle.  ``np.add.reduceat`` adds a
-    run's first addend to the pairwise sum of the rest, which is not a left
-    fold, so a plus-times row is compared with the same reduction over its
-    addends in stream order (a misordered row differs in the last bits); a
-    min row, exact in any order, is also compared with the left fold.
+    Each row is folded alone by the oracle, in pure Python; a merge that
+    reorders a row's addends differs from it in the last bits.
     """
     num_rows, rows, values = stream
     uind, merged, sizes, uniques = merge_rows(
@@ -268,10 +273,49 @@ def test_merge_rows_matches_a_row_by_row_oracle(semiring, stream, sorted_output,
         rows, values, num_rows, sorted_output=sorted_output,
         num_buckets=num_buckets)
     assert uind.tolist() == order
-    expected = [semiring.reduceat(np.array(g), np.array([0]))[0] for g in groups]
-    assert np.array_equal(merged, np.array(expected, dtype=np.float64))
-    if semiring.add is np.minimum:
-        folded = [functools.reduce(semiring.add, g) for g in groups]
-        assert np.array_equal(merged, np.array(folded, dtype=np.float64))
+    folded = [functools.reduce(semiring.add, g) for g in groups]
+    assert np.array_equal(merged, np.array(folded, dtype=np.float64))
     assert sizes.tolist() == exp_sizes
     assert uniques.tolist() == exp_uniques
+
+
+@pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, MAX_TIMES, OR_AND],
+                         ids=lambda sr: sr.name)
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.bool_],
+                         ids=lambda dt: np.dtype(dt).name)
+@pytest.mark.parametrize("sorted_output", [True, False])
+def test_merge_rows_dense_and_renumbered_spas_agree(semiring, dtype, sorted_output,
+                                                   monkeypatch):
+    """One stream merged on both sides of the crossover: at ``num_rows`` =
+    SPA_ROWS_PER_ENTRY x the stream length the SPA spans the row space and
+    nothing is sorted; one row more and the rows are renumbered by a stable
+    sort first.  Rows, counts and value bits agree, whether a slot starts
+    from the identity or (no exact seed in the dtype) from its first addend."""
+    rng = np.random.default_rng(11)
+    p = 64
+    num_rows = buckets.SPA_ROWS_PER_ENTRY * p
+    rows = rng.integers(0, num_rows, p)
+    rows[:16] = rows[16:32]
+    values = (rng.normal(size=p) * 1e3).astype(dtype)
+    sorts = []
+    sort = buckets.stable_row_argsort
+    monkeypatch.setattr(buckets, "stable_row_argsort",
+                        lambda *args, **kw: sorts.append(args) or sort(*args, **kw))
+    dense = merge_rows(rows, values, semiring, num_rows, sorted_output=sorted_output)
+    assert not sorts
+    renumbered = merge_rows(rows, values, semiring, num_rows + 1,
+                            sorted_output=sorted_output)
+    assert len(sorts) == 1
+    for a, b in zip(dense, renumbered):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("num_rows", [3, 1 << 20])
+def test_merge_rows_keeps_a_lone_negative_zero(num_rows):
+    """A plus-times slot starts from -0.0, the exact additive identity, so a
+    row whose one addend is -0.0 keeps its sign (+0.0 would flip it), on the
+    dense and on the renumbered SPA."""
+    uind, merged, _sizes, _uniques = merge_rows(
+        np.array([2, 1]), np.array([-0.0, 0.5]), PLUS_TIMES, num_rows)
+    assert uind.tolist() == [1, 2]
+    assert merged.tolist() == [0.5, 0.0] and np.signbit(merged[1])
