@@ -2,8 +2,8 @@
 
 These are not paper figures; they track the performance of this Python
 implementation itself (format conversions, gathers, SPA accumulation, the
-row merge of Step 2, the four SpMSpV kernels, and one BFS) so regressions in
-the library are visible.
+row merge of Step 2, execution records, the four SpMSpV kernels, and one
+BFS) so regressions in the library are visible.
 """
 
 import functools
@@ -12,13 +12,21 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bfs
-from repro.core import SparseAccumulator, spmspv
+from repro.core import ShardedEngine, SparseAccumulator, spmspv, spmspv_bucket
 from repro.core.buckets import SPA_ROWS_PER_ENTRY, merge_rows
-from repro.formats import CSCMatrix, DCSCMatrix
-from repro.parallel import default_context
+from repro.core.spmspv_bucket import single_pass_record
+from repro.formats import CSCMatrix, DCSCMatrix, SparseVector
+from repro.machine.cache import estimate_column_gather_misses, estimate_scatter_misses
+from repro.parallel import WorkMetrics, default_context
 from repro.semiring import MIN_SELECT2ND, PLUS_TIMES
 
-from bench_common import ALGORITHMS, good_source, random_frontier, scale_free_graph
+from bench_common import (
+    ALGORITHMS,
+    good_source,
+    high_diameter_graph,
+    random_frontier,
+    scale_free_graph,
+)
 
 
 @pytest.mark.benchmark(group="substrate")
@@ -109,6 +117,81 @@ def test_merge_rows_hypersparse(benchmark):
     uind, merged, _sizes, _uniques = benchmark(
         lambda: merge_rows(rows, scaled, PLUS_TIMES, num_rows, num_buckets=4))
     check_against_left_fold(rows, scaled, PLUS_TIMES, uind, merged)
+
+
+@functools.lru_cache(maxsize=None)
+def mesh_level(level: int = 20):
+    """A mid-level BFS frontier of the 40 x 40 triangulated mesh (``perfbench``'s
+    ``mesh`` workload): a few dozen vertices, each with its parent id."""
+    graph = high_diameter_graph(40)
+    levels = bfs(graph, 0).levels
+    frontier = np.flatnonzero(levels == level)
+    return graph.matrix, SparseVector(graph.num_vertices, frontier,
+                                      frontier.astype(np.float64))
+
+
+def phase_counts(record):
+    """Each phase as ``(name, [thread counts...], serial counts)``."""
+    return [(p.name, [t.as_dict() for t in p.thread_metrics], p.serial_metrics.as_dict())
+            for p in record.phases]
+
+
+@pytest.mark.benchmark(group="record")
+def test_record_build(benchmark):
+    """The single pass's record of a mesh-sized BFS call, against the same
+    counts built from one WorkMetrics object per thread and phase."""
+    matrix, x = mesh_level()
+    ctx = default_context(num_threads=1)
+    rows = matrix.gather_columns(x.indices)[0]
+    uind, _merged, sizes, uniques = merge_rows(
+        rows, rows.astype(np.float64), MIN_SELECT2ND, matrix.nrows,
+        num_buckets=ctx.num_buckets)
+    f, df, nb = x.nnz, len(rows), ctx.num_buckets
+    record = benchmark(lambda: single_pass_record(
+        ctx, matrix, x, probes=df, masked=True, df=df, sizes=sizes,
+        uniques=uniques, sorted_output=True, nnz_y=len(uind)))
+    span = -(-matrix.nrows // nb)
+    merged = WorkMetrics.sum(
+        WorkMetrics(spa_inits=s, spa_updates=s, additions=s - u, buffer_writes=u,
+                    sort_elements=2 * u, cache_line_misses=estimate_scatter_misses(
+                        2 * s, span, ctx.platform.l2_kb))
+        for s, u in zip(sizes.tolist(), uniques.tolist()))
+    expected = [
+        ("estimate", [WorkMetrics(vector_reads=f, colptr_reads=f, matrix_nnz_reads=df,
+                                  bitmap_probes=df, buffer_writes=nb)], WorkMetrics()),
+        ("bucketing", [WorkMetrics(
+            vector_reads=f, colptr_reads=f, matrix_nnz_reads=df, multiplications=df,
+            bucket_writes=df, buffer_writes=df,
+            cache_line_misses=estimate_column_gather_misses(
+                f, df, matrix.ncols, input_sorted=True))], WorkMetrics()),
+        ("spa_merge", [merged], WorkMetrics()),
+        ("output", [WorkMetrics(output_writes=len(uind), cache_line_misses=len(uind))],
+         WorkMetrics(additions=nb)),
+    ]
+    assert phase_counts(record) == [(name, [t.as_dict() for t in threads], s.as_dict())
+                                    for name, threads, s in expected]
+
+
+@pytest.mark.benchmark(group="record")
+def test_record_merge(benchmark):
+    """Two strips' records of a mesh-sized row-layout call merged into one,
+    against the fold of their WorkMetrics objects thread by thread."""
+    matrix, x = mesh_level()
+    engine = ShardedEngine(matrix, 2, default_context(num_threads=2))
+    strips = [spmspv_bucket(strip, x, engine.shard_ctx).record for strip in engine.strips]
+    assignment = engine._schedule_shards([r.info["df"] + 1.0 for r in strips])
+    record = benchmark(lambda: engine._merge_records(
+        strips, assignment, "sharded[2]:spmspv_bucket", {}))
+    engine.close()
+    expected = []
+    for phase in strips[0].phases:
+        threads = [WorkMetrics.sum(m for s in items
+                                   for p in [strips[s].phase(phase.name)]
+                                   for m in p.thread_metrics + [p.serial_metrics])
+                   for items in assignment.items_per_thread if items]
+        expected.append((phase.name, [t.as_dict() for t in threads],
+                         WorkMetrics().as_dict()))
+    assert phase_counts(record) == expected
 
 
 @pytest.mark.benchmark(group="spmspv-wall")

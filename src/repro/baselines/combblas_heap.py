@@ -73,7 +73,7 @@ def spmspv_combblas_heap(matrix: CSCMatrix, x: SparseVector,
     nzc_per_strip = strip_nonempty_columns(matrix, t)
     heap_log = max(1.0, np.log2(max(f, 2)))
 
-    phase = PhaseRecord(name="row_split_heap", parallel=True)
+    threads = []
     for tid in range(t):
         entries = int(entries_per_strip[tid])
         outputs = int(outputs_per_strip[tid])
@@ -88,8 +88,8 @@ def spmspv_combblas_heap(matrix: CSCMatrix, x: SparseVector,
             additions=max(entries - outputs, 0),
             output_writes=outputs,
         )
-        phase.thread_metrics.append(metrics)
-    record.add_phase(phase)
+        threads.append(metrics)
+    record.add_phase(PhaseRecord("row_split_heap", thread_metrics=threads))
 
     y = SparseVector(m, uind, values, sorted=True, check=False)
     y = finalize_output(y, semiring, mask=mask, mask_complement=mask_complement)

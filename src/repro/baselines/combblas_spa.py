@@ -81,7 +81,7 @@ def spmspv_combblas_spa(matrix: CSCMatrix, x: SparseVector,
     strip_sizes = np.diff(boundaries)
     nzc_per_strip = strip_nonempty_columns(matrix, t)
 
-    phase = PhaseRecord(name="row_split_spa", parallel=True)
+    threads = []
     for tid in range(t):
         entries = int(entries_per_strip[tid])
         outputs = int(outputs_per_strip[tid])
@@ -99,15 +99,15 @@ def spmspv_combblas_spa(matrix: CSCMatrix, x: SparseVector,
             spa_updates=entries,
             additions=max(entries - outputs, 0),
             output_writes=outputs,
+            # the strip-private SPA spans m/t rows and is hit in row order of
+            # the gathered columns, i.e. effectively at random -> cache misses
+            # once the strip no longer fits in the private cache (unlike the
+            # bucket algorithm, whose merge working set is only m/(4t) rows)
+            cache_line_misses=estimate_scatter_misses(
+                entries, int(strip_sizes[tid]), ctx.platform.l2_kb),
         )
-        # the strip-private SPA spans m/t rows and is hit in row order of the
-        # gathered columns, i.e. effectively at random -> cache misses once the
-        # strip no longer fits in the private cache (unlike the bucket algorithm,
-        # whose merge working set is only m/(4t) rows)
-        metrics.cache_line_misses = estimate_scatter_misses(
-            entries, int(strip_sizes[tid]), ctx.platform.l2_kb)
-        phase.thread_metrics.append(metrics)
-    record.add_phase(phase)
+        threads.append(metrics)
+    record.add_phase(PhaseRecord("row_split_spa", thread_metrics=threads))
 
     y = SparseVector(m, uind, values, sorted=sorted_output, check=False)
     y = finalize_output(y, semiring, mask=mask, mask_complement=mask_complement)

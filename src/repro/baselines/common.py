@@ -25,7 +25,7 @@ and accept ``workspace=`` without writing to it (their records report
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -102,33 +102,25 @@ def gather_cost_chunks(matrix: CSCMatrix, indices: np.ndarray, num_threads: int)
     return weights, partition_by_weight(weights, num_threads)
 
 
-def priced_gather_phase(col_weights: np.ndarray, chunks, *, name: str = "gather",
-                        pair_weights: Optional[np.ndarray] = None) -> PhaseRecord:
+def priced_gather_phase(col_weights: np.ndarray, chunks, *,
+                        name: str = "gather") -> PhaseRecord:
     """Price a vectorized column gather as a per-thread :class:`PhaseRecord`.
 
     Each thread reads its chunk of selected columns (vector entry + column
-    pointer per column, every matrix nonzero of the column) and produces one
-    scaled product per *output pair*.  For a single input vector a column's
-    pair count equals its nonzero count; a fused vector block passes
-    ``pair_weights`` = (column nnz) x (vectors sharing the column), so the
-    gather is charged once while the multiply is charged per (row, vector-id)
-    pair.  This is the shared code path through which ``spmspv_sort`` and the
-    block kernel price their gathers.
+    pointer per column, every matrix nonzero of the column) and scales each
+    nonzero into a buffer.  ``spmspv_sort`` prices its gather through here.
     """
-    if pair_weights is None:
-        pair_weights = col_weights
-    phase = PhaseRecord(name=name, parallel=True)
+    threads = []
     for chunk in chunks:
         entries = int(col_weights[chunk].sum()) if len(chunk) else 0
-        pairs = int(pair_weights[chunk].sum()) if len(chunk) else 0
-        phase.thread_metrics.append(WorkMetrics(
+        threads.append(WorkMetrics(
             vector_reads=len(chunk),
             colptr_reads=len(chunk),
             matrix_nnz_reads=entries,
-            multiplications=pairs,
-            buffer_writes=pairs,
+            multiplications=entries,
+            buffer_writes=entries,
         ))
-    return phase
+    return PhaseRecord(name, thread_metrics=threads)
 
 
 def gather_selected(matrix: CSCMatrix, x: SparseVector, semiring: Semiring):

@@ -79,7 +79,7 @@ def spmspv_graphmat(matrix: CSCMatrix, x: SparseVector,
     nzc_per_strip = strip_nonempty_columns(matrix, t)
 
     boundaries_sizes = np.diff(boundaries)
-    phase = PhaseRecord(name="matrix_driven", parallel=True)
+    threads = []
     for tid in range(t):
         entries = int(entries_per_strip[tid])
         outputs = int(outputs_per_strip[tid])
@@ -94,12 +94,12 @@ def spmspv_graphmat(matrix: CSCMatrix, x: SparseVector,
             spa_updates=entries,
             additions=max(entries - outputs, 0),
             output_writes=outputs,
+            # accumulation target spans the whole m/t-row strip (random access)
+            cache_line_misses=estimate_scatter_misses(
+                entries, int(boundaries_sizes[tid]), ctx.platform.l2_kb),
         )
-        # accumulation target spans the whole m/t-row strip (random access)
-        metrics.cache_line_misses = estimate_scatter_misses(
-            entries, int(boundaries_sizes[tid]), ctx.platform.l2_kb)
-        phase.thread_metrics.append(metrics)
-    record.add_phase(phase)
+        threads.append(metrics)
+    record.add_phase(PhaseRecord("matrix_driven", thread_metrics=threads))
 
     y = SparseVector(m, uind, values, sorted=sorted_output, check=False)
     y = finalize_output(y, semiring, mask=mask, mask_complement=mask_complement)

@@ -90,9 +90,9 @@ def spmspv_sequential_spa(matrix: CSCMatrix, x: SparseVector, *,
         spa_updates=len(rows),
         additions=combines,
         output_writes=len(uind),
+        sort_elements=(int(len(uind) * max(1.0, np.log2(len(uind))))
+                       if sorted_output and len(uind) > 1 else 0),
     )
-    if sorted_output and len(uind) > 1:
-        metrics.sort_elements = int(len(uind) * max(1.0, np.log2(len(uind))))
     record.add_phase(PhaseRecord(name="sequential", parallel=False,
                                  serial_metrics=metrics, barriers=0))
     record.info["df"] = len(rows)

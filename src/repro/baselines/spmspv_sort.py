@@ -69,21 +69,21 @@ def spmspv_sort(matrix: CSCMatrix, x: SparseVector,
     total = len(rows)
 
     # sort + prune phase
-    sort_phase = PhaseRecord(name="sort_prune", parallel=True)
     uind, values = merge_rows(rows, scaled, semiring, m,
                               sorted_output=True)[:2]
     record.info["workspace_reused"] = False  # writes no workspace buffer
     log_total = max(1.0, np.log2(max(total, 2)))
     outputs_total = len(uind)
+    threads = []
     for tid in range(t):
         share = total // t + (1 if tid < total % t else 0)
         out_share = outputs_total // t + (1 if tid < outputs_total % t else 0)
-        sort_phase.thread_metrics.append(WorkMetrics(
+        threads.append(WorkMetrics(
             sort_elements=int(share * log_total),
             additions=max(share - out_share, 0),
             output_writes=out_share,
         ))
-    record.add_phase(sort_phase)
+    record.add_phase(PhaseRecord("sort_prune", thread_metrics=threads))
 
     y = SparseVector(m, uind, values, sorted=True, check=False)
     y = finalize_output(y, semiring, mask=mask, mask_complement=mask_complement)

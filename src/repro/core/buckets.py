@@ -30,7 +30,7 @@ import numpy as np
 from .._typing import INDEX_DTYPE, as_index_array
 from ..errors import ReproError
 from ..machine.cache import estimate_scatter_misses
-from ..parallel.metrics import WorkMetrics
+from ..parallel.metrics import COL, NUM_FIELDS
 from ..semiring import Semiring
 
 
@@ -230,7 +230,7 @@ def merge_rows(rows: np.ndarray, values: np.ndarray, semiring: Semiring,
 def merge_work(sizes: Sequence[int], uniques: Sequence[int],
                items_per_thread: Sequence[Sequence[int]], *,
                sorted_output, num_rows: int, num_buckets: int,
-               cache_kb: float) -> List[WorkMetrics]:
+               cache_kb: float) -> np.ndarray:
     """Each thread's Step-2 work, from the segments it merges.
 
     Segment ``s`` (one bucket, or one bucket of one vector of a block)
@@ -242,30 +242,31 @@ def merge_work(sizes: Sequence[int], uniques: Sequence[int],
     append per unique row, a radix sort of its unique rows when the output
     is sorted (§III-B: a linear integer sort, two moves per element), and
     the scattered SPA writes into the bucket's ⌈m/nb⌉-row span, which is
-    what keeps the merge cache resident (§III).
+    what keeps the merge cache resident (§III).  Returns the thread rows of
+    the phase's record matrix, ``(len(items_per_thread), NUM_FIELDS)``.
     """
     sizes = np.asarray(sizes).tolist()
     uniques = np.asarray(uniques).tolist()
     flags = (list(sorted_output) if isinstance(sorted_output, (list, np.ndarray))
              else [sorted_output] * len(sizes))
     span_rows = max(1, -(-num_rows // num_buckets))
-    threads = []
-    for items in items_per_thread:
-        work = WorkMetrics()
+    work = np.zeros((len(items_per_thread), NUM_FIELDS), dtype=np.int64)
+    for tid, items in enumerate(items_per_thread):
+        entries = uniq = ordered = missed = 0
         for s in items:
-            size, uniq = sizes[s], uniques[s]
-            if size == 0:
-                continue
-            work.spa_inits += size
-            work.spa_updates += size
-            work.additions += size - uniq
-            work.buffer_writes += uniq
+            entries += sizes[s]
+            uniq += uniques[s]
             if flags[s]:
-                work.sort_elements += 2 * uniq
-            work.cache_line_misses += estimate_scatter_misses(
-                2 * size, span_rows, cache_kb)
-        threads.append(work)
-    return threads
+                ordered += uniques[s]
+            missed += estimate_scatter_misses(2 * sizes[s], span_rows, cache_kb)
+        row = work[tid]
+        row[COL.spa_inits] = entries
+        row[COL.spa_updates] = entries
+        row[COL.additions] = entries - uniq
+        row[COL.buffer_writes] = uniq
+        row[COL.sort_elements] = 2 * ordered
+        row[COL.cache_line_misses] = missed
+    return work
 
 
 @dataclass

@@ -63,7 +63,7 @@ from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
 from ..parallel.backends import ExecutionBackend, idle_health
 from ..parallel.context import ExecutionContext, default_context
-from ..parallel.metrics import ExecutionRecord, PhaseRecord
+from ..parallel.metrics import ExecutionRecord
 from ..semiring import PLUS_TIMES, Semiring
 from .result import SpMSpVResult
 from .vector_ops import Mask
@@ -87,16 +87,11 @@ def merge_overlay_record(base: ExecutionRecord,
     it), without colliding with the base phases that per-strip record merging
     matches by name.
     """
-    phases = list(base.phases)
-    phases.extend(PhaseRecord(name="delta:" + p.name, parallel=p.parallel,
-                              thread_metrics=p.thread_metrics,
-                              serial_metrics=p.serial_metrics,
-                              barriers=p.barriers)
-                  for p in patch.phases)
-    return ExecutionRecord(algorithm=base.algorithm,
-                           num_threads=base.num_threads, phases=phases,
-                           info=dict(base.info),
-                           wall_time_s=base.wall_time_s + patch.wall_time_s)
+    return ExecutionRecord(
+        base.algorithm, base.num_threads, info=dict(base.info),
+        wall_time_s=base.wall_time_s + patch.wall_time_s,
+        table=base.table + tuple(("delta:" + name, *rest) for name, *rest in patch.table),
+        counts=np.concatenate([base.counts, patch.counts]))
 
 
 def check_block_mode(block_mode: str) -> None:

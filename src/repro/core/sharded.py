@@ -14,8 +14,7 @@ layout adds only what the row split changes:
   (any registered kernel), executed with the single-strip-per-thread
   configuration of the paper's row-split — strips are sync-free, so their
   calls are embarrassingly parallel and are scheduled onto the context's
-  thread budget with :func:`repro.parallel.scheduler.schedule` (and
-  optionally fanned out on the real thread pool);
+  thread budget with :func:`repro.parallel.scheduler.schedule`;
 * strip outputs live in **disjoint row ranges**, so the full result is a
   plain concatenation — no merge — and is **bit-identical** to the
   unsharded engine: each row's addend stream (the selected columns in the
@@ -63,7 +62,7 @@ from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
 from ..parallel.backends import make_backend
 from ..parallel.context import ExecutionContext, default_context
-from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
+from ..parallel.metrics import ExecutionRecord, merge_records
 from ..parallel.scheduler import Assignment, schedule
 from ..semiring import PLUS_TIMES, Semiring
 from .engine import SpMSpVEngine
@@ -169,38 +168,20 @@ class ShardedEngine(SpMSpVEngine):
                        info: Dict) -> ExecutionRecord:
         """Fold the strip records into one record of the sharded execution.
 
-        Phases are matched by name across strips; within a phase, the
-        threads' metrics are the per-strip totals summed over the strips the
-        schedule assigned to each thread.  Strips are sync-free, so the
-        merged phase is parallel with the barrier count of a single strip —
-        the cost model then prices the makespan of the strip schedule, which
-        is exactly the parallel completion time of the sharded execution.
+        Phases are matched by name across strips, in the order of the strip
+        record with the most phases; within a phase, each thread's row is
+        the per-strip totals summed over the strips the schedule assigned to
+        it (:func:`~repro.parallel.metrics.merge_records`).  Strips are
+        sync-free, so the merged phase is parallel with the barrier count of
+        a single strip — the cost model then prices the makespan of the
+        strip schedule, which is exactly the parallel completion time of the
+        sharded execution.
         """
-        merged = ExecutionRecord(algorithm=algorithm,
-                                 num_threads=self.ctx.num_threads, info=info)
-        base = max(records, key=lambda r: len(r.phases))
-        for phase in base.phases:
-            per_strip: List[Optional[PhaseRecord]] = []
-            for r in records:
-                try:
-                    per_strip.append(r.phase(phase.name))
-                except KeyError:
-                    per_strip.append(None)
-            out = PhaseRecord(
-                name=phase.name, parallel=True,
-                barriers=max(p.barriers for p in per_strip if p is not None))
-            for items in assignment.items_per_thread:
-                contributions: List[WorkMetrics] = []
-                for s in items:
-                    p = per_strip[s]
-                    if p is None:
-                        continue
-                    contributions.extend(p.thread_metrics)
-                    contributions.append(p.serial_metrics)
-                if contributions:
-                    out.thread_metrics.append(WorkMetrics.sum(contributions))
-            merged.add_phase(out)
-        return merged
+        base = max(records, key=lambda r: len(r.table))
+        return merge_records(
+            records, base.phase_names(),
+            [items for items in assignment.items_per_thread if items],
+            algorithm=algorithm, num_threads=self.ctx.num_threads, info=info)
 
     def _patch_workspace_locked(self, s: int) -> SpMSpVWorkspace:
         ws = self._patch_ws.get(s)

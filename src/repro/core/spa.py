@@ -18,8 +18,8 @@ allocation" optimization of §III-A).
 This persistent SPA serves the sequential algorithm of Table II and the
 baselines' literal references.  The kernels' Step 2 is a per-call SPA,
 :func:`~repro.core.buckets.merge_rows`, and :meth:`SparseAccumulator.accumulate`
-combines a batch's duplicates through that same merge, so both fold a row's
-addends in stream order.
+folds each batch, behind the values its slots already hold, through that same
+merge, so both fold a row's addends in stream order.
 """
 
 from __future__ import annotations
@@ -69,11 +69,12 @@ class SparseAccumulator:
     def accumulate(self, indices: np.ndarray, values: np.ndarray) -> Tuple[int, int]:
         """Accumulate ``values`` into the given slots with the semiring's ADD.
 
-        Duplicates inside the batch are combined first, left to right in
-        batch order (:func:`~repro.core.buckets.merge_rows`), then fresh
-        slots are assigned and already-initialized slots are combined with
-        the existing value — the vectorized equivalent of lines 13-18 of
-        Algorithm 1.
+        Each slot's addends are folded left to right in stream order, the
+        slot's current value (if it was already written this epoch) first:
+        one :func:`~repro.core.buckets.merge_rows` over those values ahead
+        of the batch — the vectorized equivalent of lines 13-18 of
+        Algorithm 1.  Accumulating a stream in any split into batches
+        therefore equals accumulating it at once.
 
         Returns ``(num_fresh, num_combines)``: how many slots were seen for the
         first time this epoch and how many ADD applications were performed.
@@ -87,21 +88,17 @@ class SparseAccumulator:
         if indices.max() >= self.m or indices.min() < 0:
             raise IndexError("SPA index out of range")
 
-        uidx, combined = merge_rows(indices, values.astype(self.values.dtype, copy=False),
+        values = values.astype(self.values.dtype, copy=False)
+        written = np.unique(indices[self.stamp[indices] == self.epoch])
+        uidx, combined = merge_rows(np.concatenate([written, indices]),
+                                    np.concatenate([self.values[written], values]),
                                     self.semiring, self.m)[:2]
-        in_batch_combines = len(indices) - len(uidx)
-
-        fresh_mask = self.stamp[uidx] != self.epoch
-        fresh = uidx[fresh_mask]
+        fresh = uidx[self.stamp[uidx] != self.epoch]
         if len(fresh):
-            self.values[fresh] = combined[fresh_mask]
             self.stamp[fresh] = self.epoch
             self._uind_chunks.append(fresh)
-        existing = uidx[~fresh_mask]
-        if len(existing):
-            self.values[existing] = self.semiring.add(self.values[existing],
-                                                      combined[~fresh_mask])
-        return int(len(fresh)), int(in_batch_combines + len(existing))
+        self.values[uidx] = combined
+        return int(len(fresh)), int(len(written) + len(indices) - len(uidx))
 
     def accumulate_one(self, index: int, value) -> bool:
         """Scalar accumulate (used by the literal reference implementations).

@@ -52,7 +52,7 @@ from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
 from ..machine.cache import estimate_column_gather_misses
 from ..parallel.context import ExecutionContext, default_context
-from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
+from ..parallel.metrics import NUM_FIELDS, ExecutionRecord, PhaseRecord, WorkMetrics
 from ..parallel.scheduler import schedule
 from ..semiring import PLUS_TIMES, Semiring
 from .buckets import merge_rows, merge_work
@@ -61,14 +61,16 @@ from .vector_ops import Mask, check_mask, check_operands, finalize_output, mask_
 from .workspace import BlockBuffers, SpMSpVWorkspace
 
 
-def _scaled_threads(totals: WorkMetrics, num_threads: int, share: float
-                    ) -> List[WorkMetrics]:
-    """Split one vector's share of block-phase totals evenly over the threads.
+def _even_split(totals: np.ndarray, num_threads: int, share: float) -> np.ndarray:
+    """A record matrix splitting ``share`` of each phase's totals evenly.
 
-    One scaled record repeated ``num_threads`` times: consumers only read, and
-    the cost model prices replicated objects once.
+    ``totals`` holds one row per phase; each phase gets ``num_threads``
+    equal thread rows (``share / num_threads`` of its total, rounded as
+    :meth:`WorkMetrics.scale` rounds) and a zero serial row.
     """
-    return [totals.scale(share / num_threads)] * num_threads
+    counts = np.zeros((len(totals), num_threads + 1, NUM_FIELDS), dtype=np.int64)
+    counts[:, :num_threads] = np.rint(totals * (share / num_threads))[:, None]
+    return counts.reshape(-1, NUM_FIELDS)
 
 
 def spmspv_bucket_block(matrix: CSCMatrix,
@@ -123,7 +125,7 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     # ------------------------------------------------------------------ #
     # one gather over the whole column union (+ multiply, see below)
     # ------------------------------------------------------------------ #
-    from ..baselines.common import gather_cost_chunks, priced_gather_phase
+    from ..baselines.common import gather_cost_chunks
 
     col_weights, chunks = gather_cost_chunks(matrix, block.indices, t)
 
@@ -151,11 +153,14 @@ def spmspv_bucket_block(matrix: CSCMatrix,
         multiply=semiring.multiply)
     out_dtype = np.result_type(matrix.dtype, block.dtype)
 
-    # Phase 0: ESTIMATE-BUCKETS over the union (priced via the shared helpers)
-    estimate_phase = priced_gather_phase(col_weights, chunks, name="estimate")
-    for tm in estimate_phase.thread_metrics:
-        tm.multiplications = 0   # the estimate pass only counts, it scales nothing
-        tm.buffer_writes = nb    # per-(thread, bucket) counters
+    # Phase 0: ESTIMATE-BUCKETS over the union: each thread reads its chunk
+    # of the gather and keeps per-(thread, bucket) counters; it scales nothing
+    entries_per_chunk = [int(col_weights[chunk].sum()) if len(chunk) else 0
+                         for chunk in chunks]
+    estimate_phase = PhaseRecord("estimate", thread_metrics=[
+        WorkMetrics(vector_reads=len(chunk), colptr_reads=len(chunk),
+                    matrix_nnz_reads=entries, buffer_writes=nb)
+        for chunk, entries in zip(chunks, entries_per_chunk)])
 
     # ------------------------------------------------------------------ #
     # one masked scatter: expand into flat (row, vector-id, value) pairs
@@ -219,33 +224,30 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     kept_per_vec = np.diff(seg_offsets)
     share = (kept_per_vec / total_kept) if total_kept else np.full(k, 1.0 / max(k, 1))
 
-    bucketing_phase = PhaseRecord(name="bucketing", parallel=True)
     pairs_per_chunk = [int(pair_weights[chunk].sum()) if len(chunk) else 0
                       for chunk in chunks]
-    entries_per_chunk = [int(col_weights[chunk].sum()) if len(chunk) else 0
-                        for chunk in chunks]
     kept_fraction = total_kept / total_pairs if total_pairs else 1.0
     # only the masked vectors' pairs are probed: bill each chunk its share
     probe_fraction = mask_probes / total_pairs if total_pairs else 0.0
-    for tid in range(t):
-        kept_chunk = int(round(pairs_per_chunk[tid] * kept_fraction))
-        metrics = WorkMetrics(
-            vector_reads=len(chunks[tid]),
-            colptr_reads=len(chunks[tid]),
-            matrix_nnz_reads=entries_per_chunk[tid],
-            bitmap_probes=int(round(pairs_per_chunk[tid] * probe_fraction)),
+    bucketed = []
+    for chunk, entries, pairs in zip(chunks, entries_per_chunk, pairs_per_chunk):
+        kept_chunk = int(round(pairs * kept_fraction))
+        bucketed.append(WorkMetrics(
+            vector_reads=len(chunk),
+            colptr_reads=len(chunk),
+            matrix_nnz_reads=entries,
+            bitmap_probes=int(round(pairs * probe_fraction)),
             multiplications=kept_chunk,
             bucket_writes=kept_chunk,
             buffer_writes=kept_chunk,
-        )
-        metrics.cache_line_misses = estimate_column_gather_misses(
-            len(chunks[tid]), entries_per_chunk[tid], n, input_sorted=True)
-        bucketing_phase.thread_metrics.append(metrics)
+            cache_line_misses=estimate_column_gather_misses(
+                len(chunk), entries, n, input_sorted=True),
+        ))
+    bucketing_phase = PhaseRecord("bucketing", thread_metrics=bucketed)
 
     # ------------------------------------------------------------------ #
     # one segmented merge per (vector, bucket)
     # ------------------------------------------------------------------ #
-    merge_phase = PhaseRecord(name="spa_merge", parallel=True)
     uind_per_vec: List[np.ndarray] = [np.empty(0, dtype=INDEX_DTYPE)] * k
     uval_per_vec: List[np.ndarray] = [np.empty(0, dtype=out_dtype)] * k
     seg_sizes: List[int] = []
@@ -266,16 +268,17 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     # the (vector, bucket) segments are independent merges: schedule them
     # onto the threads like the per-vector kernel schedules its buckets
     assignment = schedule(seg_sizes, t, ctx.scheduling)
-    merge_phase.thread_metrics = merge_work(
+    merge_phase = PhaseRecord("spa_merge", thread_metrics=merge_work(
         seg_sizes, seg_uniques, assignment.items_per_thread,
         sorted_output=seg_sorted, num_rows=m, num_buckets=nb,
-        cache_kb=ctx.platform.l2_kb)
+        cache_kb=ctx.platform.l2_kb))
     nnz_out = sum(len(uind) for uind in uind_per_vec)
 
-    output_phase = PhaseRecord(name="output", parallel=True)
-    output_phase.serial_metrics = WorkMetrics(additions=nb)
-    output_phase.thread_metrics = _scaled_threads(
-        WorkMetrics(output_writes=nnz_out, cache_line_misses=nnz_out), t, 1.0)
+    # the output writes split evenly over the threads, the prefix sum serial
+    written = WorkMetrics(output_writes=nnz_out, cache_line_misses=nnz_out)
+    output_phase = PhaseRecord(
+        "output", thread_metrics=np.tile(written.scale(1.0 / t).row, (t, 1)),
+        serial_metrics=WorkMetrics(additions=nb))
 
     wall_s = time.perf_counter() - t_start
 
@@ -287,7 +290,8 @@ def spmspv_bucket_block(matrix: CSCMatrix,
     # each vector's record carries its proportional share of the block phase
     # totals, split evenly across threads (the true per-thread split belongs
     # to the fused pass as a whole, not to any one vector)
-    phase_totals = [(p.name, p.total_work(), p.barriers) for p in block_phases]
+    phase_totals = np.stack([p.counts.sum(axis=0) for p in block_phases])
+    table = tuple((p.name, True, p.barriers, t) for p in block_phases)
     for i in range(k):
         early_i = bitmaps is not None and bitmaps[i] is not None
         y = SparseVector(m, uind_per_vec[i], uval_per_vec[i],
@@ -297,18 +301,14 @@ def spmspv_bucket_block(matrix: CSCMatrix,
             mask=None if early_i or masks is None else masks[i],
             mask_complement=mask_complement)
         record = ExecutionRecord(
-            algorithm="spmspv_bucket_block", num_threads=t,
+            "spmspv_bucket_block", t, table=table,
+            counts=_even_split(phase_totals, t, float(share[i])),
             info={"m": m, "n": n, "nnz_A": matrix.nnz, "f": int(nnz_per_vec[i]),
                   "df": int(kept_per_vec[i]), "nnz_y": y.nnz, "fused": True,
                   "block_k": k, "block_union": u, "block_pairs": total_kept,
                   "early_mask": early_i,
-                  "workspace_reused": workspace is not None})
-        s = float(share[i])
-        for name, totals, barriers in phase_totals:
-            scaled_phase = PhaseRecord(name=name, parallel=True, barriers=barriers)
-            scaled_phase.thread_metrics = _scaled_threads(totals, t, s)
-            record.add_phase(scaled_phase)
-        record.wall_time_s = wall_s / k
+                  "workspace_reused": workspace is not None},
+            wall_time_s=wall_s / k)
         results.append(SpMSpVResult(
             vector=y, record=record,
             info={"f": int(nnz_per_vec[i]), "df": int(kept_per_vec[i]),

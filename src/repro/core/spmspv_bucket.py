@@ -2,7 +2,7 @@
 
 The multiplication ``y ← A·x`` proceeds in four phases, each of which is
 executed as "one vectorized NumPy call per thread chunk" and instrumented
-with :class:`~repro.parallel.metrics.WorkMetrics`:
+with per-thread work counts (:mod:`repro.parallel.metrics`):
 
 0. **estimate** (Algorithm 2) — every thread scans its share of the nonzeros
    of ``x`` and counts how many scaled entries it will push into each bucket.
@@ -40,7 +40,7 @@ from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..machine.cache import estimate_column_gather_misses
 from ..parallel.context import ExecutionContext, default_context
-from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
+from ..parallel.metrics import COL, NUM_FIELDS, ExecutionRecord, PhaseRecord, WorkMetrics
 from ..parallel.partitioner import partition_by_weight
 from ..parallel.scheduler import schedule
 from ..semiring import PLUS_TIMES, Semiring
@@ -178,29 +178,25 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
     # ------------------------------------------------------------------ #
     # Phase 0: ESTIMATE-BUCKETS (Algorithm 2)
     # ------------------------------------------------------------------ #
-    estimate_phase = PhaseRecord(name="estimate", parallel=True)
     counts = np.zeros((t, nb), dtype=INDEX_DTYPE)
     gathered = [None] * t  # cache the gather so the bucketing phase reuses it
 
     def _estimate(tid: int) -> WorkMetrics:
-        metrics = WorkMetrics()
         chunk = chunks[tid]
         if len(chunk) == 0:
-            return metrics
+            return WorkMetrics()
         rows, vals, src, probes = _masked_gather(
             matrix, x_indices[chunk], bitmap, mask_complement)
-        metrics.vector_reads = len(chunk)
-        metrics.colptr_reads = len(chunk)
-        metrics.matrix_nnz_reads = probes
-        metrics.bitmap_probes = probes if bitmap is not None else 0
         gathered[tid] = (rows, vals, src, chunk)
         bucket_ids = bucket_of_rows(rows, nb, m)
         counts[tid, :] = np.bincount(bucket_ids, minlength=nb)
-        metrics.buffer_writes = nb
-        return metrics
+        return WorkMetrics(vector_reads=len(chunk), colptr_reads=len(chunk),
+                           matrix_nnz_reads=probes,
+                           bitmap_probes=probes if bitmap is not None else 0,
+                           buffer_writes=nb)
 
-    estimate_phase.thread_metrics = [_estimate(tid) for tid in range(t)]
-    record.add_phase(estimate_phase)
+    record.add_phase(PhaseRecord(
+        "estimate", thread_metrics=[_estimate(tid) for tid in range(t)]))
 
     offsets = compute_offsets(counts)
     total_entries = offsets.total_entries
@@ -217,74 +213,66 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
     # ------------------------------------------------------------------ #
     # Phase 1: bucketing (Step 1 of Algorithm 1)
     # ------------------------------------------------------------------ #
-    bucketing_phase = PhaseRecord(name="bucketing", parallel=True)
-
     def _bucketing(tid: int) -> WorkMetrics:
-        metrics = WorkMetrics()
         if gathered[tid] is None:
-            return metrics
+            return WorkMetrics()
         rows, vals, src, chunk = gathered[tid]
         xv = x_values[chunk]
         scaled = semiring.multiply(vals, xv[src])
         bucket_ids = bucket_of_rows(rows, nb, m)
         store.write_thread_entries(tid, bucket_ids, rows, np.asarray(scaled))
-        metrics.vector_reads = len(chunk)
-        metrics.colptr_reads = len(chunk)
-        metrics.matrix_nnz_reads = len(rows)
-        metrics.multiplications = len(rows)
-        metrics.bucket_writes = len(rows)
-        # thread-private staging buffers turn part of the scatter into streaming writes
-        metrics.buffer_writes += len(rows)
-        metrics.cache_line_misses = estimate_column_gather_misses(
-            len(chunk), len(rows), n, input_sorted=x.sorted)
-        return metrics
+        # thread-private staging buffers turn part of the scatter into
+        # streaming writes (buffer_writes)
+        return WorkMetrics(
+            vector_reads=len(chunk), colptr_reads=len(chunk),
+            matrix_nnz_reads=len(rows), multiplications=len(rows),
+            bucket_writes=len(rows), buffer_writes=len(rows),
+            cache_line_misses=estimate_column_gather_misses(
+                len(chunk), len(rows), n, input_sorted=x.sorted))
 
-    bucketing_phase.thread_metrics = [_bucketing(tid) for tid in range(t)]
-    record.add_phase(bucketing_phase)
+    record.add_phase(PhaseRecord(
+        "bucketing", thread_metrics=[_bucketing(tid) for tid in range(t)]))
 
     # ------------------------------------------------------------------ #
     # Phase 2: per-bucket SPA merge (Step 2 of Algorithm 1)
     # ------------------------------------------------------------------ #
-    merge_phase = PhaseRecord(name="spa_merge", parallel=True)
     bucket_sizes = offsets.bucket_sizes()
     assignment = schedule(bucket_sizes.tolist(), t, ctx.scheduling)
     # each bucket is merged on its own, as the thread it is scheduled on would
     per_bucket = [merge_rows(*store.bucket_entries(k), semiring, m,
                              sorted_output=sorted_output)[:2] for k in range(nb)]
     uind_counts = np.array([len(uind) for uind, _ in per_bucket], dtype=INDEX_DTYPE)
-    merge_phase.thread_metrics = merge_work(
+    record.add_phase(PhaseRecord("spa_merge", thread_metrics=merge_work(
         bucket_sizes, uind_counts, assignment.items_per_thread,
         sorted_output=sorted_output, num_rows=m, num_buckets=nb,
-        cache_kb=ctx.platform.l2_kb)
-    record.add_phase(merge_phase)
+        cache_kb=ctx.platform.l2_kb)))
 
     # ------------------------------------------------------------------ #
     # Phase 3: output construction (Step 3 of Algorithm 1)
     # ------------------------------------------------------------------ #
-    output_phase = PhaseRecord(name="output", parallel=True)
     y_offsets = np.zeros(nb + 1, dtype=INDEX_DTYPE)
     np.cumsum(uind_counts, out=y_offsets[1:])
     nnz_y = int(y_offsets[-1])
-    # the prefix sum runs on the master thread (Algorithm 1, line 20)
-    output_phase.serial_metrics = WorkMetrics(additions=nb)
 
     y_indices = np.empty(nnz_y, dtype=INDEX_DTYPE)
     y_values = np.empty(nnz_y, dtype=np.result_type(matrix.dtype, x.dtype))
 
     def _output(tid: int) -> WorkMetrics:
-        metrics = WorkMetrics()
+        written = 0
         for k in assignment.items_per_thread[tid]:
             cnt = int(uind_counts[k])
             if cnt == 0:
                 continue
             lo = int(y_offsets[k])
             y_indices[lo:lo + cnt], y_values[lo:lo + cnt] = per_bucket[k]
-            metrics.output_writes += cnt
-            metrics.cache_line_misses += cnt  # non-consecutive SPA reads (§IV-F)
-        return metrics
+            written += cnt
+        # every write is a non-consecutive SPA read (§IV-F)
+        return WorkMetrics(output_writes=written, cache_line_misses=written)
 
-    output_phase.thread_metrics = [_output(tid) for tid in range(t)]
-    record.add_phase(output_phase)
+    # the prefix sum runs on the master thread (Algorithm 1, line 20)
+    record.add_phase(PhaseRecord(
+        "output", thread_metrics=[_output(tid) for tid in range(t)],
+        serial_metrics=WorkMetrics(additions=nb)))
 
     # the output lives in the row space of A, which has length m; an
     # early-applied mask must not be re-applied at finalize (it would be a
@@ -303,6 +291,11 @@ def spmspv_bucket(matrix: CSCMatrix, x: SparseVector,
 # --------------------------------------------------------------------------- #
 # fused single-thread path (one sort instead of per-chunk/per-bucket loops)
 # --------------------------------------------------------------------------- #
+#: the single pass's phase table: the four phases of one thread, one barrier each
+_SINGLE_PASS_PHASES = tuple((name, True, 1, 1) for name in
+                            ("estimate", "bucketing", "spa_merge", "output"))
+
+
 def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
                           ctx: ExecutionContext, *, semiring: Semiring,
                           sorted_output: bool, mask: Optional[Mask],
@@ -325,87 +318,94 @@ def _spmspv_bucket_single(matrix: CSCMatrix, x: SparseVector,
       fold them (the SPA of Algorithm 1, lines 11-18, built per call), and
       reports the per-bucket segment sizes from which
       :func:`~repro.core.buckets.merge_work` reproduces the per-bucket work
-      metrics number for number.
+      metrics number for number (:func:`single_pass_record`).
 
     No workspace buffer is written, and the record says so
     (``workspace_reused`` is False): one thread has nothing to scatter.
     """
     t_start = time.perf_counter()
-    m, n = matrix.shape
-    nb = ctx.num_buckets
-    f = x.nnz
-    record = ExecutionRecord(algorithm="spmspv_bucket", num_threads=1,
-                             info={"m": m, "n": n, "nnz_A": matrix.nnz, "f": f})
+    m = matrix.nrows
     out_dtype = np.result_type(matrix.dtype, x.dtype)
 
     # Phase 0: estimate — the single thread scans x and gathers its columns
-    estimate_phase = PhaseRecord(name="estimate", parallel=True)
-    est = WorkMetrics()
-    if f:
+    if x.nnz:
         rows, vals, src, probes = _masked_gather(matrix, x.indices, bitmap,
                                                  mask_complement)
-        est.vector_reads = f
-        est.colptr_reads = f
-        est.matrix_nnz_reads = probes
-        est.bitmap_probes = probes if bitmap is not None else 0
-        est.buffer_writes = nb
     else:
         rows = np.empty(0, dtype=INDEX_DTYPE)
         vals = np.empty(0, dtype=matrix.dtype)
         src = np.empty(0, dtype=INDEX_DTYPE)
-    estimate_phase.thread_metrics = [est]
-    record.add_phase(estimate_phase)
+        probes = 0
 
-    total_entries = len(rows)
-    record.info["df"] = total_entries
-    record.info["workspace_reused"] = False  # one thread has nothing to scatter
-
-    # Phase 1: bucketing — scale the gathered entries (no scatter needed)
-    bucketing_phase = PhaseRecord(name="bucketing", parallel=True)
-    buck = WorkMetrics()
-    if f:
-        # cast through the output dtype exactly as the bucket store does
-        scaled = np.asarray(semiring.multiply(vals, x.values[src])) \
-            .astype(out_dtype, copy=False)
-        buck.vector_reads = f
-        buck.colptr_reads = f
-        buck.matrix_nnz_reads = total_entries
-        buck.multiplications = total_entries
-        buck.bucket_writes = total_entries
-        buck.buffer_writes += total_entries
-        buck.cache_line_misses = estimate_column_gather_misses(
-            f, total_entries, n, input_sorted=x.sorted)
-    else:
-        scaled = np.empty(0, dtype=out_dtype)
-    bucketing_phase.thread_metrics = [buck]
-    record.add_phase(bucketing_phase)
+    # Phase 1: bucketing — scale the gathered entries (no scatter needed);
+    # cast through the output dtype exactly as the bucket store does
+    scaled = np.asarray(semiring.multiply(vals, x.values[src])) \
+        .astype(out_dtype, copy=False)
 
     # Phase 2: one row merge over the whole stream, priced bucket by bucket
-    merge_phase = PhaseRecord(name="spa_merge", parallel=True)
     uind, merged, sizes, uniques = merge_rows(
-        rows, scaled, semiring, m, sorted_output=sorted_output, num_buckets=nb)
-    merge_phase.thread_metrics = merge_work(
-        sizes, uniques, [range(nb)], sorted_output=sorted_output,
-        num_rows=m, num_buckets=nb, cache_kb=ctx.platform.l2_kb)
-    record.add_phase(merge_phase)
+        rows, scaled, semiring, m, sorted_output=sorted_output,
+        num_buckets=ctx.num_buckets)
 
     # Phase 3: output — uind/merged already are the concatenated output
-    nnz_y = len(uind)
-    output_phase = PhaseRecord(name="output", parallel=True)
-    output_phase.serial_metrics = WorkMetrics(additions=nb)
-    output_phase.thread_metrics = [WorkMetrics(output_writes=nnz_y,
-                                               cache_line_misses=nnz_y)]
-    record.add_phase(output_phase)
-
     y = SparseVector(m, uind, merged.astype(out_dtype, copy=False),
                      sorted=sorted_output, check=False)
     y = finalize_output(y, semiring, mask=None if bitmap is not None else mask,
                         mask_complement=mask_complement)
+    record = single_pass_record(
+        ctx, matrix, x, probes=probes, masked=bitmap is not None, df=len(rows),
+        sizes=sizes, uniques=uniques, sorted_output=sorted_output,
+        nnz_y=len(uind))
     record.info["early_mask"] = bitmap is not None
     record.info["nnz_y"] = y.nnz
     record.wall_time_s = time.perf_counter() - t_start
     return SpMSpVResult(vector=y, record=record,
-                        info={"f": f, "df": total_entries, "nnz_y": y.nnz})
+                        info={"f": x.nnz, "df": len(rows), "nnz_y": y.nnz})
+
+
+def single_pass_record(ctx: ExecutionContext, matrix: CSCMatrix, x: SparseVector, *,
+                       probes: int, masked: bool, df: int, sizes: np.ndarray,
+                       uniques: np.ndarray, sorted_output: bool,
+                       nnz_y: int) -> ExecutionRecord:
+    """The execution record of one single pass, written straight into its matrix.
+
+    The pass gathered ``probes`` entries of the columns ``x`` selects
+    (``masked``: each probed against the mask row map), of which ``df``
+    survived to be scaled; its merge's ``ctx.num_buckets`` buckets held
+    ``sizes`` entries over ``uniques`` rows, and its output ``nnz_y`` rows.
+    Each of the four phases is one thread row and a serial row; no workspace
+    buffer is written (one thread has nothing to scatter).
+    """
+    m, n = matrix.shape
+    nb = ctx.num_buckets
+    f = x.nnz
+    counts = np.zeros((2 * len(_SINGLE_PASS_PHASES), NUM_FIELDS), dtype=np.int64)
+    est, buck, out, out_serial = counts[0], counts[2], counts[6], counts[7]
+    if f:
+        est[COL.vector_reads] = f
+        est[COL.colptr_reads] = f
+        est[COL.matrix_nnz_reads] = probes
+        est[COL.bitmap_probes] = probes if masked else 0
+        est[COL.buffer_writes] = nb
+        buck[COL.vector_reads] = f
+        buck[COL.colptr_reads] = f
+        buck[COL.matrix_nnz_reads] = df
+        buck[COL.multiplications] = df
+        buck[COL.bucket_writes] = df
+        buck[COL.buffer_writes] = df
+        buck[COL.cache_line_misses] = estimate_column_gather_misses(
+            f, df, n, input_sorted=x.sorted)
+    counts[4:5] = merge_work(
+        sizes, uniques, [range(nb)], sorted_output=sorted_output,
+        num_rows=m, num_buckets=nb, cache_kb=ctx.platform.l2_kb)
+    out[COL.output_writes] = nnz_y
+    out[COL.cache_line_misses] = nnz_y
+    # the prefix sum runs on the master thread (Algorithm 1, line 20)
+    out_serial[COL.additions] = nb
+    return ExecutionRecord(
+        "spmspv_bucket", 1, table=_SINGLE_PASS_PHASES, counts=counts,
+        info={"m": m, "n": n, "nnz_A": matrix.nnz, "f": f, "df": df,
+              "workspace_reused": False})
 
 
 # --------------------------------------------------------------------------- #

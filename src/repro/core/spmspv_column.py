@@ -37,7 +37,14 @@ from .._typing import INDEX_DTYPE
 from ..formats.dcsc import DCSCMatrix
 from ..formats.sparse_vector import SparseVector
 from ..parallel.context import ExecutionContext
-from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
+from ..parallel.metrics import (
+    COL,
+    NUM_FIELDS,
+    ExecutionRecord,
+    PhaseRecord,
+    WorkMetrics,
+    merge_records,
+)
 from ..semiring import Semiring
 from .buckets import merge_rows, stable_row_argsort
 from .vector_ops import finalize_output, mask_keep
@@ -88,6 +95,10 @@ def slice_frontier(x: SparseVector, col_ranges: Sequence[Tuple[int, int]]
     return slices
 
 
+#: a strip partial's phase table: gather, scale and row-sort on one thread
+_PARTIAL_PHASES = tuple((name, True, 1, 1) for name in ("gather", "scale", "strip_sort"))
+
+
 def column_partial(strip: DCSCMatrix,
                    xs_idx: np.ndarray, xs_vals: np.ndarray, xs_gpos: np.ndarray,
                    ctx: ExecutionContext, *,
@@ -114,21 +125,19 @@ def column_partial(strip: DCSCMatrix,
     t_start = time.perf_counter()
     m = strip.nrows
     f = int(len(xs_idx))
-    record = ExecutionRecord(algorithm=f"column_partial:{algorithm}", num_threads=1,
-                             info={"m": m, "n": strip.ncols,
-                                   "nnz_A": strip.nnz, "f": f})
+    # the record's matrix: each phase's thread row, then its serial row
+    counts = np.zeros((2 * len(_PARTIAL_PHASES), NUM_FIELDS), dtype=np.int64)
+    gather, scale, sort = counts[0], counts[2], counts[4]
 
-    gather_phase = PhaseRecord(name="gather", parallel=True)
-    g = WorkMetrics()
     if f and strip.nnz:
         positions, src = strip.gather_positions(xs_idx)
         rows = strip.ir[positions]
-        g.vector_reads = f
-        g.colptr_reads = f
-        g.matrix_nnz_reads = len(rows)
+        gather[COL.vector_reads] = f
+        gather[COL.colptr_reads] = f
+        gather[COL.matrix_nnz_reads] = len(rows)
         keep = mask_keep(bitmap, rows, complement=mask_complement)
         if keep is not None:
-            g.bitmap_probes = len(rows)
+            gather[COL.bitmap_probes] = len(rows)
             live = np.flatnonzero(keep)
             rows, positions, src = rows[live], positions[live], src[live]
         vals = strip.num[positions]
@@ -136,37 +145,26 @@ def column_partial(strip: DCSCMatrix,
         rows = np.empty(0, dtype=INDEX_DTYPE)
         vals = np.empty(0, dtype=strip.dtype)
         src = np.empty(0, dtype=INDEX_DTYPE)
-    gather_phase.thread_metrics = [g]
-    record.add_phase(gather_phase)
-
     total = len(rows)
-    record.info["df"] = total
 
-    scale_phase = PhaseRecord(name="scale", parallel=True)
-    s = WorkMetrics()
     if total:
         scaled = np.asarray(semiring.multiply(vals, xs_vals[src])) \
             .astype(out_dtype, copy=False)
         gpos = xs_gpos[src].astype(INDEX_DTYPE, copy=False)
-        s.multiplications = total
-        s.buffer_writes = total
+        scale[COL.multiplications] = total
+        scale[COL.buffer_writes] = total
+        order = stable_row_argsort(rows, m)
+        rows, scaled, gpos = rows[order], scaled[order], gpos[order]
+        sort[COL.sort_elements] = total
+        sort[COL.output_writes] = total
     else:
         scaled = np.empty(0, dtype=out_dtype)
         gpos = np.empty(0, dtype=INDEX_DTYPE)
-    scale_phase.thread_metrics = [s]
-    record.add_phase(scale_phase)
 
-    sort_phase = PhaseRecord(name="strip_sort", parallel=True)
-    so = WorkMetrics()
-    if total:
-        order = stable_row_argsort(rows, m)
-        rows, scaled, gpos = rows[order], scaled[order], gpos[order]
-        so.sort_elements = total
-        so.output_writes = total
-    sort_phase.thread_metrics = [so]
-    record.add_phase(sort_phase)
-
-    record.wall_time_s = time.perf_counter() - t_start
+    record = ExecutionRecord(
+        f"column_partial:{algorithm}", 1, table=_PARTIAL_PHASES, counts=counts,
+        info={"m": m, "n": strip.ncols, "nnz_A": strip.nnz, "f": f, "df": total},
+        wall_time_s=time.perf_counter() - t_start)
     return ColumnPartial(nrows=m, rows=rows, vals=scaled, gpos=gpos,
                          record=record, info={"df": total})
 
@@ -188,28 +186,23 @@ def reduce_partials(partials: Sequence[ColumnPartial], *,
     ``sync_events`` charges the per-strip synchronization the paper's
     Table II attributes to column-split.
     """
-    metrics = WorkMetrics()
-    metrics.sync_events = len(partials)
     streams = [p for p in partials if len(p.rows)]
     if not streams:
         empty = SparseVector(nrows, np.empty(0, dtype=INDEX_DTYPE),
                              np.empty(0, dtype=out_dtype), sorted=True, check=False)
-        return finalize_output(empty, semiring), metrics
+        return finalize_output(empty, semiring), WorkMetrics(sync_events=len(partials))
     rows = np.concatenate([p.rows for p in streams])
     vals = np.concatenate([p.vals for p in streams]).astype(out_dtype, copy=False)
     if not x_sorted:
         by_pos = np.argsort(np.concatenate([p.gpos for p in streams]), kind="stable")
         rows, vals = rows[by_pos], vals[by_pos]
     uind, merged = merge_rows(rows, vals, semiring, nrows)[:2]
-    total = len(rows)
-    uniq = len(uind)
-    metrics.sort_elements = total
-    metrics.additions = total - uniq
-    metrics.output_writes = uniq
     y = SparseVector(nrows, uind.astype(INDEX_DTYPE),
                      np.asarray(merged).astype(out_dtype, copy=False),
                      sorted=True, check=False)
-    return finalize_output(y, semiring), metrics
+    return finalize_output(y, semiring), WorkMetrics(
+        sync_events=len(partials), sort_elements=len(rows),
+        additions=len(rows) - len(uind), output_writes=len(uind))
 
 
 def merge_partial_records(records: Sequence[ExecutionRecord], *,
@@ -218,30 +211,17 @@ def merge_partial_records(records: Sequence[ExecutionRecord], *,
                           wall_time_s: float = 0.0) -> ExecutionRecord:
     """Combine per-strip partial records into one column-split record.
 
-    Per-strip phases of the same name become one parallel phase whose
-    ``thread_metrics`` hold each strip's contribution; the reduction phase
-    is appended as a serial phase behind one barrier (the synchronization
+    Per-strip phases of the same name become one parallel phase with a
+    thread row per strip that has it, holding that strip's total
+    (:func:`~repro.parallel.metrics.merge_records`); the reduction phase is
+    appended as a serial phase behind one barrier (the synchronization
     point the row-split scheme avoids and column-split pays for).
     """
-    merged = ExecutionRecord(algorithm=f"column[{num_strips}]:{algorithm}",
-                             num_threads=max(num_strips, 1),
-                             wall_time_s=wall_time_s)
-    phase_names: List[str] = []
-    for rec in records:
-        for ph in rec.phases:
-            if ph.name not in phase_names:
-                phase_names.append(ph.name)
-    for name in phase_names:
-        phase = PhaseRecord(name=name, parallel=True, barriers=0)
-        for rec in records:
-            for ph in rec.phases:
-                if ph.name == name:
-                    phase.thread_metrics.append(
-                        WorkMetrics.sum(ph.thread_metrics + [ph.serial_metrics]))
-        merged.add_phase(phase)
-    merged.add_phase(PhaseRecord(name="reduce", parallel=False,
+    names = list(dict.fromkeys(entry[0] for rec in records for entry in rec.table))
+    merged = merge_records(
+        records, names, barriers=0, algorithm=f"column[{num_strips}]:{algorithm}",
+        num_threads=max(num_strips, 1), wall_time_s=wall_time_s,
+        info={"df": sum(rec.info.get("df", 0) for rec in records), "scheme": "column"})
+    merged.add_phase(PhaseRecord("reduce", parallel=False,
                                  serial_metrics=reduce_metrics, barriers=1))
-    df = sum(rec.info.get("df", 0) for rec in records)
-    merged.info["df"] = df
-    merged.info["scheme"] = "column"
     return merged

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict
 
+import numpy as np
+
 from ..parallel.metrics import METRIC_FIELDS, ExecutionRecord, PhaseRecord, WorkMetrics
 from .platforms import EDISON, Platform
 
@@ -69,29 +71,31 @@ class CostModel:
         return base / self.platform.core_speed
 
     @cached_property
-    def _weight_table(self) -> Dict[str, float]:
-        """Per-counter effective weights, resolved once per model instance."""
-        return {name: self.weight(name) for name in METRIC_FIELDS}
+    def _weights(self) -> np.ndarray:
+        """Per-counter effective weights in column order, resolved once per
+        model instance; the irregular counters' weights are zero in row 1."""
+        weights = np.array([[self.weight(name) for name in METRIC_FIELDS]] * 2)
+        weights[1, [i for i, name in enumerate(METRIC_FIELDS)
+                    if name not in IRREGULAR_FIELDS]] = 0.0
+        return weights
+
+    def _costs(self, rows: np.ndarray) -> np.ndarray:
+        """``(total, irregular)`` cost (ns) of each row of a record matrix.
+
+        Each cost adds the row's weighted counters one after another in
+        counter order (a cumulative sum, never a pairwise one), so it is
+        the same float however many rows are priced at once.
+        """
+        terms = rows[:, None, :] * self._weights
+        return np.cumsum(terms, axis=2)[:, :, -1]
 
     def thread_cost_ns(self, metrics: WorkMetrics) -> float:
         """Total cost (ns) of one thread's work, ignoring memory-system contention."""
-        table = self._weight_table
-        total = 0.0
-        for name in METRIC_FIELDS:
-            count = getattr(metrics, name)
-            if count:
-                total += count * table[name]
-        return total
+        return float(self._costs(metrics.row[None])[0, 0])
 
     def irregular_cost_ns(self, metrics: WorkMetrics) -> float:
         """Cost (ns) of the irregular-memory portion of one thread's work."""
-        table = self._weight_table
-        total = 0.0
-        for name in IRREGULAR_FIELDS:
-            count = getattr(metrics, name)
-            if count:
-                total += count * table[name]
-        return total
+        return float(self._costs(metrics.row[None])[0, 1])
 
     # ------------------------------------------------------------------ #
     def phase_time_ns(self, phase: PhaseRecord, num_threads: int) -> float:
@@ -102,27 +106,19 @@ class CostModel:
         memory parallelism, plus the parallel-region / barrier overhead.
         """
         overhead = phase.barriers * self.platform.parallel_region_overhead_ns
+        threads, serial = phase.counts[:-1], phase.counts[-1:]
+        serial_part = float(self._costs(serial)[0, 0])
         if not phase.parallel:
-            return self.thread_cost_ns(phase.serial_metrics) + \
-                self.thread_cost_ns(WorkMetrics.sum(phase.thread_metrics)) + overhead
+            summed = threads.sum(axis=0, keepdims=True)
+            return serial_part + float(self._costs(summed)[0, 0]) + overhead
 
-        if not phase.thread_metrics:
-            return self.thread_cost_ns(phase.serial_metrics) + overhead
+        if not len(threads):
+            return serial_part + overhead
 
-        # replicated thread metrics (e.g. the block kernel's evenly-apportioned
-        # shares are one object repeated t times) are priced once
-        costs: Dict[int, float] = {}
-        irregulars: Dict[int, float] = {}
-        for m in phase.thread_metrics:
-            if id(m) not in costs:
-                costs[id(m)] = self.thread_cost_ns(m)
-                irregulars[id(m)] = self.irregular_cost_ns(m)
-        per_thread = [costs[id(m)] for m in phase.thread_metrics]
+        per_thread, irregular = self._costs(threads).T.tolist()
         critical_path = max(per_thread)
-        total_irregular = sum(irregulars[id(m)] for m in phase.thread_metrics)
         channels = max(1, self.platform.memory_channels)
-        bandwidth_bound = total_irregular / channels
-        serial_part = self.thread_cost_ns(phase.serial_metrics)
+        bandwidth_bound = sum(irregular) / channels
         return max(critical_path, bandwidth_bound) + serial_part + overhead
 
     def record_time_ms(self, record: ExecutionRecord) -> float:

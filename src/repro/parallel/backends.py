@@ -467,17 +467,18 @@ def _result_arrays(result) -> Tuple[List[np.ndarray], tuple]:
     """``(arrays, meta)`` of one strip result, for its output slab.
 
     A kernel result packs its output indices and values, a column partial
-    its rows, values and gpos; both add the dense int64 metric matrix of
-    their execution record.  ``meta`` is the small picklable rest.
+    its rows, values and gpos; both add their execution record's int64
+    count matrix.  ``meta`` is the small picklable rest, the record's phase
+    table among it.
     """
-    from .metrics import encode_record
-
-    rec_meta, metrics = encode_record(result.record)
+    record = result.record
+    rec_meta = (record.algorithm, record.num_threads, record.table,
+                record.info, record.wall_time_s)
     if hasattr(result, "gpos"):  # ColumnPartial: unreduced strip stream
-        return ([result.rows, result.vals, result.gpos, metrics],
+        return ([result.rows, result.vals, result.gpos, record.counts],
                 (rec_meta, result.info, result.nrows))
     vector = result.vector
-    return ([vector.indices, vector.values, metrics],
+    return ([vector.indices, vector.values, record.counts],
             (rec_meta, result.info, vector.n, vector.sorted))
 
 
@@ -485,12 +486,14 @@ def _result_from_arrays(arrays: List[np.ndarray], meta: tuple):
     """Inverse of :func:`_result_arrays`; copies out of the slab views."""
     from ..core.result import SpMSpVResult
     from ..core.spmspv_column import ColumnPartial
-    from .metrics import decode_record
+    from .metrics import ExecutionRecord
 
-    rec_meta, info, *head = meta
-    *data, metrics = arrays
+    (algorithm, num_threads, table, rec_info, wall_time_s), info, *head = meta
+    *data, counts = arrays
     data = [a.copy() for a in data]
-    record = decode_record(rec_meta, metrics)
+    record = ExecutionRecord(algorithm, num_threads, info=rec_info,
+                             wall_time_s=wall_time_s, table=table,
+                             counts=counts.copy())
     if len(data) == 3:  # a column partial's rows, values and gpos
         return ColumnPartial(*head, *data, record=record, info=info)
     n, sorted_flag = head
@@ -580,7 +583,7 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
         ``payload`` holds one ``(descriptors, meta)`` pair per result (see
         :func:`_result_arrays`), or is ``None`` when the region is too small
         (the parent re-grants ``needed_bytes``).  Execution records travel
-        as dense int64 metric matrices *inside the slab*, so the per-call
+        as their int64 count matrices *inside the slab*, so the per-call
         pipe traffic stays small.
         """
         parts = [_result_arrays(r) for r in results]

@@ -71,13 +71,25 @@ def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
+def _select(kept: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """A fresh C-ordered copy of ``kept`` at the operands' broadcast shape.
+
+    Operands of one shape (every single-vector kernel call) are copied as
+    they are; only differing shapes, such as the fused kernel's ``(p, 1)``
+    against ``(p, k)``, pay for the broadcast.
+    """
+    if np.shape(kept) == np.shape(other):
+        return np.array(kept, order="C")
+    return np.broadcast_to(kept, np.broadcast_shapes(np.shape(kept), np.shape(other))).copy()
+
+
 def _select_second(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # "second" operand is the vector value x(j); broadcast to the right shape.
-    return np.broadcast_to(b, np.broadcast_shapes(np.shape(a), np.shape(b))).copy()
+    # "second" operand is the vector value x(j)
+    return _select(b, a)
 
 
 def _select_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(a, np.broadcast_shapes(np.shape(a), np.shape(b))).copy()
+    return _select(a, b)
 
 
 #: Conventional arithmetic: y(i) = Σ_j A(i,j)·x(j).  Used by PageRank, SVM, ...

@@ -21,6 +21,7 @@ from repro.semiring import (
     MAX_SELECT2ND,
     MAX_TIMES,
     MIN_PLUS,
+    MIN_SELECT1ST,
     MIN_SELECT2ND,
     OR_AND,
     PLUS_TIMES,
@@ -63,6 +64,32 @@ def test_reduceat_segments():
     starts = np.array([0, 2])
     np.testing.assert_allclose(PLUS_TIMES.reduceat(vals, starts), [3.0, 7.0])
     np.testing.assert_allclose(MIN_PLUS.reduceat(vals, starts), [1.0, 3.0])
+
+
+@pytest.mark.parametrize("semiring,kept", [(MIN_SELECT2ND, 1), (MIN_SELECT1ST, 0)],
+                         ids=["select2nd", "select1st"])
+@pytest.mark.parametrize("shapes", [((5,), (5,)), ((), ()), ((5,), ()), ((), (5,)),
+                                    ((4, 1), (4, 3)), ((4, 3), (4, 3)), ((4, 3), (1, 3))],
+                         ids=str)
+def test_select_copies_the_kept_operand_like_broadcast_then_copy(semiring, kept, shapes):
+    """Operands of one shape skip the broadcast, yet the result still has
+    the bytes, dtype, shape, C layout and writability of broadcasting the
+    kept operand to the common shape and copying it (a Fortran-ordered or
+    read-only operand included)."""
+    rng = np.random.default_rng(3)
+    a = np.asarray(rng.normal(size=shapes[0]))
+    b = np.asarray(rng.integers(0, 9, size=shapes[1]))
+    if a.ndim == 2:
+        a = np.asfortranarray(a)
+    b.flags.writeable = False
+    operand = (a, b)[kept]
+    expected = np.broadcast_to(
+        operand, np.broadcast_shapes(np.shape(a), np.shape(b))).copy()
+    out = semiring.multiply(a, b)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    assert out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, operand)
 
 
 def test_accumulate_at_matches_add_at():
@@ -146,6 +173,54 @@ def test_spa_first_touch_order_preserved():
     spa.accumulate(np.array([2]), np.array([1.0]))
     np.testing.assert_array_equal(spa.unique_indices(), [7, 2])
     np.testing.assert_array_equal(spa.unique_indices(sort=True), [2, 7])
+
+
+def test_spa_folds_a_written_slot_before_its_batch():
+    """A slot's later addends fold onto its current value in stream order:
+    (0.1 + 0.2) + 0.3, which rounds to 0.6000000000000001, not 0.1 + (0.2 +
+    0.3) = 0.6.  The counts stay one fresh slot and two ADDs."""
+    spa = SparseAccumulator(4)
+    spa.reset()
+    assert spa.accumulate(np.array([0]), np.array([0.1])) == (1, 0)
+    assert spa.accumulate(np.array([0, 0, 2]), np.array([0.2, 0.3, 1.0])) == (1, 2)
+    idx, vals = spa.extract()
+    assert idx.tolist() == [0, 2]
+    assert vals.tolist() == [(0.1 + 0.2) + 0.3, 1.0] == [0.6000000000000001, 1.0]
+
+
+@st.composite
+def batched_streams(draw):
+    """A (row, value) stream over 12 rows and the cut points of its batches."""
+    rows = draw(st.lists(st.integers(0, 11), max_size=40))
+    values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                           min_size=len(rows), max_size=len(rows)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=5)))
+    return rows, values, cuts
+
+
+@pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, MAX_TIMES],
+                         ids=lambda sr: sr.name)
+@given(stream=batched_streams())
+@example(stream=([0, 0, 0], [0.1, 0.2, 0.3], [1]))
+@settings(deadline=None, max_examples=60)
+def test_spa_batches_equal_one_merge_of_the_stream(semiring, stream):
+    """Any split of a stream into batches accumulates to exactly what one
+    ``merge_rows`` over the whole stream gives: the same rows and value
+    bits, with one fresh slot per row and one ADD per addend that meets its
+    row again."""
+    rows, values, cuts = stream
+    rows, values = np.array(rows, dtype=np.int64), np.array(values)
+    spa = SparseAccumulator(12, semiring=semiring)
+    spa.reset(semiring)
+    fresh = combines = 0
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        got = spa.accumulate(rows[lo:hi], values[lo:hi])
+        fresh, combines = fresh + got[0], combines + got[1]
+    uind, merged = merge_rows(rows, values, semiring, 12)[:2]
+    idx, vals = spa.extract(sort=True)
+    assert idx.tolist() == uind.tolist()
+    assert vals.tobytes() == merged.tobytes()
+    assert (fresh, combines) == (len(uind), len(rows) - len(uind))
 
 
 # --------------------------------------------------------------------------- #
